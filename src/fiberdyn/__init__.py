@@ -22,10 +22,11 @@ from .maps import (Domination, IntervalDomain, IntervalMap, MapSequence,
                    find_critical_points, identity_map, logistic_map,
                    make_system, moebius_map, quadratic_map, schwarzian,
                    twowell_map, verify_partial_hyperbolicity, viana_skew)
-from .branches import (BranchPartition, CensusRecord, EndpointCut,
-                       MonotoneBranch, bisect_preimage, component_census,
-                       interval_images, monotonicity_partition,
-                       symbol_sequence, track_branch)
+from .branches import (BranchBatch, BranchPartition, CensusRecord,
+                       EndpointCut, MonotoneBranch, bisect_preimage,
+                       bisect_preimages, component_census, interval_images,
+                       monotonicity_partition, symbol_sequence, track_branch,
+                       track_branches)
 from .expansion import (DecayTable, ExpansionRecord, branch_stats,
                         classify_point, estimate_f2, fiber_branch_stats,
                         ftle_fiber, ftle_full, measure_AY_decay,
@@ -42,4 +43,4 @@ from .markov import (InducedBranch, MarkovCertificate, MarkovPartition,
                      SummabilityStat, assemble_markov, branches_to_csv,
                      build_partition, cross_ratio, cross_ratio_operator,
                      fit_cross_ratio_constant, inducing_time,
-                     monotone_scale, summability_stat)
+                     inducing_times, monotone_scale, summability_stat)

@@ -6,22 +6,46 @@ grown image-side: the image interval is cut at critical points and every
 cut is pulled back to a domain endpoint by monotone bisection run to float
 exhaustion (residual well below the 1e-12 pullback tolerance), so each
 endpoint carries a checkable certificate (step, critical value).
+
+Pullbacks with many independent solves (the cells of a partition level,
+the threshold crossings of a census depth, the branches of many anchors)
+go through `bisect_preimages`, the elementwise replica of
+`bisect_preimage`: every lane keeps the scalar stopping rule and
+best-residual choice, so its result is bit-identical to the scalar call,
+while each bisection step composes the maps once over all live lanes.
 """
 
 import csv
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (BranchTerminated, CapExceeded, HitCritical)
 
 HIT_TOL = 1e-12
 PULLBACK_VALUE_TOL = 1e-13
 CENSUS_GUARD = 1e-9
+# Lanes solved together by bisect_preimages; bounds the working arrays.
+LANE_BATCH = 2048
 
 
 def compose_maps(maps, x):
     for m in maps:
         x = float(m.evaluator(x))
     return x
+
+
+def compose_lanes(maps, xs):
+    """compose_maps over a float array, one evaluator call per map."""
+    xs = np.asarray(xs, dtype=float)
+    for m in maps:
+        xs = np.asarray(m.evaluator(xs), dtype=float)
+    return xs
+
+
+def min_max(u, v):
+    """Elementwise (min(u, v), max(u, v)) with Python's tie and NaN rules."""
+    return np.where(v < u, v, u), np.where(v > u, v, u)
 
 
 def bisect_preimage(maps, target, lo, hi, value_tol=PULLBACK_VALUE_TOL):
@@ -54,6 +78,70 @@ def bisect_preimage(maps, target, lo, hi, value_tol=PULLBACK_VALUE_TOL):
             lo = mid
         else:
             hi = mid
+    return best_t
+
+
+def bisect_preimages(maps, targets, los, his, value_tol=PULLBACK_VALUE_TOL):
+    """bisect_preimage lane by lane over broadcast 1-d arrays.
+
+    Each lane follows the scalar rules exactly (the 200-step cap, the
+    residual and float-exhaustion stops, the strict-< best-residual choice
+    and the bracket update), so lane i equals
+    ``bisect_preimage(maps, targets[i], los[i], his[i])`` bit for bit.  A
+    step composes `maps` once over the lanes still running; lanes are
+    solved LANE_BATCH at a time.
+    """
+    targets, los, his = (np.array(v, dtype=float).ravel() for v in
+                         np.broadcast_arrays(targets, los, his))
+    if not maps:
+        return targets
+    out = np.empty_like(targets)
+    for s in range(0, targets.size, LANE_BATCH):
+        part = slice(s, s + LANE_BATCH)
+        out[part] = _bisect_lanes(maps, targets[part], los[part], his[part],
+                                  value_tol)
+    return out
+
+
+def _bisect_lanes(maps, target, lo, hi, value_tol):
+    flo = compose_lanes(maps, lo)
+    fhi = compose_lanes(maps, hi)
+    increasing = fhi >= flo
+    best_t, best_r = lo.copy(), np.abs(flo - target)
+    r_hi = np.abs(fhi - target)
+    take = r_hi < best_r
+    best_t[take], best_r[take] = hi[take], r_hi[take]
+    # working arrays hold the running lanes only; a lane that stops writes
+    # its best point back and is dropped from them
+    lane = np.flatnonzero(~(best_r <= value_tol))
+    lo, hi, target, increasing, t, r_best = (
+        v[lane] for v in (lo, hi, target, increasing, best_t, best_r))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        split = (lo < mid) & (mid < hi)
+        if not split.all():
+            best_t[lane[~split]] = t[~split]
+            lane, lo, hi, target, increasing, t, r_best, mid = (
+                v[split] for v in (lane, lo, hi, target, increasing, t,
+                                   r_best, mid))
+        if not lane.size:
+            break
+        fm = compose_lanes(maps, mid)
+        r = np.abs(fm - target)
+        better = r < r_best
+        t = np.where(better, mid, t)
+        r_best = np.where(better, r, r_best)
+        up = (fm < target) == increasing
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+        done = r_best <= value_tol
+        if done.any():
+            best_t[lane[done]] = t[done]
+            keep = ~done
+            lane, lo, hi, target, increasing, t, r_best = (
+                v[keep] for v in (lane, lo, hi, target, increasing, t,
+                                  r_best))
+    best_t[lane] = t
     return best_t
 
 
@@ -151,6 +239,127 @@ def track_branch(seq, x, n, hit_tol=HIT_TOL):
                           tuple(r_hist), lo_cut, hi_cut)
 
 
+@dataclass(frozen=True, eq=False)
+class BranchBatch:
+    """Branches of many anchors, stored as per-lane arrays.
+
+    Item i is lane i's MonotoneBranch.  `n` is the depth reached (the
+    termination step for lanes that hit a critical point); row i of
+    `r_history` is valid up to n[i]; `cut_level`/`cut_value` hold the
+    lo_cut (row 0) and hi_cut (row 1) certificates, level -1 for none.
+    """
+
+    x: np.ndarray
+    n: np.ndarray
+    t_lo: np.ndarray
+    t_hi: np.ndarray
+    img_lo: np.ndarray
+    img_hi: np.ndarray
+    orientation: np.ndarray
+    r_history: np.ndarray
+    cut_level: np.ndarray
+    cut_value: np.ndarray
+    terminated: np.ndarray
+
+    def __len__(self):
+        return self.x.size
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, i):
+        n = int(self.n[i])
+        cuts = [EndpointCut(int(self.cut_level[e, i]),
+                            float(self.cut_value[e, i]))
+                if self.cut_level[e, i] >= 0 else None for e in (0, 1)]
+        hit = bool(self.terminated[i])
+        return MonotoneBranch(
+            float(self.x[i]), n, float(self.t_lo[i]), float(self.t_hi[i]),
+            float(self.img_lo[i]), float(self.img_hi[i]),
+            int(self.orientation[i]), tuple(self.r_history[i, :n].tolist()),
+            *cuts, terminated=hit, termination_step=n if hit else None)
+
+
+def track_branches(seq, xs, n):
+    """track_branch for many anchors in lockstep.
+
+    `n` is one depth for every anchor or one depth per anchor.  Returns a
+    BranchBatch whose item i equals ``track_branch(seq, xs[i], n)`` field
+    by field; where that call raises HitCritical(j), item i is the
+    truncated branch the exception carries (terminated at step j).  Step j
+    pulls back the cuts of all live lanes in one bisect_preimages call and
+    maps their images in one evaluator call.  Raises ValueError when an
+    anchor is not interior to the domain.
+    """
+    dom = seq.domain
+    x = np.array(xs, dtype=float).ravel()
+    if not np.all((dom.lo < x) & (x < dom.hi)):
+        raise ValueError("anchor must be interior to the domain")
+    depth = np.broadcast_to(np.asarray(n, dtype=int), x.shape).copy()
+    size = x.size
+    t_lo, t_hi = np.full(size, dom.lo), np.full(size, dom.hi)
+    a, b, y = t_lo.copy(), t_hi.copy(), x.copy()
+    lo_to_lo = np.ones(size, dtype=bool)
+    orientation = np.ones(size, dtype=int)
+    cut_level = np.full((2, size), -1)     # rows: lo_cut, hi_cut
+    cut_value = np.zeros((2, size))
+    hit = np.zeros(size, dtype=bool)
+    steps = int(depth.max(initial=0))
+    r_hist = np.empty((size, steps))
+    maps = []
+    live = np.arange(size)
+    for j in range(steps):
+        live = live[depth[live] > j]
+        m = seq.map_at(j)
+        crit = m.critical_points
+        on_crit = np.zeros(live.size, dtype=bool)
+        for c in crit:
+            on_crit |= np.abs(y[live] - c) <= HIT_TOL
+        hits = live[on_crit]
+        hit[hits], depth[hits] = True, j
+        live = live[~on_crit]
+        if not live.size:
+            break
+        al, bl, yl = a[live], b[live], y[live]
+        cut_lo = np.full(live.size, np.nan)
+        cut_hi = np.full(live.size, np.nan)
+        for c in crit:
+            cut_lo = np.where((al < c) & (c < yl)
+                              & (np.isnan(cut_lo) | (c > cut_lo)), c, cut_lo)
+            cut_hi = np.where((yl < c) & (c < bl)
+                              & (np.isnan(cut_hi) | (c < cut_hi)), c, cut_hi)
+        has_lo, has_hi = ~np.isnan(cut_lo), ~np.isnan(cut_hi)
+        ltl = lo_to_lo[live]
+        # a cut below y moves the endpoint that maps to a (t_lo when
+        # lo_to_lo), a cut above y the one that maps to b
+        sets_lo = np.where(ltl, has_lo, has_hi)
+        sets_hi = np.where(ltl, has_hi, has_lo)
+        target_lo = np.where(ltl, cut_lo, cut_hi)[sets_lo]
+        target_hi = np.where(ltl, cut_hi, cut_lo)[sets_hi]
+        il, ih = live[sets_lo], live[sets_hi]
+        ts = bisect_preimages(maps, np.concatenate([target_lo, target_hi]),
+                              np.concatenate([t_lo[il], x[ih]]),
+                              np.concatenate([x[il], t_hi[ih]]))
+        t_lo[il], t_hi[ih] = ts[:il.size], ts[il.size:]
+        cut_level[0, il], cut_value[0, il] = j, target_lo
+        cut_level[1, ih], cut_value[1, ih] = j, target_hi
+        al = np.where(has_lo, cut_lo, al)
+        bl = np.where(has_hi, cut_hi, bl)
+        fa, fb, yl = np.split(compose_lanes([m], np.concatenate([al, bl, yl])),
+                              3)
+        keep = fa <= fb
+        a[live] = np.where(keep, fa, fb)
+        b[live] = np.where(keep, fb, fa)
+        y[live] = yl
+        flips = live[~keep]
+        lo_to_lo[flips] = ~lo_to_lo[flips]
+        orientation[flips] = -orientation[flips]
+        maps.append(m)
+        r_hist[live, j] = min_max(yl - a[live], b[live] - yl)[0]
+    return BranchBatch(x, depth, t_lo, t_hi, a, b, orientation, r_hist,
+                       cut_level, cut_value, hit)
+
+
 def symbol_sequence(branch: MonotoneBranch, delta):
     """Threshold the branch r-history: 1 where r_i >= delta, else 0."""
     if delta <= 0:
@@ -209,34 +418,38 @@ def monotonicity_partition(seq, n, cap=10**5):
     maps = []
     for j in range(n):
         m = seq.map_at(j)
-        new_cells = []
-        for cell in cells:
-            inside = sorted(c for c in m.critical_points
-                            if cell.img_lo < c < cell.img_hi)
-            if not inside:
-                pieces = [(cell.lo, cell.hi, cell.img_lo, cell.img_hi)]
+        inside = [[c for c in m.critical_points
+                   if cell.img_lo < c < cell.img_hi] for cell in cells]
+        lanes = [(c, cell.lo, cell.hi)
+                 for cell, cs in zip(cells, inside) for c in cs]
+        ts = iter(bisect_preimages(maps, *zip(*lanes)).tolist()
+                  if lanes else ())
+        pieces = []                # (parent, lo, hi, img_lo, img_hi)
+        for cell, cs in zip(cells, inside):
+            if not cs:
+                pieces.append((cell, cell.lo, cell.hi, cell.img_lo,
+                               cell.img_hi))
+                continue
+            cut_ts = [next(ts) for _ in cs]
+            img_knots = [cell.img_lo, *cs, cell.img_hi]
+            if cell.lo_to_lo:
+                d_knots = [cell.lo, *cut_ts, cell.hi]
             else:
-                ts = [bisect_preimage(maps, c, cell.lo, cell.hi)
-                      for c in inside]
-                img_knots = [cell.img_lo, *inside, cell.img_hi]
-                if cell.lo_to_lo:
-                    d_knots = [cell.lo, *ts, cell.hi]
-                else:
-                    d_knots = [cell.lo, *ts[::-1], cell.hi]
-                    img_knots = img_knots[::-1]
-                pieces = []
-                for i in range(len(d_knots) - 1):
-                    ia, ib = img_knots[i], img_knots[i + 1]
-                    pieces.append((d_knots[i], d_knots[i + 1],
-                                   min(ia, ib), max(ia, ib)))
-            for (plo, phi, ia, ib) in pieces:
-                fa = float(m.evaluator(ia))
-                fb = float(m.evaluator(ib))
-                flip = fa > fb
-                child_lo_to_lo = cell.lo_to_lo != flip
-                nlo, nhi = (fb, fa) if flip else (fa, fb)
-                new_cells.append(_Cell(plo, phi, nlo, nhi, child_lo_to_lo,
-                                       cell.branch_imgs + [(nlo, nhi)]))
+                d_knots = [cell.lo, *cut_ts[::-1], cell.hi]
+                img_knots = img_knots[::-1]
+            for i in range(len(d_knots) - 1):
+                ia, ib = img_knots[i], img_knots[i + 1]
+                pieces.append((cell, d_knots[i], d_knots[i + 1],
+                               min(ia, ib), max(ia, ib)))
+        # image endpoints of every piece in one evaluator call
+        ends = compose_lanes([m], [p[k] for k in (3, 4) for p in pieces])
+        fas, fbs = ends[:len(pieces)].tolist(), ends[len(pieces):].tolist()
+        new_cells = []
+        for (cell, plo, phi, _, _), fa, fb in zip(pieces, fas, fbs):
+            flip = fa > fb
+            nlo, nhi = (fb, fa) if flip else (fa, fb)
+            new_cells.append(_Cell(plo, phi, nlo, nhi, cell.lo_to_lo != flip,
+                                   cell.branch_imgs + [(nlo, nhi)]))
         if len(new_cells) > cap:
             raise CapExceeded(f"{len(new_cells)} cells exceed cap {cap}")
         cells = new_cells
@@ -301,37 +514,52 @@ def component_census(seq, n, delta, word=None, cap=10**5,
         raise ValueError(f"word length {len(word)} does not match depth {n}")
     part = monotonicity_partition(seq, n, cap)
     maps = [seq.map_at(j) for j in range(n)]
+    ncell = len(part.cells)
+    clo, chi = np.array(part.cells).T
+    imgs = np.array(part.branch_images).reshape(ncell, n, 2)
+    A, B = imgs[:, :, 0], imgs[:, :, 1]
+    # crossings at depth i, all cells at once: F_i of both cell endpoints,
+    # then one pullback of every target strictly inside [F_i(lo), F_i(hi)]
+    cuts = [[] for _ in range(ncell)]
+    ends = np.concatenate([clo, chi])
+    for i in range(1, n + 1):
+        ends = compose_lanes(maps[i - 1:i], ends)
+        flo, fhi = min_max(ends[:ncell], ends[ncell:])
+        Ai, Bi = A[:, i - 1], B[:, i - 1]
+        wide = ~(Bi - Ai < 2 * delta)      # else r_i < delta on the cell
+        lanes = []
+        for target in (Ai + delta, Bi - delta):
+            ok = wide & (flo < target) & (target < fhi)
+            lanes.append((np.flatnonzero(ok), target[ok]))
+        idx = np.concatenate([k for k, _ in lanes])
+        ts = bisect_preimages(maps[:i], np.concatenate([t for _, t in lanes]),
+                              clo[idx], chi[idx])
+        for k, t in zip(idx.tolist(), ts.tolist()):
+            cuts[k].append(t)
+    knots = []
+    for (c_lo, c_hi), c_cuts in zip(part.cells, cuts):
+        ks = [c_lo]
+        for t in sorted(c_cuts):
+            if t - ks[-1] > guard and c_hi - t > guard:
+                ks.append(t)
+        ks.append(c_hi)
+        knots.append(ks)
+    # the word of every knot interval, evaluated on its midpoint
+    owner = np.array([k for k, ks in enumerate(knots)
+                      for _ in range(len(ks) - 1)], dtype=int)
+    z = np.array([0.5 * (lo + hi) for ks in knots
+                  for lo, hi in zip(ks, ks[1:])])
+    bits = np.empty((z.size, n), dtype=int)
+    for i in range(1, n + 1):
+        z = compose_lanes(maps[i - 1:i], z)
+        r = min_max(z - A[owner, i - 1], B[owner, i - 1] - z)[0]
+        bits[:, i - 1] = r >= delta - guard
+    words = iter(map(tuple, bits.tolist()))
     components = {}
-    for (clo, chi), bimgs in zip(part.cells, part.branch_images):
-        cuts = []
-        for i in range(1, n + 1):
-            A, B = bimgs[i - 1]
-            if B - A < 2 * delta:
-                continue            # r_i < delta on the whole cell
-            sub = maps[:i]
-            Fu = compose_maps(sub, clo)
-            Fv = compose_maps(sub, chi)
-            flo, fhi = min(Fu, Fv), max(Fu, Fv)
-            for target in (A + delta, B - delta):
-                if flo < target < fhi:
-                    cuts.append(bisect_preimage(sub, target, clo, chi))
-        cuts = sorted(cuts)
-        knots = [clo]
-        for t in cuts:
-            if t - knots[-1] > guard and chi - t > guard:
-                knots.append(t)
-        knots.append(chi)
+    for ks in knots:
         prev_word = None
-        for klo, khi in zip(knots, knots[1:]):
-            mid = 0.5 * (klo + khi)
-            w = []
-            z = mid
-            for i in range(1, n + 1):
-                z = float(maps[i - 1].evaluator(z))
-                A, B = bimgs[i - 1]
-                r = min(z - A, B - z)
-                w.append(1 if r >= delta - guard else 0)
-            w = tuple(w)
+        for klo, khi in zip(ks, ks[1:]):
+            w = next(words)
             if w == prev_word:
                 # crossing did not flip the word (threshold tangency);
                 # merge with the previous component

@@ -57,8 +57,9 @@ class ClosureDiverges(FiberdynError):
 class InducingTimeNotFound(FiberdynError):
     """No inducing time up to the search cap satisfied the covering."""
 
-    def __init__(self, k_max):
-        super().__init__(f"no inducing time found up to k_max={k_max}")
+    def __init__(self, k_max, message=None):
+        super().__init__(message
+                         or f"no inducing time found up to k_max={k_max}")
         self.k_max = k_max
 
 

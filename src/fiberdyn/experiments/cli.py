@@ -90,6 +90,9 @@ def main(argv=None):
         return 2
     try:
         manifest = run_experiment(cfg)
+    except ValidationError as ex:     # the system rejected its parameters
+        print(f"config error: {ex}", file=sys.stderr)
+        return 2
     except FiberdynError as ex:
         print(f"experiment failed: {ex}", file=sys.stderr)
         return 1

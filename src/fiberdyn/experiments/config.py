@@ -18,6 +18,7 @@ deeper than section.key is not representable.  Unknown sections, unknown
 keys, and out-of-range values are rejected with the offending field path.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -42,7 +43,12 @@ SYSTEM_PARAMS = {
 }
 
 def _positive(v):
-    return v > 0
+    return v > 0 and math.isfinite(v)
+
+def _depth_list(v):
+    tokens = v.split()
+    return bool(tokens) and all(_INT_RE.match(t) and int(t) >= 1
+                                for t in tokens)
 
 def _unit(v):
     return 0.0 <= v < 1.0
@@ -64,7 +70,8 @@ EXPERIMENT_PARAMS = {
         "cap": (int, 10**5, _positive, "cell budget"),
     },
     "ay_decay": {
-        "n_values": (str, "30 40 50 60", None, "space-separated depths"),
+        "n_values": (str, "30 40 50 60", _depth_list,
+                     "space-separated depths"),
         "delta_min": (float, 0.02, _positive, "smallest threshold"),
         "delta_max": (float, 0.2, _positive, "largest threshold"),
         "delta_count": (int, 7, _positive, "thresholds on a geometric grid"),
@@ -235,6 +242,9 @@ def validate_config(sections):
         params[key] = _coerce(kind, key, value, schema[key])
     for key, entry in schema.items():
         params.setdefault(key, entry[1])
+    if kind == "ay_decay" and params["delta_min"] > params["delta_max"]:
+        raise ValidationError("experiment.delta_min",
+                              "must not exceed experiment.delta_max")
     out = dict(sections.get("output", {}))
     seed = out.pop("seed", 1)
     if isinstance(seed, bool) or not isinstance(seed, int):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..errors import FiberdynError, HitCritical, IOFailure
+from ..errors import FiberdynError, HitCritical, IOFailure, ValidationError
 from ..expansion import ftle_fiber, ftle_full, measure_AY_decay
 from ..hyptimes import (CurveGraph, PlissQuery, curve_growth_constants,
                         pliss_times, probe_neighborhood, slope_envelope)
@@ -240,7 +240,10 @@ def run_experiment(cfg: ExperimentConfig):
     t0 = time.perf_counter()
     error = None
     try:
-        system = make_system(cfg.family, **cfg.system_params)
+        try:
+            system = make_system(cfg.family, **cfg.system_params)
+        except ValueError as ex:    # parameters outside the family's range
+            raise ValidationError("system", str(ex)) from ex
         names = _RUNNERS[cfg.kind](cfg, system, out)
         for name in names:
             p = out / name

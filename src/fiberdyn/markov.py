@@ -7,18 +7,23 @@ branch image covers the partition cell of the k-th orbit point together
 with both neighbouring cells; the branch pullback of that cell is then a
 domain interval on which the induced map is a monotone surjection onto the
 cell.  Certification checks image exactness, minimum image length,
-constancy of (k, I) on each branch, and sampled distortion.
+constancy of (k, I) on each branch, and sampled distortion.  Discovery
+and constancy checks compute inducing times in lockstep batches
+(`inducing_times`), whose entries equal the one-point results.
 """
 
 import bisect as _bisect
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import bisect_preimage, monotonicity_partition, track_branch
+from .branches import (LANE_BATCH, bisect_preimage, bisect_preimages,
+                       compose_lanes, min_max, monotonicity_partition,
+                       track_branch, track_branches)
 from .errors import (ClosureDiverges, DegenerateGap, EscapedDomain,
                      HitCritical, InducingTimeNotFound, NotMonotone)
 from .maps import IntervalMap, constant_sequence
@@ -150,34 +155,112 @@ def monotone_scale(m: IntervalMap, part: MarkovPartition, n_cap=30,
         p = monotonicity_partition(seq, n, cell_cap)
         if max(hi - lo for lo, hi in p.cells) < target:
             return n
-    raise InducingTimeNotFound(n_cap)
+    raise InducingTimeNotFound(
+        n_cap, f"no partition scale N: depth-n monotone cells stay longer "
+               f"than min_len/4 = {target!r} up to the depth cap "
+               f"n_cap={n_cap}")
 
 
-def _covering_k(m: IntervalMap, part: MarkovPartition, x, N, k_max,
-                hit_tol=1e-12):
-    """Image-side search for the minimal covering iterate k >= N."""
+def _covering_ks(m: IntervalMap, part: MarkovPartition, xs, N, k_max,
+                 hit_tol=1e-12):
+    """Image-side search for the minimal covering iterate k >= N, per lane.
+
+    All lanes step in lockstep; returns arrays (k, ci) with k = 0 where the
+    search failed and the failure per lane (HitCritical or
+    InducingTimeNotFound, None on success).
+    """
     dom = m.domain
-    a, b, y = dom.lo, dom.hi, float(x)
-    eps = part.endpoints
+    y = np.array(xs, dtype=float)
+    a, b = np.full(y.size, dom.lo), np.full(y.size, dom.hi)
+    eps = np.asarray(part.endpoints)
+    ks, cis = np.zeros(y.size, dtype=int), np.zeros(y.size, dtype=int)
+    errors = [None] * y.size
+    live = np.arange(y.size)
     for j in range(k_max):
+        if not live.size:
+            break
+        yl, al, bl = y[live], a[live], b[live]
+        on_crit = np.zeros(live.size, dtype=bool)
         for c in m.critical_points:
-            if abs(y - c) <= hit_tol:
-                raise HitCritical(j)
-            if a < c < y:
-                a = c
-            elif y < c < b:
-                b = c
-        fa, fb = float(m.evaluator(a)), float(m.evaluator(b))
-        y = float(m.evaluator(y))
-        a, b = min(fa, fb), max(fa, fb)
+            on_crit |= np.abs(yl - c) <= hit_tol
+            below = (al < c) & (c < yl)
+            al = np.where(below, c, al)
+            bl = np.where(~below & (yl < c) & (c < bl), c, bl)
+        for i in live[on_crit].tolist():
+            errors[i] = HitCritical(j)
+        keep = ~on_crit
+        live, al, bl, yl = live[keep], al[keep], bl[keep], yl[keep]
+        fa, fb, yl = np.split(compose_lanes([m], np.concatenate([al, bl, yl])),
+                              3)
+        a[live], b[live] = min_max(fa, fb)
+        y[live] = yl
         k = j + 1
         if k >= N:
-            ci = part.cell_index(y)
-            lo_need = eps[max(ci - 1, 0)]
-            hi_need = eps[min(ci + 2, len(eps) - 1)]
-            if a <= lo_need + ENDPOINT_TOL and b >= hi_need - ENDPOINT_TOL:
-                return k, ci
-    raise InducingTimeNotFound(k_max)
+            ci = np.clip(np.searchsorted(eps, yl, side="right") - 1,
+                         0, eps.size - 2)
+            lo_need = eps[np.maximum(ci - 1, 0)]
+            hi_need = eps[np.minimum(ci + 2, eps.size - 1)]
+            done = ((a[live] <= lo_need + ENDPOINT_TOL)
+                    & (b[live] >= hi_need - ENDPOINT_TOL))
+            ks[live[done]], cis[live[done]] = k, ci[done]
+            live = live[~done]
+    for i in live.tolist():
+        errors[i] = InducingTimeNotFound(k_max)
+    return ks, cis, errors
+
+
+def inducing_times(m: IntervalMap, part: MarkovPartition, xs, N=None,
+                   k_max=200):
+    """inducing_time for many points; one result or exception per point.
+
+    Entry i is what ``inducing_time(m, part, xs[i], N, k_max)`` returns,
+    or the HitCritical, InducingTimeNotFound or ValueError it raises.
+    Points are processed LANE_BATCH at a time: each batch runs the covering
+    search in lockstep, tracks all branches with one track_branches call
+    and pulls the image cells back with one bisect_preimages call per
+    inducing time.
+    """
+    xs = [float(x) for x in xs]
+    out = [ValueError("x must be interior to a partition cell")
+           if part.near_endpoint(x) else None for x in xs]
+    todo = [i for i, r in enumerate(out) if r is None]
+    if todo and N is None:
+        N = monotone_scale(m, part)
+    dom = m.domain
+    seq = constant_sequence(m)
+    eps = np.asarray(part.endpoints)
+    for s in range(0, len(todo), LANE_BATCH):
+        lanes = todo[s:s + LANE_BATCH]
+        ks, cis, errors = _covering_ks(m, part, [xs[i] for i in lanes], N,
+                                       k_max)
+        for pos, (i, err) in enumerate(zip(lanes, errors)):
+            if err is None and not dom.lo < xs[i] < dom.hi:
+                err = ValueError("anchor must be interior to the domain")
+                ks[pos] = 0
+            out[i] = err
+        ok = np.flatnonzero(ks > 0)
+        ks, cis = ks[ok], cis[ok]
+        branches = track_branches(seq, [xs[lanes[i]] for i in ok], ks)
+        t_lo, t_hi = branches.t_lo, branches.t_hi
+        for k in np.unique(ks).tolist():
+            sel = np.flatnonzero(ks == k)
+            ci = cis[sel]
+            ends = bisect_preimages([m] * k,
+                                    np.concatenate([eps[ci], eps[ci + 1]]),
+                                    np.tile(t_lo[sel], 2),
+                                    np.tile(t_hi[sel], 2))
+            lo, hi = min_max(ends[:sel.size], ends[sel.size:])
+            for i, c, u, v in zip(ok[sel].tolist(), ci.tolist(), lo.tolist(),
+                                  hi.tolist()):
+                out[lanes[i]] = (k, (u, v), c)
+    return out
+
+
+def _streamed_inducing_times(m, part, xs, N, k_max):
+    """inducing_times over an iterable, computed LANE_BATCH points at a time."""
+    xs = iter(xs)
+    while chunk := list(itertools.islice(xs, LANE_BATCH)):
+        yield from inducing_times(m, part, chunk, N, k_max)
 
 
 def inducing_time(m: IntervalMap, part: MarkovPartition, x, N=None,
@@ -188,20 +271,10 @@ def inducing_time(m: IntervalMap, part: MarkovPartition, x, N=None,
     of the partition cell, computed by monotone bisection inside the
     depth-k branch of x.
     """
-    x = float(x)
-    if part.near_endpoint(x):
-        raise ValueError("x must be interior to a partition cell")
-    if N is None:
-        N = monotone_scale(m, part)
-    k, ci = _covering_k(m, part, x, N, k_max)
-    seq = constant_sequence(m)
-    branch = track_branch(seq, x, k)
-    maps = [m] * k
-    lo = bisect_preimage(maps, part.endpoints[ci], branch.t_lo, branch.t_hi)
-    hi = bisect_preimage(maps, part.endpoints[ci + 1], branch.t_lo,
-                         branch.t_hi)
-    lo, hi = min(lo, hi), max(lo, hi)
-    return k, (lo, hi), ci
+    (result,) = inducing_times(m, part, [x], N, k_max)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -292,23 +365,31 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
         i = _bisect.bisect_right(los, x) - 1
         return i >= 0 and x <= his[i] + 1e-12
 
-    def discover(x):
-        if part.near_endpoint(x) or covered(x):
-            return
-        try:
-            k, (lo, hi), ci = inducing_time(m, part, x, N, k_max)
-        except (HitCritical, InducingTimeNotFound, ValueError):
-            return
-        i = _bisect.bisect_left(los, lo)
-        for j in (i - 1, i):
-            if 0 <= j < len(los) and abs(los[j] - lo) <= ENDPOINT_TOL:
-                return
-        los.insert(i, lo)
-        his.insert(i, hi)
-        branches.insert(i, (k, lo, hi, ci))
+    def discover(xs):
+        # inducing times of a chunk are computed in one batch (skipping
+        # points already covered before the chunk), then the points are
+        # replayed in order; an inducing time depends on x alone, so the
+        # branch list is the same as for one point at a time
+        xs = [float(x) for x in xs]
+        for s in range(0, len(xs), LANE_BATCH):
+            chunk = xs[s:s + LANE_BATCH]
+            todo = [x for x in chunk
+                    if not part.near_endpoint(x) and not covered(x)]
+            found = dict(zip(todo, inducing_times(m, part, todo, N, k_max)))
+            for x in chunk:
+                if (part.near_endpoint(x) or covered(x)
+                        or isinstance(found[x], Exception)):
+                    continue
+                k, (lo, hi), ci = found[x]
+                i = _bisect.bisect_left(los, lo)
+                if any(0 <= j < len(los) and abs(los[j] - lo) <= ENDPOINT_TOL
+                       for j in (i - 1, i)):
+                    continue
+                los.insert(i, lo)
+                his.insert(i, hi)
+                branches.insert(i, (k, lo, hi, ci))
 
-    for x in points:
-        discover(float(x))
+    discover(points)
     for _ in range(gap_rounds):
         gaps = []
         frontier = dom.lo
@@ -320,8 +401,7 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
             gaps.append((frontier, dom.hi))
         if not gaps:
             break
-        for glo, ghi in gaps:
-            discover(0.5 * (glo + ghi))
+        discover(0.5 * (glo + ghi) for glo, ghi in gaps)
 
     # certification; a cell image only stays cell-aligned along induced
     # iterates when the endpoint set is forward invariant, so that check is
@@ -340,6 +420,15 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
     worst_mismatch = 0.0
     min_img = math.inf
     rng2 = make_generator(seed + 1)
+
+    def constancy_points(lo, hi):
+        return np.linspace(lo, hi, constancy_samples + 2)[1:-1]
+
+    # inducing times at the constancy samples of all branches, computed
+    # LANE_BATCH at a time as the loop below consumes them
+    found = _streamed_inducing_times(
+        m, part, (float(s) for (_, lo, hi, _) in branches
+                  for s in constancy_points(lo, hi)), N, k_max)
     for (k, lo, hi, ci) in branches:
         cell_lo, cell_hi = part.endpoints[ci], part.endpoints[ci + 1]
         img = sorted(float(seq.compose(e, k)) for e in (lo, hi))
@@ -353,13 +442,12 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
         dist = math.exp(max(lds) - min(lds)) if min(lds) > -math.inf else math.inf
         out.append(InducedBranch(lo, hi, k, ci, dist))
         if check_constancy:
-            for s in np.linspace(lo, hi, constancy_samples + 2)[1:-1]:
-                try:
-                    k2, (lo2, hi2), ci2 = inducing_time(m, part, float(s), N,
-                                                        k_max)
-                except (HitCritical, InducingTimeNotFound, ValueError):
+            for s in constancy_points(lo, hi):
+                result = next(found)
+                if isinstance(result, Exception):
                     failures.append(f"branch@{lo!r}: sample {s!r} failed")
                     continue
+                k2, (lo2, hi2), ci2 = result
                 if k2 != k or ci2 != ci or abs(lo2 - lo) > ENDPOINT_TOL \
                         or abs(hi2 - hi) > ENDPOINT_TOL:
                     failures.append(

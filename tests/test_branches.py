@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from fiberdyn import (BranchTerminated, CapExceeded, HitCritical,
-                      branch_stats, component_census, constant_sequence,
-                      interval_images, moebius_map, monotonicity_partition,
-                      symbol_sequence, track_branch)
+                      bisect_preimage, bisect_preimages, branch_stats,
+                      component_census, constant_sequence, fiber_sequence,
+                      identity_map, interval_images, logistic_map, moebius_map,
+                      monotonicity_partition, quadratic_map, symbol_sequence,
+                      track_branch, track_branches, twowell_map, viana_skew)
 from fiberdyn.rng import make_generator
 
 E1 = (2.0 - math.sqrt(2.0)) / 4.0
@@ -260,3 +262,113 @@ class TestCensus:
         assert clean == len(out)
         for _, lo, hi in out:
             assert lo < hi
+
+
+# ---------------------------------------------------------------------------
+# batched pullback: lane-by-lane equality with the scalar primitives
+# ---------------------------------------------------------------------------
+
+PULLBACK_SYSTEMS = {
+    "logistic": lambda: constant_sequence(logistic_map()),
+    "twowell": lambda: constant_sequence(twowell_map()),
+    "quadratic": lambda: constant_sequence(quadratic_map(1.7)),
+    "moebius": lambda: constant_sequence(moebius_map(2.0)),
+    "viana fiber": lambda: fiber_sequence(viana_skew(), 0.3),
+}
+
+
+def _scalar_branch(seq, x, n):
+    try:
+        return track_branch(seq, x, n)
+    except HitCritical as ex:
+        return ex.branch
+
+
+class TestBatchedPullback:
+    @pytest.mark.parametrize("name", sorted(PULLBACK_SYSTEMS))
+    @pytest.mark.parametrize("depth", [0, 1, 3, 6])
+    def test_bisect_preimages_matches_scalar(self, name, depth):
+        seq = PULLBACK_SYSTEMS[name]()
+        dom = seq.domain
+        maps = [seq.map_at(j) for j in range(depth)]
+        rng = make_generator(depth)
+        los = rng.uniform(dom.lo, dom.hi, 120)
+        his = np.minimum(los + rng.uniform(0.0, 0.3, 120) * dom.length,
+                         dom.hi)
+        # collapsed brackets: no float splits them
+        his[:10] = np.nextafter(los[:10], np.inf)
+        # targets run past the domain, so some lie outside [F(lo), F(hi)]
+        targets = rng.uniform(dom.lo - 0.2 * dom.length,
+                              dom.hi + 0.2 * dom.length, 120)
+        # targets attained inside the bracket
+        targets[10:60] = seq.compose(0.5 * (los[10:60] + his[10:60]), depth)
+        got = bisect_preimages(maps, targets, los, his)
+        want = [bisect_preimage(maps, float(t), float(lo), float(hi))
+                for t, lo, hi in zip(targets, los, his)]
+        assert got.tolist() == want
+
+    def test_bisect_preimages_broadcasts_and_handles_no_maps(self,
+                                                             logistic_seq):
+        assert bisect_preimages([], [0.3, 0.7], 0.0, 1.0).tolist() == \
+            [0.3, 0.7]
+        maps = [logistic_seq.map_at(0)] * 2
+        got = bisect_preimages(maps, [0.3, 0.7], 0.0, 0.5)
+        assert got.tolist() == [bisect_preimage(maps, t, 0.0, 0.5)
+                                for t in (0.3, 0.7)]
+        assert bisect_preimages(maps, [], [], []).size == 0
+
+    def test_bisect_preimages_residual_equal_to_tolerance(self):
+        # dyadic values make residuals hit value_tol exactly: 0.875 stops
+        # before the loop (at hi), 0.625 at the first midpoint
+        maps = [identity_map()]
+        targets = [0.875, 0.625]
+        got = bisect_preimages(maps, targets, 0.0, 1.0, value_tol=0.125)
+        want = [bisect_preimage(maps, t, 0.0, 1.0, value_tol=0.125)
+                for t in targets]
+        assert got.tolist() == want == [1.0, 0.5]
+
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    def test_track_branches_matches_scalar(self, logistic_seq, n):
+        xs = make_generator(n).uniform(0.0, 1.0, 150).tolist()
+        xs += [0.5, E1, 1.0 - E1, 0.25]      # hits at steps 0, 1, 1; none
+        got = list(track_branches(logistic_seq, xs, n))
+        assert got == [_scalar_branch(logistic_seq, x, n) for x in xs]
+        assert got[-4].terminated and got[-4].termination_step == 0
+        assert got[-3].terminated == (n > 1)
+        assert not got[-1].terminated
+
+    @pytest.mark.parametrize("name", ["quadratic", "moebius", "viana fiber"])
+    def test_track_branches_matches_scalar_other_maps(self, name):
+        seq = PULLBACK_SYSTEMS[name]()
+        dom = seq.domain
+        xs = make_generator(7).uniform(dom.lo, dom.hi, 80)
+        for n in (1, 6, 10):
+            got = list(track_branches(seq, xs, n))
+            assert got == [_scalar_branch(seq, float(x), n) for x in xs]
+
+    def test_track_branches_twowell_pullback_fields(self, twowell):
+        # the two-well evaluator squares by libm pow on scalars and exactly
+        # on arrays, so forward images may differ in the last bit; the
+        # pulled-back endpoints and their certificates do not
+        seq = constant_sequence(twowell)
+        xs = make_generator(8).uniform(0.0, 1.0, 40)
+        fields = ("t_lo", "t_hi", "lo_cut", "hi_cut", "orientation",
+                  "terminated", "termination_step", "n")
+        for n in (1, 6, 10):
+            for got, x in zip(track_branches(seq, xs, n), xs):
+                want = _scalar_branch(seq, float(x), n)
+                for f in fields:
+                    assert getattr(got, f) == getattr(want, f)
+                assert got.r_history == pytest.approx(want.r_history,
+                                                      rel=1e-12, abs=1e-15)
+
+    def test_track_branches_per_lane_depths(self, logistic_seq):
+        xs = [0.1, 0.3, 0.5, 0.7]
+        depths = [1, 7, 4, 0]
+        got = list(track_branches(logistic_seq, xs, depths))
+        assert got == [_scalar_branch(logistic_seq, x, n)
+                       for x, n in zip(xs, depths)]
+
+    def test_track_branches_rejects_boundary_anchor(self, logistic_seq):
+        with pytest.raises(ValueError):
+            track_branches(logistic_seq, [0.3, 0.0], 3)

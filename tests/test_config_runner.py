@@ -161,6 +161,23 @@ class TestCli:
                        "--out", str(tmp_path / "c2")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["census", "--delta", "inf"],
+        ["ay_decay", "--delta-min", "0.3", "--delta-max", "0.1"],
+        ["ay_decay", "--n-values", "abc"],
+        ["ftle", "--family", "quadratic", "--system", "a=3"],
+    ], ids=["infinite-delta", "inverted-delta-grid", "non-integer-depths",
+            "family-parameter-out-of-range"])
+    def test_bad_values_are_config_errors(self, tmp_path, argv):
+        assert cli_main([*argv, "--out", str(tmp_path / "bad")]) == 2
+
+    def test_partition_scale_failure_message(self, tmp_path, capsys):
+        rc = cli_main(["markov", "--family", "doubling", "--depth", "1",
+                       "--out", str(tmp_path / "m")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "n_cap=30" in err and "k_max" not in err
+
     def test_experiment_failure_exit_code(self, tmp_path):
         rc = cli_main(["census", "--n", "16", "--cap", "4",
                        "--out", str(tmp_path / "c3")])

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fiberdyn import (ClosureDiverges, DegenerateGap, InducedBranch,
-                      InducingTimeNotFound, MarkovPartition, NotMonotone,
-                      affine_map, assemble_markov, build_partition,
-                      constant_sequence, cross_ratio, cross_ratio_operator,
-                      doubling_map, fit_cross_ratio_constant, inducing_time,
+from fiberdyn import (ClosureDiverges, DegenerateGap, HitCritical,
+                      InducedBranch, InducingTimeNotFound, MarkovPartition,
+                      NotMonotone, affine_map, assemble_markov,
+                      build_partition, constant_sequence, cross_ratio,
+                      cross_ratio_operator, doubling_map,
+                      fit_cross_ratio_constant, inducing_time, inducing_times,
                       moebius_map, monotone_scale, quadratic_map,
                       summability_stat, track_branch)
 from fiberdyn.rng import make_generator
@@ -79,6 +80,30 @@ class TestInducingTime:
         part = build_partition(logistic, 1)
         with pytest.raises(InducingTimeNotFound):
             inducing_time(logistic, part, 0.3, N=6, k_max=5)
+
+    def test_batch_matches_one_point_at_a_time(self, logistic):
+        part = build_partition(logistic, 1)
+        xs = make_generator(52).uniform(0.0, 1.0, 300).tolist()
+        xs += [0.5, 0.0, E1, 0.25, 0.75]     # endpoint and critical anchors
+        batch = inducing_times(logistic, part, xs, 6)
+        for x, got in zip(xs, batch):
+            try:
+                want = inducing_time(logistic, part, x, 6)
+            except (HitCritical, InducingTimeNotFound, ValueError) as ex:
+                assert type(got) is type(ex) and str(got) == str(ex)
+            else:
+                assert got == want
+        assert sum(isinstance(r, tuple) for r in batch) >= 250
+        assert isinstance(batch[-5], ValueError)
+
+    def test_partition_scale_failure_names_its_cap(self):
+        # the doubling map has no critical point, so its monotone cells
+        # never shrink; the failure is the depth cap n_cap, not k_max
+        m = doubling_map()
+        part = build_partition(m, 1)
+        with pytest.raises(InducingTimeNotFound, match="n_cap=7") as info:
+            monotone_scale(m, part, n_cap=7)
+        assert "k_max" not in str(info.value)
 
 
 @pytest.fixture(scope="module")
