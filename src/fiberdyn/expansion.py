@@ -9,12 +9,13 @@ points.
 import csv
 import math
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import islice, repeat
 
 import numpy as np
 
 from .errors import (DegenerateDifferential, EmptySample, HitCritical)
-from .maps import IntervalMap, MapSequence, SkewProduct, constant_sequence, wrap
+from .maps import IntervalMap, MapSequence, SkewProduct, wrap
 from .rng import make_generator
 
 # Orbit steps per chunk of the constant-sequence kernel in ftle_fiber: long
@@ -118,6 +119,36 @@ def visit_frequency(seq: MapSequence, x, n, eps):
 # vectorized branch-size statistics
 # ---------------------------------------------------------------------------
 
+def _branch_loop(steps, critical_points, domain, x0, n, hit_tol):
+    """The branch-size loop behind branch_stats and fiber_branch_stats.
+
+    `steps` yields one (f, Df) pair of array callables per step; the
+    critical set is the same at every step.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    a = np.full(x0.shape, domain.lo)
+    b = np.full(x0.shape, domain.hi)
+    y = x0.copy()
+    alive = np.ones(x0.shape, dtype=bool)
+    r = np.zeros((n,) + x0.shape)
+    logd = np.full((n,) + x0.shape, -np.inf)
+    for j, (f, df) in zip(range(n), steps):
+        for c in critical_points:
+            alive &= np.abs(y - c) > hit_tol
+            cut_lo = alive & (a < c) & (c < y)
+            a = np.where(cut_lo, c, a)
+            cut_hi = alive & (y < c) & (c < b)
+            b = np.where(cut_hi, c, b)
+        d = np.abs(np.asarray(df(y), dtype=float))
+        logd[j] = np.where(alive, np.log(np.maximum(d, 1e-300)), -np.inf)
+        fa = np.asarray(f(a), dtype=float)
+        fb = np.asarray(f(b), dtype=float)
+        y = np.asarray(f(y), dtype=float)
+        a, b = np.minimum(fa, fb), np.maximum(fa, fb)
+        r[j] = np.where(alive, np.minimum(y - a, b - y), 0.0)
+    return r, logd, alive
+
+
 def branch_stats(m: IntervalMap, x0, n, hit_tol=1e-12):
     """Image-side branch sizes r_i and log |Df| for a batch of anchors.
 
@@ -126,29 +157,8 @@ def branch_stats(m: IntervalMap, x0, n, hit_tol=1e-12):
     and logd at -inf from that step on.  Matches track_branch image-side
     arithmetic exactly.
     """
-    x0 = np.asarray(x0, dtype=float)
-    lo, hi = m.domain.lo, m.domain.hi
-    a = np.full(x0.shape, lo)
-    b = np.full(x0.shape, hi)
-    y = x0.copy()
-    alive = np.ones(x0.shape, dtype=bool)
-    r = np.zeros((n,) + x0.shape)
-    logd = np.full((n,) + x0.shape, -np.inf)
-    for j in range(n):
-        for c in m.critical_points:
-            alive &= np.abs(y - c) > hit_tol
-            cut_lo = alive & (a < c) & (c < y)
-            a = np.where(cut_lo, c, a)
-            cut_hi = alive & (y < c) & (c < b)
-            b = np.where(cut_hi, c, b)
-        d = np.abs(np.asarray(m.derivative(y), dtype=float))
-        logd[j] = np.where(alive, np.log(np.maximum(d, 1e-300)), -np.inf)
-        fa = np.asarray(m.evaluator(a), dtype=float)
-        fb = np.asarray(m.evaluator(b), dtype=float)
-        y = np.asarray(m.evaluator(y), dtype=float)
-        a, b = np.minimum(fa, fb), np.maximum(fa, fb)
-        r[j] = np.where(alive, np.minimum(y - a, b - y), 0.0)
-    return r, logd, alive
+    return _branch_loop(repeat((m.evaluator, m.derivative)),
+                        m.critical_points, m.domain, x0, n, hit_tol)
 
 
 def fiber_branch_stats(skew: SkewProduct, thetas, x0, n, hit_tol=1e-12):
@@ -163,31 +173,31 @@ def fiber_branch_stats(skew: SkewProduct, thetas, x0, n, hit_tol=1e-12):
     cps = skew.fiber_criticals(0.0)
     if any(skew.fiber_criticals(t) != cps for t in probes):
         raise NotImplementedError("fiber critical set varies with theta")
+
+    def steps(th):
+        while True:
+            yield partial(skew.fiber, th), partial(skew.fiber_dx, th)
+            th = wrap(np.asarray(skew.base(th), dtype=float))
+
     th = np.asarray(thetas, dtype=float) % 1.0
-    x0 = np.asarray(x0, dtype=float)
-    lo, hi = skew.fiber_domain.lo, skew.fiber_domain.hi
-    a = np.full(x0.shape, lo)
-    b = np.full(x0.shape, hi)
-    y = x0.copy()
-    alive = np.ones(x0.shape, dtype=bool)
-    r = np.zeros((n,) + x0.shape)
-    logd = np.full((n,) + x0.shape, -np.inf)
-    for j in range(n):
-        for c in cps:
-            alive &= np.abs(y - c) > hit_tol
-            cut_lo = alive & (a < c) & (c < y)
-            a = np.where(cut_lo, c, a)
-            cut_hi = alive & (y < c) & (c < b)
-            b = np.where(cut_hi, c, b)
-        d = np.abs(np.asarray(skew.fiber_dx(th, y), dtype=float))
-        logd[j] = np.where(alive, np.log(np.maximum(d, 1e-300)), -np.inf)
-        fa = np.asarray(skew.fiber(th, a), dtype=float)
-        fb = np.asarray(skew.fiber(th, b), dtype=float)
-        y = np.asarray(skew.fiber(th, y), dtype=float)
-        a, b = np.minimum(fa, fb), np.maximum(fa, fb)
-        r[j] = np.where(alive, np.minimum(y - a, b - y), 0.0)
-        th = wrap(np.asarray(skew.base(th), dtype=float))
-    return r, logd, alive
+    return _branch_loop(steps(th), cps, skew.fiber_domain, x0, n, hit_tol)
+
+
+def _cloud_branch_stats(system, cloud, n):
+    """branch_stats of a cloud drawn by `system.sample`.
+
+    A skew-product follows each point's fiber sequence; a map or a constant
+    sequence applies its one map.  A non-constant sequence is rejected: its
+    members are not all the same map, and only a skew-product says how a
+    point's sequence depends on the point.
+    """
+    if isinstance(system, SkewProduct):
+        return fiber_branch_stats(system, *cloud, n)
+    seq = system.sequence(0.0)
+    if not seq.constant:
+        raise ValueError("branch statistics of a cloud need an interval map, "
+                         "a constant sequence or a skew-product")
+    return branch_stats(seq.map_at(0), cloud, n)
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +225,13 @@ def classify_point(system, point, n, lam, delta, eps=None):
     average feeds the Z flag while the fiber average feeds Y.
     """
     if isinstance(system, SkewProduct):
-        theta, x = point
-        from .maps import fiber_sequence
-        seq = fiber_sequence(system, theta)
+        theta, x = (float(v) for v in point)
         in_z = ftle_full(system, point, n) > lam
+        point = (theta, x)
     else:
-        seq = constant_sequence(system) if isinstance(system, IntervalMap) \
-            else system
         x = float(point) if np.isscalar(point) else float(point[-1])
-        in_z = None
+        theta, in_z, point = 0.0, None, (x,)
+    seq = system.sequence(theta)
     r, logd, _ = (branch_stats(seq.map_at(0), np.array([x]), n)
                   if seq.constant else
                   _sequence_branch_stats(seq, x, n))
@@ -232,13 +240,8 @@ def classify_point(system, point, n, lam, delta, eps=None):
     r_mean = float(rs.mean())
     r_last = float(rs[-1])
     vf = visit_frequency(seq, x, n, eps) if eps else None
-    if isinstance(system, SkewProduct):
-        return ExpansionRecord((float(theta), float(x)), n, ft, r_mean, r_last,
-                               ft > lam, r_mean < delta**2 and r_last > 0,
-                               in_z, vf)
-    return ExpansionRecord((float(x),), n, ft, r_mean, r_last,
-                           ft > lam, r_mean < delta**2 and r_last > 0,
-                           in_z, vf)
+    return ExpansionRecord(point, n, ft, r_mean, r_last, ft > lam,
+                           r_mean < delta**2 and r_last > 0, in_z, vf)
 
 
 def _sequence_branch_stats(seq, x, n):
@@ -306,22 +309,12 @@ def measure_AY_decay(system, n_list, delta, lam, samples, seed):
     deltas = [float(delta)] if np.isscalar(delta) else [float(d) for d in delta]
     if any(d <= 0 for d in deltas):
         raise ValueError("delta must be positive")
-    n_max = max(n_list)
-    rng = make_generator(seed)
-    if isinstance(system, SkewProduct):
-        dom = system.fiber_domain
-        th = rng.uniform(0.0, 1.0, samples)
-        xs = rng.uniform(dom.lo, dom.hi, samples)
-        r, logd, _ = fiber_branch_stats(system, th, xs, n_max)
-    else:
-        m = system.map_at(0) if isinstance(system, MapSequence) else system
-        dom = m.domain
-        xs = rng.uniform(dom.lo, dom.hi, samples)
-        r, logd, _ = branch_stats(m, xs, n_max)
+    cloud = system.sample(make_generator(seed), samples)
+    r, logd, _ = _cloud_branch_stats(system, cloud, max(n_list))
     csum_r = np.cumsum(r, axis=0)
     csum_l = np.cumsum(logd, axis=0)
     rows = []
-    length = dom.length
+    length = system.sequence(0.0).domain.length
     for n in n_list:
         in_y = csum_l[n - 1] / n > lam
         bound = length * math.exp(-n * lam / 2.0)

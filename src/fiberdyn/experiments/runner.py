@@ -14,26 +14,32 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..errors import FiberdynError, HitCritical, IOFailure, ValidationError
+from ..errors import FiberdynError, IOFailure, ValidationError
 from ..expansion import ftle_fiber, ftle_full, measure_AY_decay
 from ..hyptimes import (CurveGraph, PlissQuery, curve_growth_constants,
                         pliss_times, probe_neighborhood, slope_envelope)
 from ..branches import component_census, track_branch
-from ..maps import (IntervalMap, SkewProduct, constant_sequence,
-                    fiber_sequence, make_system)
-from ..measures import empirical_measure, ergodic_components
+from ..maps import IntervalMap, SkewProduct, make_system
+from ..measures import empirical_measure, ergodic_components, resolve_grid
 from ..markov import (assemble_markov, branches_to_csv, build_partition,
                       summability_stat)
 from ..rng import make_generator, rng_metadata
 from .config import ExperimentConfig, serialize_config
 
 
-def _seq_for(system, params):
-    if isinstance(system, SkewProduct):
-        return fiber_sequence(system, params.get("theta", 0.0))
-    if isinstance(system, IntervalMap):
-        return constant_sequence(system)
-    return system
+def _require(cfg, system, cls):
+    """Reject a family whose system type the experiment cannot run on."""
+    if not isinstance(system, cls):
+        raise ValidationError(
+            "system.family", f"{cfg.kind} experiments need a {cls.__name__}; "
+            f"{cfg.family!r} is a {type(system).__name__}")
+
+
+def _grid(cfg, system):
+    try:
+        return resolve_grid(system, cfg.param("bins"))
+    except ValueError as ex:
+        raise ValidationError("experiment.bins", str(ex)) from ex
 
 
 def _write_csv(path, header, rows):
@@ -46,33 +52,25 @@ def _write_csv(path, header, rows):
 def _run_ftle(cfg, system, out):
     rng = make_generator(cfg.seed)
     n = cfg.param("n")
+    skew = isinstance(system, SkewProduct)
+    seq = None if skew else system.sequence(0.0)
     rows = []
-    if isinstance(system, SkewProduct):
-        dom = system.fiber_domain
-        for i in range(cfg.param("samples")):
-            z = (float(rng.uniform(0, 1)), float(rng.uniform(dom.lo, dom.hi)))
-            try:
-                val = ftle_full(system, z, n)
-            except FiberdynError:
-                val = float("nan")
-            rows.append([i, repr(z[0]), repr(z[1]), repr(val)])
-        _write_csv(out / "ftle.csv", ["sample", "theta", "x0", "ftle"], rows)
-    else:
-        seq = _seq_for(system, cfg.params)
-        dom = seq.domain
-        for i in range(cfg.param("samples")):
-            x0 = float(rng.uniform(dom.lo, dom.hi))
-            try:
-                val = ftle_fiber(seq, x0, n)
-            except HitCritical:
-                val = float("nan")
-            rows.append([i, repr(x0), repr(val)])
-        _write_csv(out / "ftle.csv", ["sample", "x0", "ftle"], rows)
+    for i in range(cfg.param("samples")):
+        # one point per draw: [x0], or [theta, x0] for a skew-product
+        z = [float(v) for v in np.ravel(system.sample(rng, 1))]
+        try:
+            val = ftle_full(system, z, n) if skew else ftle_fiber(seq, z[0], n)
+        except FiberdynError:
+            val = float("nan")
+        rows.append([i, *map(repr, z), repr(val)])
+    header = ["sample", "theta", "x0", "ftle"] if skew else \
+        ["sample", "x0", "ftle"]
+    _write_csv(out / "ftle.csv", header, rows)
     return ["ftle.csv"]
 
 
 def _run_branch(cfg, system, out):
-    seq = _seq_for(system, cfg.params)
+    seq = system.sequence(cfg.params.get("theta", 0.0))
     br = track_branch(seq, cfg.param("x"), cfg.param("n"))
     payload = {
         "x": br.x, "n": br.n, "t_lo": br.t_lo, "t_hi": br.t_hi,
@@ -90,7 +88,7 @@ def _run_branch(cfg, system, out):
 
 
 def _run_census(cfg, system, out):
-    seq = _seq_for(system, cfg.params)
+    seq = system.sequence(cfg.params.get("theta", 0.0))
     record = component_census(seq, cfg.param("n"), cfg.param("delta"),
                               cap=cfg.param("cap"))
     record.to_csv(out / "census.csv")
@@ -109,7 +107,7 @@ def _run_ay_decay(cfg, system, out):
 
 
 def _run_pliss(cfg, system, out):
-    seq = _seq_for(system, cfg.params)
+    seq = system.sequence(cfg.params.get("theta", 0.0))
     br = track_branch(seq, cfg.param("x"), cfg.param("n"))
     q = PlissQuery(br.r_history, cfg.param("c1"), cfg.param("c2"),
                    seq.domain.length)
@@ -123,8 +121,7 @@ def _run_pliss(cfg, system, out):
 
 
 def _run_curve(cfg, system, out):
-    if not isinstance(system, SkewProduct):
-        raise ValueError("curve experiments need a skew-product system")
+    _require(cfg, system, SkewProduct)
     rng = make_generator(cfg.seed)
     alpha = cfg.param("alpha")
     n = cfg.param("iterations")
@@ -150,8 +147,7 @@ def _run_curve(cfg, system, out):
 
 
 def _run_probe(cfg, system, out):
-    if not isinstance(system, SkewProduct):
-        raise ValueError("probe experiments need a skew-product system")
+    _require(cfg, system, SkewProduct)
     rep = probe_neighborhood(system, (cfg.param("theta"), cfg.param("x")),
                              cfg.param("k"), cfg.param("delta_tilde"),
                              cfg.param("grid"))
@@ -161,7 +157,7 @@ def _run_probe(cfg, system, out):
 
 def _run_acim(cfg, system, out):
     mu = empirical_measure(system, cfg.param("samples"), cfg.param("n"),
-                           cfg.param("bins"), cfg.seed)
+                           _grid(cfg, system), cfg.seed)
     mu.to_csv(out / "measure.csv")
     (out / "measure_meta.json").write_text(mu.metadata_json())
     return ["measure.csv", "measure_meta.json"]
@@ -169,7 +165,7 @@ def _run_acim(cfg, system, out):
 
 def _run_components(cfg, system, out):
     rep = ergodic_components(system, cfg.param("probes"), cfg.param("n"),
-                             cfg.param("bins"), cfg.seed,
+                             _grid(cfg, system), cfg.seed,
                              cfg.param("threshold"))
     (out / "components.json").write_text(rep.to_json())
     _write_csv(out / "assignment.csv", ["probe", "cluster"],
@@ -178,8 +174,7 @@ def _run_components(cfg, system, out):
 
 
 def _run_markov(cfg, system, out):
-    if not isinstance(system, IntervalMap):
-        raise ValueError("markov experiments need a single interval map")
+    _require(cfg, system, IntervalMap)
     part = build_partition(system, cfg.param("depth"))
     cert = assemble_markov(system, part, seeds=cfg.param("seeds"),
                            k_max=cfg.param("k_max"), seed=cfg.seed)

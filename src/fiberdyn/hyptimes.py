@@ -116,25 +116,12 @@ class CurveGraph:
         return float(self.theta[0]), float(self.theta[-1])
 
     @property
-    def samples(self):
-        return list(zip(self.theta, self.x))
-
-    @property
     def max_slope(self):
         """Largest finite-difference slope between adjacent samples."""
         return float(np.max(np.abs(np.diff(self.x) / np.diff(self.theta))))
 
-    @property
-    def max_transported_slope(self):
-        if self.slopes is None:
-            return self.max_slope
-        return float(np.max(np.abs(self.slopes)))
-
     def arc_length(self):
         return float(np.sum(np.hypot(np.diff(self.theta), np.diff(self.x))))
-
-    def is_alpha_curve(self, alpha):
-        return self.max_slope <= alpha
 
     @classmethod
     def horizontal(cls, height, lo=0.0, hi=1.0, samples=257):
@@ -206,8 +193,7 @@ def propagate_curve(skew: SkewProduct, curve: CurveGraph, n,
             piece = _refine_for_step(skew, piece, x_gap, theta_gap)
             th_old = piece.theta
             x_old = piece.x
-            th_img = wrap(np.asarray(skew.base(th_old), dtype=float))
-            x_img = np.asarray(skew.fiber(th_old, x_old), dtype=float)
+            th_img, x_img = skew.step((th_old, x_old), 0)
             if piece.slopes is not None:
                 s_img = (np.asarray(skew.fiber_dtheta(th_old, x_old), float)
                          + np.asarray(skew.fiber_dx(th_old, x_old), float)
@@ -254,8 +240,7 @@ def slope_envelope(skew: SkewProduct, curve: CurveGraph, n):
         s = (np.asarray(skew.fiber_dtheta(th, xs), float)
              + np.asarray(skew.fiber_dx(th, xs), float) * s) \
             / np.asarray(skew.base_derivative(th), float)
-        th, xs = wrap(np.asarray(skew.base(th), float)), \
-            np.asarray(skew.fiber(th, xs), float)
+        th, xs = skew.step((th, xs), m)
         env[m] = np.abs(s).max()
     return env
 

@@ -129,11 +129,17 @@ class IntervalMap:
                 raise ValueError(
                     f"f' changes sign inside ({a}, {b}); missing critical point?")
 
-    def __call__(self, x):
-        return self.evaluator(x)
+    def sample(self, rng, k):
+        """k points drawn uniformly from the domain."""
+        return rng.uniform(self.domain.lo, self.domain.hi, k)
 
-    def df(self, x):
-        return self.derivative(x)
+    def step(self, state, j):
+        """The image of a cloud of points."""
+        return np.asarray(self.evaluator(state), float)
+
+    def sequence(self, theta):
+        """The constant sequence every point sees."""
+        return constant_sequence(self)
 
 
 def schwarzian(m: IntervalMap, x):
@@ -153,35 +159,17 @@ class MapSequence:
 
     `generator` maps an index k to an IntervalMap; produced maps are cached
     so the accessor is repeatable.  `max_critical_count` bounds the number
-    of critical points of every member; `uniform_bound` is a sampled bound
-    for sup |f_k| and sup |Df_k| (estimated lazily when not supplied).
+    of critical points of every member.
     """
 
-    def __init__(self, generator, domain, max_critical_count,
-                 uniform_bound=None, modulus_probe=None, label="",
-                 constant=False, probe_depth=8):
+    def __init__(self, generator, domain, max_critical_count, label="",
+                 constant=False):
         self.generator = generator
         self.domain = domain
         self.max_critical_count = int(max_critical_count)
-        self.modulus_probe = modulus_probe
         self.label = label
         self.constant = bool(constant)
-        self.probe_depth = int(probe_depth)
         self._cache = {}
-        self._uniform_bound = None if uniform_bound is None else float(uniform_bound)
-
-    @property
-    def uniform_bound(self):
-        if self._uniform_bound is None:
-            xs = self.domain.grid(512)
-            bound = 0.0
-            for k in range(1 if self.constant else self.probe_depth):
-                m = self.map_at(k)
-                bound = max(bound,
-                            float(np.abs(np.asarray(m.evaluator(xs))).max()),
-                            float(np.abs(np.asarray(m.derivative(xs))).max()))
-            self._uniform_bound = bound
-        return self._uniform_bound
 
     def map_at(self, k):
         key = 0 if self.constant else int(k)
@@ -209,8 +197,19 @@ class MapSequence:
             return self
         return MapSequence(lambda j: self.map_at(k + j), self.domain,
                            self.max_critical_count,
-                           uniform_bound=self._uniform_bound,
                            label=f"{self.label}<<{k}")
+
+    def sample(self, rng, k):
+        """k points drawn uniformly from the shared domain."""
+        return rng.uniform(self.domain.lo, self.domain.hi, k)
+
+    def step(self, state, j):
+        """The image of a cloud of points under f_j."""
+        return np.asarray(self.map_at(j).evaluator(state), float)
+
+    def sequence(self, theta):
+        """The sequence itself: every point sees the same maps."""
+        return self
 
 
 def constant_sequence(m: IntervalMap, label=None):
@@ -280,12 +279,15 @@ class PartialHyperbolicityReport:
 class SkewProduct:
     """(theta, x) -> (g(theta), f(theta, x)) with expanding base g.
 
-    The base acts on the circle [0,1); iterates of g are always computed by
-    repeated application with a wrap to [0,1) after every step, never as
-    d^n * theta mod 1, so fiber parameters stay accurate to about
-    n*d*eps_machine.  `base_affine` marks bases of the exact form
-    d*theta mod 1, for which pullbacks of tiny arcs admit exact offset
-    arithmetic.
+    The base acts on the circle [0,1); iterates of g are computed by
+    repeated application with a wrap to [0,1) after every step.  For
+    d*theta mod 1 with an integer d this does not keep them accurate:
+    each step shifts out log2(d) bits of the float's 53-bit mantissa, so
+    an orbit reaches exactly 0.0 after about 53 / log2(d) steps and stays
+    there (viana_skew().base_orbit(pi/10, 20) is 0.0 from step 13 on);
+    ROADMAP item 4 plans exact digit-stream orbits.  `base_affine` marks
+    bases of the exact form d*theta mod 1, for which pullbacks of tiny
+    arcs admit exact offset arithmetic.
     """
 
     base_degree: int
@@ -336,8 +338,20 @@ class SkewProduct:
         if over > INVARIANCE_TOL:
             raise ValueError(f"fiber leaves its domain by {over:.3e}")
 
-    def step(self, theta, x):
-        return wrap(self.base(theta)), self.fiber(theta, x)
+    def sample(self, rng, k):
+        """k points (theta, x): all thetas first, then all fiber values."""
+        dom = self.fiber_domain
+        return rng.uniform(0.0, 1.0, k), rng.uniform(dom.lo, dom.hi, k)
+
+    def step(self, state, j):
+        """The image (g(theta), f(theta, x)) of a cloud of points."""
+        theta, x = state
+        return (wrap(np.asarray(self.base(theta), float)),
+                np.asarray(self.fiber(theta, x), float))
+
+    def sequence(self, theta):
+        """The fiber maps along the base orbit of theta."""
+        return fiber_sequence(self, theta)
 
     def base_orbit(self, theta, n):
         """theta, g(theta), ..., g^n(theta) with per-step wrapping."""

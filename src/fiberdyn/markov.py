@@ -445,13 +445,15 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
             for s in constancy_points(lo, hi):
                 result = next(found)
                 if isinstance(result, Exception):
-                    failures.append(f"branch@{lo!r}: sample {s!r} failed")
+                    failures.append(
+                        f"branch@{lo!r}: sample {float(s)!r} failed")
                     continue
                 k2, (lo2, hi2), ci2 = result
                 if k2 != k or ci2 != ci or abs(lo2 - lo) > ENDPOINT_TOL \
                         or abs(hi2 - hi) > ENDPOINT_TOL:
                     failures.append(
-                        f"branch@{lo!r}: (k, I) not constant at {s!r}")
+                        f"branch@{lo!r}: (k, I) not constant at "
+                        f"{float(s)!r}")
     coverage = sum(b.length for b in out) / dom.length
 
     # distortion along sampled compositions up to length 3

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .expansion import branch_stats, fiber_branch_stats
-from .maps import MapSequence, SkewProduct, wrap
+from .expansion import _cloud_branch_stats
+from .maps import SkewProduct
 from .rng import make_generator, rng_metadata
 
 
@@ -66,7 +66,8 @@ class BinGrid2D:
     def size(self):
         return self.base_bins * self.fiber_bins
 
-    def index(self, theta, x):
+    def index(self, state):
+        theta, x = state
         ti = np.clip((np.asarray(theta) % 1.0 * self.base_bins).astype(int),
                      0, self.base_bins - 1)
         span = self.fiber_hi - self.fiber_lo
@@ -85,12 +86,16 @@ def resolve_grid(system, grid=None):
     """Turn an int bin count into the natural grid for the system.
 
     None picks the defaults: 256 bins for interval maps, 128 x 128 for
-    skew-products.
+    skew-products.  A skew-product's bin count must be a perfect square,
+    side x side.
     """
     if isinstance(grid, (BinGrid1D, BinGrid2D)):
         return grid
     if isinstance(system, SkewProduct):
-        side = 128 if grid is None else max(1, int(round(math.sqrt(grid))))
+        side = 128 if grid is None else math.isqrt(int(grid))
+        if grid is not None and side * side != grid:
+            raise ValueError(f"a skew-product needs a square bin count "
+                             f"(side x side), got {grid}")
         dom = system.fiber_domain
         return BinGrid2D(side, dom.lo, dom.hi, side)
     bins = 256 if grid is None else int(grid)
@@ -151,22 +156,6 @@ class EmpiricalMeasure:
         return json.dumps(meta, sort_keys=True)
 
 
-def _step_state(system, state, j):
-    if isinstance(system, SkewProduct):
-        th, x = state
-        return (wrap(np.asarray(system.base(th), float)),
-                np.asarray(system.fiber(th, x), float))
-    if isinstance(system, MapSequence):
-        return np.asarray(system.map_at(j).evaluator(state), float)
-    return np.asarray(system.evaluator(state), float)
-
-
-def _bin_state(system, grid, state):
-    if isinstance(system, SkewProduct):
-        return grid.index(state[0], state[1])
-    return grid.index(state)
-
-
 def orbit_bin_counts(system, samples, n, grid=None, seed=0):
     """Bin counts of iterates 0..n of a uniform cloud; shape (n+1, bins).
 
@@ -175,20 +164,12 @@ def orbit_bin_counts(system, samples, n, grid=None, seed=0):
     orbit data.
     """
     grid = resolve_grid(system, grid)
-    rng = make_generator(seed)
-    if isinstance(system, SkewProduct):
-        dom = system.fiber_domain
-        state = (rng.uniform(0.0, 1.0, samples),
-                 rng.uniform(dom.lo, dom.hi, samples))
-    else:
-        dom = system.domain
-        state = rng.uniform(dom.lo, dom.hi, samples)
+    state = system.sample(make_generator(seed), samples)
     counts = np.zeros((n + 1, grid.size), dtype=np.int64)
     for j in range(n + 1):
-        idx = _bin_state(system, grid, state)
-        counts[j] = np.bincount(idx, minlength=grid.size)
+        counts[j] = np.bincount(grid.index(state), minlength=grid.size)
         if j < n:
-            state = _step_state(system, state, j)
+            state = system.step(state, j)
     return counts, grid
 
 
@@ -226,8 +207,7 @@ def invariance_defect(measure: EmpiricalMeasure, system, transfer_samples,
         if isinstance(grid, BinGrid1D):
             width = (grid.hi - grid.lo) / grid.bins
             lo = grid.lo + b * width
-            pts = rng.uniform(lo, lo + width, n_b)
-            state = pts
+            state = rng.uniform(lo, lo + width, n_b)
         else:
             ti, xi = divmod(int(b), grid.fiber_bins)
             bw = 1.0 / grid.base_bins
@@ -235,8 +215,7 @@ def invariance_defect(measure: EmpiricalMeasure, system, transfer_samples,
             state = (rng.uniform(ti * bw, (ti + 1) * bw, n_b),
                      rng.uniform(grid.fiber_lo + xi * fw,
                                  grid.fiber_lo + (xi + 1) * fw, n_b))
-        new = _step_state(system, state, 0)
-        idx = _bin_state(system, grid, new)
+        idx = grid.index(system.step(state, 0))
         push += np.bincount(idx, minlength=grid.size) * (w[b] / n_b)
     return float(np.abs(push - w).sum())
 
@@ -332,22 +311,14 @@ def ergodic_components(system, probes, n, grid, seed, link_threshold=0.3,
     if probes < 10**2:
         raise ValueError("need at least 100 probes")
     grid = resolve_grid(system, grid)
-    rng = make_generator(seed)
-    if isinstance(system, SkewProduct):
-        dom = system.fiber_domain
-        state = (rng.uniform(0.0, 1.0, probes),
-                 rng.uniform(dom.lo, dom.hi, probes))
-    else:
-        dom = system.domain
-        state = rng.uniform(dom.lo, dom.hi, probes)
+    state = system.sample(make_generator(seed), probes)
     burn = int(n * burn_frac)
     hists = np.zeros((probes, grid.size))
     rows = np.arange(probes)
     for j in range(n):
         if j >= burn:
-            idx = _bin_state(system, grid, state)
-            hists[rows, idx] += 1.0
-        state = _step_state(system, state, j)
+            hists[rows, grid.index(state)] += 1.0
+        state = system.step(state, j)
     hists /= hists.sum(axis=1, keepdims=True)
     count, assignment = _cluster_count(hists, link_threshold)
     sens = {}
@@ -379,18 +350,9 @@ def nu_like_mass(system, samples, n, delta_tilde, seed):
     a zeta fraction of hyperbolic-like indices, so the deposited mass must
     be at least zeta times the fraction of such anchors.
     """
-    rng = make_generator(seed)
-    if isinstance(system, SkewProduct):
-        dom = system.fiber_domain
-        th = rng.uniform(0.0, 1.0, samples)
-        xs = rng.uniform(dom.lo, dom.hi, samples)
-        r, _, _ = fiber_branch_stats(system, th, xs, n)
-    else:
-        m = system.map_at(0) if isinstance(system, MapSequence) else system
-        dom = m.domain
-        xs = rng.uniform(dom.lo, dom.hi, samples)
-        r, _, _ = branch_stats(m, xs, n)
+    cloud = system.sample(make_generator(seed), samples)
+    r, _, _ = _cloud_branch_stats(system, cloud, n)
     mass = float((r >= delta_tilde).mean())
     anchors = float((r.sum(axis=0) >= 2.0 * delta_tilde * n).mean())
-    zeta = delta_tilde / (dom.length - delta_tilde)
+    zeta = delta_tilde / (system.sequence(0.0).domain.length - delta_tilde)
     return NuLikeMass(mass, anchors, zeta, mass >= zeta * anchors - 1e-12)

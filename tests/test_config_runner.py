@@ -166,8 +166,16 @@ class TestCli:
         ["ay_decay", "--delta-min", "0.3", "--delta-max", "0.1"],
         ["ay_decay", "--n-values", "abc"],
         ["ftle", "--family", "quadratic", "--system", "a=3"],
+        ["curve", "--family", "logistic"],
+        ["probe", "--family", "logistic"],
+        ["markov", "--family", "viana"],
+        ["acim", "--family", "viana", "--bins", "7"],
+        ["acim", "--family", "viana", "--bins", "10"],
+        ["components", "--family", "viana", "--bins", "10"],
     ], ids=["infinite-delta", "inverted-delta-grid", "non-integer-depths",
-            "family-parameter-out-of-range"])
+            "family-parameter-out-of-range", "curve-needs-skew",
+            "probe-needs-skew", "markov-needs-interval-map",
+            "skew-bins-7", "skew-bins-10", "skew-components-bins-10"])
     def test_bad_values_are_config_errors(self, tmp_path, argv):
         assert cli_main([*argv, "--out", str(tmp_path / "bad")]) == 2
 

@@ -1,18 +1,25 @@
-"""Pinned sha256 digests of pullback outputs at fixed seeds.
+"""Pinned sha256 digests of experiment outputs at fixed seeds.
 
 The determinism criterion only compares two reruns of the same code; these
-digests pin the data files themselves, so a change to the pullback
-(partition levels, census crossings, branch tracking, Markov inducing
-times) that moves a single bit of any output fails here.  The values were
-taken from the scalar one-solve-at-a-time pullback.
+digests pin the data files themselves, so a change that moves a single bit
+of any output fails here.  The pullback entries (partition levels, census
+crossings, branch tracking, Markov inducing times) were taken from the
+scalar one-solve-at-a-time pullback; the measure, decay, curve, probe,
+ftle, pliss and viana branch entries, and the branch-size arrays, from the
+code that dispatched on the system type with isinstance ladders.  Files
+that carry the generator metadata (measure_meta.json, components.json)
+also record the numpy version, so they pin it too.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from fiberdyn import constant_sequence, logistic_map, monotonicity_partition
+from fiberdyn import (constant_sequence, logistic_map, monotonicity_partition,
+                      twowell_map, viana_skew)
+from fiberdyn.expansion import branch_stats, fiber_branch_stats
 from fiberdyn.experiments.cli import main as cli_main
 
 GOLDEN = {
@@ -38,10 +45,87 @@ GOLDEN = {
                         "d6ff1407b8ad71c3d595a191e9b36bae",
          "r_history.csv": "633afd3d2f211c1df1f976e14c347fa1"
                           "2c556d474d3cf6730018244603011050"}),
+    "acim logistic": (
+        ["acim", "--family", "logistic"],
+        {"measure.csv": "01294628bcf14f2ae311f69cf1dc7c20"
+                        "41f56ea3e7d740b803ab5d9820378a08",
+         "measure_meta.json": "c506b8de9293aa174543dc390793e642"
+                              "bb65730627b95f8bc060c4cab0d30f51"}),
+    "acim viana": (
+        ["acim", "--family", "viana", "--samples", "1000"],
+        {"measure.csv": "7b1329e1a443d663d875b637cc6521bd"
+                        "982425d36f3f97ede9867e2f616cab3a",
+         "measure_meta.json": "e9b0e947da47883bf1ce1f3e4ee276b6"
+                              "c26e69de374b2136780e9a0aa42302fa"}),
+    "components logistic": (
+        ["components", "--family", "logistic", "--n", "2000"],
+        {"assignment.csv": "12e2b3e8dc333da7f6cd809aa31f5e5a"
+                           "e39258e59a9029ee501dcd3b07a93637",
+         "components.json": "f82d3108ebfdbbc3f466cea75dacdb9f"
+                            "906429b9bea319bab84936ab75850771"}),
+    "components twowell": (
+        ["components", "--family", "twowell", "--n", "2000"],
+        {"assignment.csv": "c722a4a4a9ea80fd06780b4348e6f6b4"
+                           "625cc2e167ced62d127dd7c75eac907c",
+         "components.json": "c02ce6216bfcaca63ff99e87cc84d10f"
+                            "8f9e6428638935dc0d1cba5f31f579ee"}),
+    "components viana": (
+        ["components", "--family", "viana", "--n", "2000"],
+        {"assignment.csv": "12e2b3e8dc333da7f6cd809aa31f5e5a"
+                           "e39258e59a9029ee501dcd3b07a93637",
+         "components.json": "7f8d6309705aa451ffacc75c59d7f52a"
+                            "667fc49ba662b4beb6c60b2582c2de69"}),
+    "ay_decay logistic": (
+        ["ay_decay", "--family", "logistic", "--samples", "10000"],
+        {"decay.csv": "7bc15209ee600aa668c415a329f956a6"
+                      "e21406cd7d53603134c62ae031b512b2"}),
+    "ay_decay viana": (
+        ["ay_decay", "--family", "viana", "--samples", "10000"],
+        {"decay.csv": "004fd1b1a9677edaf326f6cce85d024b"
+                      "8835063d3ae51c137e52adc9149514ef"}),
+    "curve viana": (
+        ["curve", "--family", "viana", "--iterations", "50", "--curves", "5",
+         "--samples", "256"],
+        {"curve.json": "51b529a43a0c8d442496f02585584a98"
+                       "da8a8722c7cfa22b2dac78d878ecbf02",
+         "curve_slopes.csv": "31e49c9a81ca4d118ae04acd09aba2ae"
+                             "87f6fb8383c05816034f48c177fba122"}),
+    "probe viana": (
+        ["probe", "--family", "viana", "--theta", "0.3", "--x", "0.5", "--k",
+         "3", "--delta-tilde", "0.1"],
+        {"probe.json": "f55126eb5b352d428071d426a7e69ae5"
+                       "cca3f94d5c5a9dd1fdbb07886a284cc7"}),
+    "ftle viana": (
+        ["ftle", "--family", "viana", "--n", "10000", "--samples", "2"],
+        {"ftle.csv": "ebba687874a5a0944801e4cff67812ac"
+                     "7bed5805aeb6c1c154c3933383618afd"}),
+    "pliss viana": (
+        ["pliss", "--family", "viana", "--n", "200", "--theta", "0.3", "--x",
+         "0.2"],
+        {"pliss.csv": "308a0ce2e4adfa8b0346e6de1d5b3882"
+                      "54673301b8d2a061f95b4a62dd098e8b",
+         "pliss.json": "83aa431c7c643bbc8618c48238ca1068"
+                       "836c1a250ded749626713839f46fbf7e"}),
+    "branch viana": (
+        ["branch", "--family", "viana", "--n", "12", "--theta", "0.3", "--x",
+         "0.2"],
+        {"branch.json": "1ee609f455a9c51d2c3ba47c9bd1efba"
+                        "0080414c0b5a57c59fccc4d506a33076",
+         "r_history.csv": "4a26a05282fd50e489c80f46396d4af8"
+                          "0b2bb23b3145dd67e4c7ace049d4f6f4"}),
 }
 
 PARTITION_DIGEST = ("29e40184daed9dc8b01159b106f0a489"
                     "a0148dbf60808d9f527ea73830dbf3e0")
+
+BRANCH_STATS_DIGESTS = {
+    "logistic": ("17b14f5816c06d9de143b49dfb21f6cd"
+                 "53cf20f2ce711d434675ef7f6cf04e72"),
+    "twowell": ("108bd9ade6c73a379c22a9316a36ca93"
+                "d4b648c534667ee1d727490cdbb48608"),
+    "viana": ("5a5b29dea814d305daf568a5aea7c4c8"
+              "14adf6668db07a3dd0128cd838bd470e"),
+}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -58,3 +142,25 @@ def test_partition_digest():
     part = monotonicity_partition(constant_sequence(logistic_map()), 8)
     text = repr((part.cells, part.levels))
     assert hashlib.sha256(text.encode()).hexdigest() == PARTITION_DIGEST
+
+
+def _array_digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_branch_stats_digests():
+    """(r, logd, alive) bit for bit; the grids hit critical points too."""
+    xs = np.linspace(0.0, 1.0, 257)
+    skew = viana_skew()
+    dom = skew.fiber_domain
+    actual = {
+        "logistic": _array_digest(branch_stats(logistic_map(), xs, 30)),
+        "twowell": _array_digest(branch_stats(twowell_map(), xs, 12)),
+        "viana": _array_digest(fiber_branch_stats(
+            skew, np.linspace(0.0, 1.0, 65), np.linspace(dom.lo, dom.hi, 65),
+            20)),
+    }
+    assert actual == BRANCH_STATS_DIGESTS

@@ -9,6 +9,7 @@ from fiberdyn import (DerivativeVanishes, IntervalDomain, IntervalMap,
                       make_system, maps, moebius_map, quadratic_map,
                       schwarzian, twowell_map, verify_partial_hyperbolicity,
                       viana_skew)
+from fiberdyn.rng import make_generator
 
 
 class TestSchwarzian:
@@ -146,6 +147,48 @@ class TestFiberSequence:
     def test_theta_out_of_range(self, viana):
         with pytest.raises(ValueError):
             fiber_sequence(viana, 1.5)
+
+
+class TestSystemProtocol:
+    """sample / step / sequence on maps, sequences and skew-products."""
+
+    def test_interval_map(self, logistic):
+        xs = logistic.sample(make_generator(4), 5)
+        ref = make_generator(4).uniform(0.0, 1.0, 5)
+        assert np.array_equal(xs, ref)
+        assert np.array_equal(logistic.step(xs, 7), 4.0 * xs * (1.0 - xs))
+        seq = logistic.sequence(0.3)
+        assert seq.constant and seq.map_at(9) is logistic
+
+    def test_map_sequence_steps_its_jth_map(self, viana):
+        seq = fiber_sequence(viana, 0.3)
+        xs = seq.sample(make_generator(4), 5)
+        assert xs.min() >= seq.domain.lo and xs.max() <= seq.domain.hi
+        assert np.array_equal(seq.step(xs, 2), seq.map_at(2).evaluator(xs))
+        assert seq.sequence(0.7) is seq
+
+    def test_skew_product(self, viana):
+        th, xs = viana.sample(make_generator(4), 5)
+        rng = make_generator(4)
+        dom = viana.fiber_domain
+        assert np.array_equal(th, rng.uniform(0.0, 1.0, 5))
+        assert np.array_equal(xs, rng.uniform(dom.lo, dom.hi, 5))
+        th1, xs1 = viana.step((th, xs), 0)
+        assert np.array_equal(th1, (16.0 * th) % 1.0)
+        assert np.array_equal(xs1, viana.fiber(th, xs))
+        seq = viana.sequence(0.3)
+        assert not seq.constant
+        assert seq.map_at(1).evaluator(0.0) == viana.fiber(
+            viana.base(0.3), 0.0)
+
+    def test_one_point_draws_equal_scalar_draws(self, logistic, viana):
+        a, b = make_generator(11), make_generator(11)
+        dom = viana.fiber_domain
+        for _ in range(50):
+            assert float(logistic.sample(a, 1)[0]) == float(b.uniform(0, 1))
+            th, x = viana.sample(a, 1)
+            assert float(th[0]) == float(b.uniform(0, 1))
+            assert float(x[0]) == float(b.uniform(dom.lo, dom.hi))
 
 
 class _BareSkew:

@@ -144,6 +144,14 @@ class TestAssemble:
                                check_constancy=False)
         assert not cert.failures
 
+    def test_failure_messages_print_plain_floats(self, logistic):
+        # depth 2 has constancy failures; their sample points come from
+        # np.linspace and must not print as np.float64(...)
+        cert = assemble_markov(logistic, build_partition(logistic, 2),
+                               seeds=200, seed=1)
+        assert any("not constant" in f for f in cert.failures)
+        assert not any("np." in f for f in cert.failures)
+
     def test_fault_injection_rejected_at_construction(self, logistic):
         with pytest.raises(ValueError, match="not forward invariant"):
             MarkovPartition.from_endpoints(logistic, (0.0, 0.3, 1.0))

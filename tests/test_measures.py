@@ -6,8 +6,9 @@ from scipy import integrate
 
 from fiberdyn import (BinGrid1D, EmpiricalMeasure, density_compare,
                       doubling_map, empirical_measure, ergodic_components,
-                      identity_map, invariance_defect, maps, nu_like_mass,
-                      orbit_bin_counts)
+                      fiber_sequence, identity_map, invariance_defect, maps,
+                      nu_like_mass, orbit_bin_counts)
+from fiberdyn.measures import resolve_grid
 
 
 def arcsine_density(x):
@@ -50,6 +51,13 @@ class TestEmpiricalMeasure:
         mu = empirical_measure(viana, 2000, 20, 64 * 64, 7)
         assert mu.weights.size == 64 * 64
         assert mu.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_skew_bins_must_be_square(self, viana):
+        grid = resolve_grid(viana, 64)
+        assert (grid.base_bins, grid.fiber_bins) == (8, 8)
+        for bins in (7, 10, 63):
+            with pytest.raises(ValueError, match="square"):
+                resolve_grid(viana, bins)
 
 
 class TestTelescoping:
@@ -165,3 +173,13 @@ class TestNuLikeMass:
     def test_bound_holds_for_skew(self, viana):
         rec = nu_like_mass(viana, 2000, 40, 0.2, 33)
         assert rec.bound_holds
+
+    def test_constant_sequence_equals_its_map(self, logistic, logistic_seq):
+        assert (nu_like_mass(logistic_seq, 2000, 20, 0.2, 1)
+                == nu_like_mass(logistic, 2000, 20, 0.2, 1))
+
+    def test_non_constant_sequence_rejected(self, viana):
+        # a fiber sequence is not its first map repeated
+        seq = fiber_sequence(viana, 0.3)
+        with pytest.raises(ValueError, match="constant sequence"):
+            nu_like_mass(seq, 2000, 20, 0.2, 1)
