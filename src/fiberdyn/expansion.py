@@ -311,15 +311,24 @@ def measure_AY_decay(system, n_list, delta, lam, samples, seed):
         raise ValueError("delta must be positive")
     cloud = system.sample(make_generator(seed), samples)
     r, logd, _ = _cloud_branch_stats(system, cloud, max(n_list))
-    csum_r = np.cumsum(r, axis=0)
-    csum_l = np.cumsum(logd, axis=0)
+    # running sums over the depths, added in np.cumsum's order but kept
+    # only at the listed n
+    sum_r, sum_l = r[0].copy(), logd[0].copy()
+    sums = {}
+    for j in range(max(n_list)):
+        if j:
+            sum_r += r[j]
+            sum_l += logd[j]
+        if j + 1 in n_list:
+            sums[j + 1] = sum_r / (j + 1), sum_l / (j + 1)
     rows = []
     length = system.sequence(0.0).domain.length
     for n in n_list:
-        in_y = csum_l[n - 1] / n > lam
+        mean_r, mean_l = sums[n]
+        in_y = mean_l > lam
         bound = length * math.exp(-n * lam / 2.0)
         for d in deltas:
-            in_a = (csum_r[n - 1] / n < d * d) & (r[n - 1] > 0)
+            in_a = (mean_r < d * d) & (r[n - 1] > 0)
             frac = float((in_a & in_y).mean())
             rows.append((n, frac, frac * length, bound, d, lam,
                          samples, int(seed)))

@@ -562,7 +562,10 @@ def _twowell_connector_coeffs():
     return tuple(P.polyder(total, m) if m else total for m in range(4))
 
 
-_TW_CONNECTOR = _twowell_connector_coeffs()
+# Connector coefficients per derivative order as Python floats, highest
+# degree first, for Horner's rule in P.polyval's order.
+_TW_CONNECTOR = tuple(tuple(float(c) for c in coeffs[::-1])
+                      for coeffs in _twowell_connector_coeffs())
 
 
 def twowell_map():
@@ -572,9 +575,16 @@ def twowell_map():
 
     def piecewise(x, left, order):
         x = np.asarray(x, dtype=float)
-        s = np.clip((x - _WELL_LO) / _GAP, 0.0, 1.0)
-        y_mid = P.polyval(s, _TW_CONNECTOR[order]) / _GAP ** order
-        t_r = np.clip(x, _WELL_HI, 1.0) - _WELL_HI
+        s = np.minimum(np.maximum((x - _WELL_LO) / _GAP, 0.0), 1.0)
+        top, *rest = _TW_CONNECTOR[order]
+        y_mid = top * s
+        for c in rest[:-1]:
+            y_mid += c
+            y_mid *= s
+        y_mid += rest[-1]
+        if order:
+            y_mid /= _GAP ** order
+        t_r = np.minimum(np.maximum(x, _WELL_HI), 1.0) - _WELL_HI
         if order == 0:
             y_r = _WELL_HI + 4.0 * t_r * (w - t_r) / w
         elif order == 1:
@@ -583,7 +593,7 @@ def twowell_map():
             y_r = -8.0 / w + 0.0 * t_r
         else:
             y_r = 0.0 * t_r
-        out = np.where(x < _WELL_LO, left(np.clip(x, 0.0, w)),
+        out = np.where(x < _WELL_LO, left(np.minimum(np.maximum(x, 0.0), w)),
                        np.where(x > _WELL_HI, y_r, y_mid))
         return out if out.ndim else float(out)
 

@@ -21,6 +21,14 @@ from .maps import SkewProduct
 from .rng import make_generator, rng_metadata
 
 
+def _clamp(idx, top):
+    """Clip integer bin indices to 0..top, in place for arrays."""
+    if np.ndim(idx) == 0:
+        return min(max(idx, 0), top)
+    np.maximum(idx, 0, out=idx)
+    return np.minimum(idx, top, out=idx)
+
+
 @dataclass(frozen=True)
 class BinGrid1D:
     lo: float
@@ -40,8 +48,10 @@ class BinGrid1D:
         return np.linspace(self.lo, self.hi, self.bins + 1)
 
     def index(self, x):
-        scaled = (np.asarray(x) - self.lo) / (self.hi - self.lo) * self.bins
-        return np.clip(scaled.astype(int), 0, self.bins - 1)
+        scaled = np.subtract(x, self.lo, dtype=float)
+        scaled /= self.hi - self.lo
+        scaled *= self.bins
+        return _clamp(scaled.astype(int), self.bins - 1)
 
     def describe(self):
         return {"kind": "1d", "lo": self.lo, "hi": self.hi, "bins": self.bins}
@@ -68,12 +78,15 @@ class BinGrid2D:
 
     def index(self, state):
         theta, x = state
-        ti = np.clip((np.asarray(theta) % 1.0 * self.base_bins).astype(int),
-                     0, self.base_bins - 1)
-        span = self.fiber_hi - self.fiber_lo
-        xi = np.clip(((np.asarray(x) - self.fiber_lo) / span
-                      * self.fiber_bins).astype(int), 0, self.fiber_bins - 1)
-        return ti * self.fiber_bins + xi
+        t = np.remainder(theta, 1.0, dtype=float)
+        t *= self.base_bins
+        idx = _clamp(t.astype(int), self.base_bins - 1)
+        idx *= self.fiber_bins
+        u = np.subtract(x, self.fiber_lo, dtype=float)
+        u /= self.fiber_hi - self.fiber_lo
+        u *= self.fiber_bins
+        idx += _clamp(u.astype(int), self.fiber_bins - 1)
+        return idx
 
     def describe(self):
         return {"kind": "2d", "base_bins": self.base_bins,
@@ -156,6 +169,34 @@ class EmpiricalMeasure:
         return json.dumps(meta, sort_keys=True)
 
 
+# Iterates binned per grid.index call in the cloud loops: a block holds about
+# this many points, so a small cloud bins many steps per call and a large one
+# bins each step on its own, without stacking a copy.
+_BLOCK_POINTS = 2**14
+
+
+def _index_blocks(system, state, points, grid, n, first, last):
+    """Bin indices of iterates first..last of a cloud, a block at a time.
+
+    The cloud makes exactly n steps, one `system.step` call each, whichever
+    iterates are binned.  Each block is an int array of shape (rows, points)
+    holding consecutive iterates in order.
+    """
+    rows = max(1, _BLOCK_POINTS // points)
+    block = []
+    for j in range(n + 1):
+        if first <= j <= last:
+            block.append(state)
+            if len(block) == rows or j == last:
+                if len(block) == 1:
+                    yield grid.index(state)[None]
+                else:
+                    yield grid.index(np.stack(block, axis=-2))
+                block = []
+        if j < n:
+            state = system.step(state, j)
+
+
 def orbit_bin_counts(system, samples, n, grid=None, seed=0):
     """Bin counts of iterates 0..n of a uniform cloud; shape (n+1, bins).
 
@@ -166,10 +207,11 @@ def orbit_bin_counts(system, samples, n, grid=None, seed=0):
     grid = resolve_grid(system, grid)
     state = system.sample(make_generator(seed), samples)
     counts = np.zeros((n + 1, grid.size), dtype=np.int64)
-    for j in range(n + 1):
-        counts[j] = np.bincount(grid.index(state), minlength=grid.size)
-        if j < n:
-            state = system.step(state, j)
+    j = 0
+    for idx in _index_blocks(system, state, samples, grid, n, 0, n):
+        for step_idx in idx:
+            counts[j] = np.bincount(step_idx, minlength=grid.size)
+            j += 1
     return counts, grid
 
 
@@ -268,34 +310,50 @@ class ComponentReport:
         }, sort_keys=True)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _probe_histograms(system, probes, n, grid, seed, burn):
+    """Visit frequencies of iterates burn..n-1 of each probe; one row each."""
+    state = system.sample(make_generator(seed), probes)
+    tally = np.zeros(probes * grid.size, dtype=np.int64)
+    offsets = np.arange(probes) * grid.size
+    for idx in _index_blocks(system, state, probes, grid, n, burn, n - 1):
+        idx += offsets
+        tally += np.bincount(idx.ravel(), minlength=tally.size)
+    hists = tally.reshape(probes, grid.size).astype(float)
+    hists /= hists.sum(axis=1, keepdims=True)
+    return hists
 
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
 
-    def union(self, i, j):
-        self.parent[self.find(i)] = self.find(j)
-
-
-def _cluster_count(hists, threshold):
+def _l1_distances(hists):
+    """Symmetric matrix of L1 distances between the rows of hists."""
     p = hists.shape[0]
-    uf = _UnionFind(p)
+    dist = np.zeros((p, p))
     for i in range(p):
         d = np.abs(hists[i + 1:] - hists[i]).sum(axis=1)
-        for off in np.flatnonzero(d < threshold):
-            uf.union(i, i + 1 + int(off))
-    roots = [uf.find(i) for i in range(p)]
-    order = {}
-    assignment = []
-    for r in roots:
-        order.setdefault(r, len(order))
-        assignment.append(order[r])
-    return len(order), tuple(assignment)
+        dist[i, i + 1:] = d
+        dist[i + 1:, i] = d
+    return dist
+
+
+def _cluster_count(dist, threshold):
+    """Single-linkage clusters of the probes closer than threshold.
+
+    Clusters are numbered in order of their first probe.
+    """
+    linked = dist < threshold
+    label = np.full(dist.shape[0], -1)
+    count = 0
+    for i in range(dist.shape[0]):
+        if label[i] >= 0:
+            continue
+        member = np.zeros(dist.shape[0], dtype=bool)
+        member[i] = True
+        frontier = member.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~member
+            member |= frontier
+        label[member] = count
+        count += 1
+    return count, tuple(label.tolist())
 
 
 def ergodic_components(system, probes, n, grid, seed, link_threshold=0.3,
@@ -310,20 +368,18 @@ def ergodic_components(system, probes, n, grid, seed, link_threshold=0.3,
     """
     if probes < 10**2:
         raise ValueError("need at least 100 probes")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if not 0.0 <= burn_frac < 1.0:
+        raise ValueError(f"burn_frac must lie in [0, 1), got {burn_frac!r}")
     grid = resolve_grid(system, grid)
-    state = system.sample(make_generator(seed), probes)
     burn = int(n * burn_frac)
-    hists = np.zeros((probes, grid.size))
-    rows = np.arange(probes)
-    for j in range(n):
-        if j >= burn:
-            hists[rows, grid.index(state)] += 1.0
-        state = system.step(state, j)
-    hists /= hists.sum(axis=1, keepdims=True)
-    count, assignment = _cluster_count(hists, link_threshold)
+    hists = _probe_histograms(system, probes, n, grid, seed, burn)
+    dist = _l1_distances(hists)
+    count, assignment = _cluster_count(dist, link_threshold)
     sens = {}
     for t in sensitivity:
-        sens[float(t)], _ = _cluster_count(hists, float(t))
+        sens[float(t)], _ = _cluster_count(dist, float(t))
     meta = {"probes": int(probes), "iterations": int(n),
             "burn_in": burn, "system": getattr(system, "label", ""),
             **rng_metadata(seed)}

@@ -7,7 +7,7 @@ from fiberdyn import (DegenerateDifferential, EmptySample, HitCritical,
                       IntervalDomain, IntervalMap, SkewProduct, branch_stats,
                       classify_point, constant_sequence, doubling_map,
                       estimate_f2, fiber_branch_stats, fiber_sequence,
-                      ftle_fiber, ftle_full, measure_AY_decay,
+                      ftle_fiber, ftle_full, make_system, measure_AY_decay,
                       smallest_singular_value, visit_frequency)
 from fiberdyn import expansion
 from fiberdyn.rng import make_generator
@@ -236,6 +236,22 @@ class TestDecayTable:
     def test_sample_floor(self, logistic):
         with pytest.raises(ValueError):
             measure_AY_decay(logistic, [10], 0.1, 0.3, 10, 1)
+
+    @pytest.mark.parametrize("family", ["logistic", "viana"])
+    def test_running_sums_match_cumsum(self, family):
+        """Every row equals the one built from full np.cumsum arrays."""
+        system = make_system(family)
+        n_list, deltas, lam = [1, 7, 7, 30, 31], [0.05, 0.2, 0.6], 0.1
+        table = measure_AY_decay(system, n_list, deltas, lam, 1000, 8)
+        cloud = system.sample(make_generator(8), 1000)
+        r, logd, _ = expansion._cloud_branch_stats(system, cloud, 31)
+        csum_r, csum_l = np.cumsum(r, axis=0), np.cumsum(logd, axis=0)
+        rows = [float((((csum_r[n - 1] / n < d * d) & (r[n - 1] > 0))
+                       & (csum_l[n - 1] / n > lam)).mean())
+                for n in n_list for d in deltas]
+        assert [row[1] for row in table.rows] == rows
+        assert [(row[0], row[4]) for row in table.rows] == [
+            (n, d) for n in n_list for d in deltas]
 
     def test_skew_sampling_runs(self, viana):
         table = measure_AY_decay(viana, [10], 0.1, 0.1, 1000, 4)

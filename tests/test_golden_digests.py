@@ -6,7 +6,10 @@ of any output fails here.  The pullback entries (partition levels, census
 crossings, branch tracking, Markov inducing times) were taken from the
 scalar one-solve-at-a-time pullback; the measure, decay, curve, probe,
 ftle, pliss and viana branch entries, and the branch-size arrays, from the
-code that dispatched on the system type with isinstance ladders.  Files
+code that dispatched on the system type with isinstance ladders.  The full
+bin-count arrays, invariance defects and component reports were taken from
+the cloud loops that binned one step per call, before iterates were binned
+in blocks.  Files
 that carry the generator metadata (measure_meta.json, components.json)
 also record the numpy version, so they pin it too.
 """
@@ -17,8 +20,9 @@ import json
 import numpy as np
 import pytest
 
-from fiberdyn import (constant_sequence, logistic_map, monotonicity_partition,
-                      twowell_map, viana_skew)
+from fiberdyn import (constant_sequence, empirical_measure, ergodic_components,
+                      invariance_defect, logistic_map, monotonicity_partition,
+                      orbit_bin_counts, twowell_map, viana_skew)
 from fiberdyn.expansion import branch_stats, fiber_branch_stats
 from fiberdyn.experiments.cli import main as cli_main
 
@@ -164,3 +168,64 @@ def test_branch_stats_digests():
             20)),
     }
     assert actual == BRANCH_STATS_DIGESTS
+
+
+BIN_COUNT_DIGESTS = {
+    "logistic": ("acbbda2914ec785d9d33901ffa1458a3"
+                 "69c8ddfea4c7b27797ac597e63079d1e"),
+    "viana": ("a54201f5c1b80d31af15af5f298fbd17"
+              "80283956f8c4c80cc5f41102b6d7c6bf"),
+    "twowell": ("2198eb2a45a29a663b491e8b7b9615d5"
+                "1da5b8573ddcc1bbe59fdc48ccc53b31"),
+}
+
+INVARIANCE_DEFECTS = {
+    "logistic": "0.1217502176560591",
+    "viana": "0.6689999999999999",
+}
+
+COMPONENT_DIGESTS = {
+    "twowell": ("374b8a7a8656afd0f998a7063ad5a478"
+                "807485c6ce5c7bc822e39ee33184cd96"),
+    "viana": ("87dc85d4e531c876eb5dd96af76e3249"
+              "ec83fc8bdc72af3c7a74148107d30420"),
+}
+
+
+def test_orbit_bin_counts_digests():
+    """Every row of the counts, row n too, which the acim outputs omit.
+
+    A 10^4-point cloud bins one step per block, a 1000-point 2-d cloud a
+    few, and 500 steps of 100 points end on a partial block.
+    """
+    actual = {
+        "logistic": orbit_bin_counts(logistic_map(), 10**4, 30, 256, 5)[0],
+        "viana": orbit_bin_counts(viana_skew(), 1000, 40, 32 * 32, 5)[0],
+        "twowell": orbit_bin_counts(twowell_map(), 100, 500, 64, 5)[0],
+    }
+    actual = {k: _array_digest([v]) for k, v in actual.items()}
+    assert actual == BIN_COUNT_DIGESTS
+
+
+def test_invariance_defect_values():
+    logistic, skew = logistic_map(), viana_skew()
+    mu = empirical_measure(logistic, 2000, 50, 64, 3)
+    nu = empirical_measure(skew, 500, 20, 16 * 16, 3)
+    actual = {
+        "logistic": repr(invariance_defect(mu, logistic, 10**4, 7)),
+        "viana": repr(invariance_defect(nu, skew, 10**4, 7)),
+    }
+    assert actual == INVARIANCE_DEFECTS
+
+
+def test_component_report_digests():
+    """Burn-ins of 137 and 150 steps, neither a multiple of a block."""
+    reports = {
+        "twowell": ergodic_components(twowell_map(), 100, 1000, 64, 5,
+                                      burn_frac=0.137),
+        "viana": ergodic_components(viana_skew(), 100, 600, 64, 5,
+                                    burn_frac=0.25),
+    }
+    actual = {k: hashlib.sha256(r.to_json().encode()).hexdigest()
+              for k, r in reports.items()}
+    assert actual == COMPONENT_DIGESTS

@@ -303,3 +303,76 @@ class TestCatalogue:
     def test_viana_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             viana_skew(a0=1.9, alpha=0.3)
+
+
+def _polyval_twowell():
+    """The two-well value and derivatives through P.polyval and np.clip.
+
+    This is the evaluator as first written; the catalogue map runs Horner's
+    rule inline and must agree with it bit for bit.
+    """
+    from numpy.polynomial import polynomial as P
+
+    lo, hi, gap = maps._WELL_LO, maps._WELL_HI, maps._GAP
+    w = lo
+    connector = maps._twowell_connector_coeffs()
+
+    def piecewise(x, left, order):
+        x = np.asarray(x, dtype=float)
+        s = np.clip((x - lo) / gap, 0.0, 1.0)
+        y_mid = P.polyval(s, connector[order]) / gap ** order
+        t_r = np.clip(x, hi, 1.0) - hi
+        if order == 0:
+            y_r = hi + 4.0 * t_r * (w - t_r) / w
+        elif order == 1:
+            y_r = 4.0 * (1.0 - 2.0 * t_r / w)
+        elif order == 2:
+            y_r = -8.0 / w + 0.0 * t_r
+        else:
+            y_r = 0.0 * t_r
+        out = np.where(x < lo, left(np.clip(x, 0.0, w)),
+                       np.where(x > hi, y_r, y_mid))
+        return out if out.ndim else float(out)
+
+    return (lambda x: piecewise(x, lambda t: w * (1.0 - 2.0 * t / w) ** 2, 0),
+            lambda x: piecewise(x, lambda t: -4.0 * (1.0 - 2.0 * t / w), 1),
+            lambda x: piecewise(x, lambda t: 8.0 / w + 0.0 * t, 2),
+            lambda x: piecewise(x, lambda t: 0.0 * t, 3))
+
+
+def _twowell_probe_points():
+    """Junctions, their float neighbours, the ends and the well centres."""
+    pts = [0.0, 1.0, 0.225, 0.775]
+    for junction in (0.45, 0.55):
+        pts += [junction, np.nextafter(junction, 0.0),
+                np.nextafter(junction, 1.0)]
+    return np.array(pts)
+
+
+class TestTwoWellEvaluator:
+    @pytest.fixture(scope="class")
+    def pairs(self, twowell):
+        new = (twowell.evaluator, twowell.derivative, twowell.second,
+               twowell.third)
+        return list(zip(new, _polyval_twowell()))
+
+    def test_arrays_match_polyval_bitwise(self, pairs):
+        xs = np.concatenate([make_generator(41).uniform(0.0, 1.0, 10**5),
+                             np.linspace(0.0, 1.0, 4097),
+                             _twowell_probe_points()])
+        for fn, ref in pairs:
+            got, want = fn(xs), ref(xs)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_scalars_match_polyval_bitwise(self, pairs):
+        xs = np.concatenate([make_generator(43).uniform(0.0, 1.0, 1000),
+                             make_generator(44).uniform(0.44, 0.56, 500),
+                             _twowell_probe_points()])
+        for fn, ref in pairs:
+            for x in xs:
+                for arg in (float(x), x):
+                    got, want = fn(arg), ref(arg)
+                    assert type(got) is float
+                    assert (np.float64(got).tobytes()
+                            == np.float64(want).tobytes()), (x, got, want)

@@ -7,8 +7,10 @@ from scipy import integrate
 from fiberdyn import (BinGrid1D, EmpiricalMeasure, density_compare,
                       doubling_map, empirical_measure, ergodic_components,
                       fiber_sequence, identity_map, invariance_defect, maps,
-                      nu_like_mass, orbit_bin_counts)
-from fiberdyn.measures import resolve_grid
+                      measures, nu_like_mass, orbit_bin_counts)
+from fiberdyn.measures import (_cluster_count, _l1_distances,
+                               _probe_histograms, resolve_grid)
+from fiberdyn.rng import make_generator
 
 
 def arcsine_density(x):
@@ -183,3 +185,199 @@ class TestNuLikeMass:
         seq = fiber_sequence(viana, 0.3)
         with pytest.raises(ValueError, match="constant sequence"):
             nu_like_mass(seq, 2000, 20, 0.2, 1)
+
+
+# ---------------------------------------------------------------------------
+# block-binned cloud loops against the per-step loops they replaced
+# ---------------------------------------------------------------------------
+
+def _per_step_index(grid, state):
+    """grid.index as first written, with np.clip, for one step's cloud."""
+    if isinstance(grid, BinGrid1D):
+        scaled = (np.asarray(state) - grid.lo) / (grid.hi - grid.lo) * grid.bins
+        return np.clip(scaled.astype(int), 0, grid.bins - 1)
+    theta, x = state
+    ti = np.clip((np.asarray(theta) % 1.0 * grid.base_bins).astype(int),
+                 0, grid.base_bins - 1)
+    span = grid.fiber_hi - grid.fiber_lo
+    xi = np.clip(((np.asarray(x) - grid.fiber_lo) / span
+                  * grid.fiber_bins).astype(int), 0, grid.fiber_bins - 1)
+    return ti * grid.fiber_bins + xi
+
+
+def _per_step_bin_counts(system, samples, n, grid, seed):
+    grid = resolve_grid(system, grid)
+    state = system.sample(make_generator(seed), samples)
+    counts = np.zeros((n + 1, grid.size), dtype=np.int64)
+    for j in range(n + 1):
+        counts[j] = np.bincount(_per_step_index(grid, state),
+                                minlength=grid.size)
+        if j < n:
+            state = system.step(state, j)
+    return counts
+
+
+def _per_step_histograms(system, probes, n, grid, seed, burn):
+    state = system.sample(make_generator(seed), probes)
+    hists = np.zeros((probes, grid.size))
+    rows = np.arange(probes)
+    for j in range(n):
+        if j >= burn:
+            hists[rows, _per_step_index(grid, state)] += 1.0
+        state = system.step(state, j)
+    hists /= hists.sum(axis=1, keepdims=True)
+    return hists
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i, j):
+        self.parent[self.find(i)] = self.find(j)
+
+
+def _union_find_clusters(hists, threshold):
+    """Single linkage over L1 rows recomputed per threshold, as first written."""
+    p = hists.shape[0]
+    uf = _UnionFind(p)
+    for i in range(p):
+        d = np.abs(hists[i + 1:] - hists[i]).sum(axis=1)
+        for off in np.flatnonzero(d < threshold):
+            uf.union(i, i + 1 + int(off))
+    order = {}
+    assignment = []
+    for r in (uf.find(i) for i in range(p)):
+        order.setdefault(r, len(order))
+        assignment.append(order[r])
+    return len(order), tuple(assignment)
+
+
+# 100 points per cloud: 1 and 2 rows per block, and the default's 163
+BLOCK_ROWS = [1, 2, measures._BLOCK_POINTS // 100]
+
+
+@pytest.fixture(params=BLOCK_ROWS, ids=lambda r: f"rows{r}")
+def block_rows(request, monkeypatch):
+    rows = request.param
+    if rows * 100 != measures._BLOCK_POINTS:
+        monkeypatch.setattr(measures, "_BLOCK_POINTS", rows * 100)
+    assert max(1, measures._BLOCK_POINTS // 100) == rows
+    return rows
+
+
+class TestBlockBinning:
+    @pytest.mark.parametrize("family", ["twowell", "viana"])
+    def test_bin_counts_match_per_step(self, block_rows, family):
+        system = maps.make_system(family)
+        grid = 64
+        for n in sorted({1, max(1, block_rows - 1), block_rows,
+                         block_rows + 1, 2 * block_rows + 3}):
+            got, _ = orbit_bin_counts(system, 100, n, grid, 11)
+            want = _per_step_bin_counts(system, 100, n, grid, 11)
+            assert got.shape == (n + 1, want.shape[1])
+            assert np.array_equal(got, want), n
+
+    @pytest.mark.parametrize("family", ["twowell", "viana"])
+    def test_histograms_match_per_step(self, block_rows, family):
+        system = maps.make_system(family)
+        grid = resolve_grid(system, 64)
+        for n in sorted({1, block_rows, block_rows + 1, 2 * block_rows + 3}):
+            for burn in sorted({0, n // 2, 3 % n, n - 1}):
+                got = _probe_histograms(system, 100, n, grid, 13, burn)
+                want = _per_step_histograms(system, 100, n, grid, 13, burn)
+                assert got.tobytes() == want.tobytes(), (n, burn)
+
+    def test_index_matches_clip_formula(self, viana):
+        rng = make_generator(17)
+        grid1 = BinGrid1D(-0.5, 1.5, 37)
+        xs = np.concatenate([rng.uniform(-1.0, 2.0, 5000),
+                             [-0.5, 1.5, np.nextafter(1.5, 0.0)]])
+        assert np.array_equal(grid1.index(xs), _per_step_index(grid1, xs))
+        grid2 = resolve_grid(viana, 24 * 24)
+        state = (rng.uniform(-2.0, 3.0, (3, 5000)),
+                 rng.uniform(-2.5, 2.5, (3, 5000)))
+        assert np.array_equal(grid2.index(state),
+                              _per_step_index(grid2, state))
+
+
+class TestClusterCount:
+    @pytest.mark.parametrize("p", [100, 257])
+    def test_matches_union_find(self, p):
+        rng = make_generator(p)
+        centres = rng.dirichlet(np.ones(16), 5)
+        hists = (centres[rng.integers(0, 5, p)]
+                 + rng.uniform(0.0, 0.1, (p, 16)))
+        hists /= hists.sum(axis=1, keepdims=True)
+        dist = _l1_distances(hists)
+        tie = float(dist[0, 1])
+        # 0 leaves every probe alone and 3 > 2 >= any L1 distance links all
+        for t in (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, tie, 3.0):
+            assert _cluster_count(dist, t) == _union_find_clusters(hists, t)
+        assert _cluster_count(dist, 0.0) == (p, tuple(range(p)))
+        assert _cluster_count(dist, 3.0) == (1, (0,) * p)
+        # the tie is strict: probes 0 and 1 link only just above it
+        above = np.nextafter(tie, np.inf)
+        linked = _cluster_count(dist, above)[1]
+        assert linked[0] == linked[1]
+        assert _cluster_count(dist, above) == _union_find_clusters(hists,
+                                                                   above)
+
+    def test_distances_are_the_row_differences(self):
+        hists = make_generator(3).uniform(0.0, 1.0, (120, 33))
+        dist = _l1_distances(hists)
+        for i in range(hists.shape[0]):
+            d = np.abs(hists[i + 1:] - hists[i]).sum(axis=1)
+            assert dist[i, i + 1:].tobytes() == d.tobytes()
+            assert dist[i + 1:, i].tobytes() == d.tobytes()
+        assert not dist.diagonal().any()
+
+
+class TestCloudStepCount:
+    """The block loops make exactly n map steps, neither more nor fewer."""
+
+    @pytest.mark.parametrize("family", ["logistic", "twowell", "viana"])
+    def test_n_steps(self, monkeypatch, family):
+        system = maps.make_system(family)
+        cls = type(system)
+        step = cls.step
+        calls = []
+
+        def counting_step(self, state, j):
+            calls.append(j)
+            return step(self, state, j)
+
+        monkeypatch.setattr(cls, "step", counting_step)
+        for n in (1, 163, 500):
+            calls.clear()
+            orbit_bin_counts(system, 100, n, 64, 5)
+            assert calls == list(range(n))
+            calls.clear()
+            ergodic_components(system, 100, n, 64, 5, burn_frac=0.137)
+            assert calls == list(range(n))
+        calls.clear()
+        orbit_bin_counts(system, 10**4, 7, 64, 5)
+        assert calls == list(range(7))
+
+
+class TestComponentInputs:
+    @pytest.mark.parametrize("burn_frac", [1.0, 1.5, -0.5, float("nan")])
+    def test_rejected_outside_unit_interval(self, logistic, burn_frac):
+        with pytest.raises(ValueError, match="burn_frac"):
+            ergodic_components(logistic, 100, 20, 16, 1,
+                               burn_frac=burn_frac)
+
+    def test_empty_orbit_rejected(self, logistic):
+        # no iterate to bin would leave every histogram 0/0
+        with pytest.raises(ValueError, match="n >= 1"):
+            ergodic_components(logistic, 100, 0, 16, 1)
+
+    def test_zero_burn_in_accepted(self, logistic):
+        rep = ergodic_components(logistic, 100, 20, 16, 1, burn_frac=0.0)
+        assert rep.metadata["burn_in"] == 0
