@@ -27,10 +27,9 @@ from .branches import (BranchBatch, BranchPartition, CensusRecord,
                        bisect_preimages, component_census, interval_images,
                        monotonicity_partition, symbol_sequence, track_branch,
                        track_branches)
-from .expansion import (DecayTable, ExpansionRecord, branch_stats,
-                        classify_point, estimate_f2, fiber_branch_stats,
-                        ftle_fiber, ftle_full, measure_AY_decay,
-                        smallest_singular_value, visit_frequency)
+from .expansion import (DecayTable, branch_stats, estimate_f2,
+                        fiber_branch_stats, ftle_fiber, ftle_full,
+                        measure_AY_decay, smallest_singular_value)
 from .hyptimes import (CurveGraph, PlissQuery, PlissResult, ProbeReport,
                        curve_growth_constants, hyperbolic_like_times,
                        pliss_times, probe_neighborhood, propagate_curve,

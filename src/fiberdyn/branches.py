@@ -173,11 +173,11 @@ class MonotoneBranch:
         return self.r_history[-1] if self.r_history else None
 
 
-def track_branch(seq, x, n, hit_tol=HIT_TOL):
+def track_branch(seq, x, n):
     """Depth-n maximal monotone branch around x for the map sequence.
 
     Raises HitCritical(j) when the orbit of x lands on a critical point of
-    f_j within `hit_tol`; the exception carries the truncated branch.
+    f_j within HIT_TOL; the exception carries the truncated branch.
     """
     dom = seq.domain
     x = float(x)
@@ -200,7 +200,7 @@ def track_branch(seq, x, n, hit_tol=HIT_TOL):
     for j in range(n):
         m = seq.map_at(j)
         for c in m.critical_points:
-            if abs(y - c) <= hit_tol:
+            if abs(y - c) <= HIT_TOL:
                 raise HitCritical(j, branch=snapshot(j))
         cut_lo = cut_hi = None
         for c in m.critical_points:
@@ -401,12 +401,6 @@ class BranchPartition:
     levels: tuple              # per level 0..n: sorted endpoint tuple
     branch_images: tuple       # per cell: tuple over i=1..n of (A_i, B_i)
 
-    def cell_index(self, x):
-        for i, (lo, hi) in enumerate(self.cells):
-            if lo <= x <= hi:
-                return i
-        raise ValueError(f"{x} outside the partition")
-
 
 def monotonicity_partition(seq, n, cap=10**5):
     """Refine the domain into depth-n monotone cells by critical pullback."""
@@ -498,15 +492,14 @@ class CensusRecord:
                             repr(self.measure(word))])
 
 
-def component_census(seq, n, delta, word=None, cap=10**5,
-                     guard=CENSUS_GUARD):
+def component_census(seq, n, delta, word=None, cap=10**5):
     """Classify depth-n cells by their r-threshold word.
 
     Within each monotone cell every r_i is piecewise monotone with a single
     breakpoint, so the sign pattern of r_i - delta changes only where the
     i-th image crosses A_i + delta or B_i - delta; those crossings are
     solved by monotone bisection and the word is evaluated on midpoints.
-    Points within `guard` of the threshold are assigned to the >= side.
+    Points within CENSUS_GUARD of the threshold count as >= it.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -540,7 +533,7 @@ def component_census(seq, n, delta, word=None, cap=10**5,
     for (c_lo, c_hi), c_cuts in zip(part.cells, cuts):
         ks = [c_lo]
         for t in sorted(c_cuts):
-            if t - ks[-1] > guard and c_hi - t > guard:
+            if t - ks[-1] > CENSUS_GUARD and c_hi - t > CENSUS_GUARD:
                 ks.append(t)
         ks.append(c_hi)
         knots.append(ks)
@@ -553,7 +546,7 @@ def component_census(seq, n, delta, word=None, cap=10**5,
     for i in range(1, n + 1):
         z = compose_lanes(maps[i - 1:i], z)
         r = min_max(z - A[owner, i - 1], B[owner, i - 1] - z)[0]
-        bits[:, i - 1] = r >= delta - guard
+        bits[:, i - 1] = r >= delta - CENSUS_GUARD
     words = iter(map(tuple, bits.tolist()))
     components = {}
     for ks in knots:
@@ -577,11 +570,11 @@ def component_census(seq, n, delta, word=None, cap=10**5,
     return record
 
 
-def interval_images(seq, lo, hi, depth, extra, guard=CENSUS_GUARD):
+def interval_images(seq, lo, hi, depth, extra):
     """Forward images of [lo, hi] for depth < m <= depth + extra.
 
     Steps the interval while every image stays clear of the critical set of
-    the map applied at that level (contact within `guard` of an image
+    the map applied at that level (contact within CENSUS_GUARD of an image
     endpoint does not count, matching the pullback exactness of cut
     points); returns the list of (m, img_lo, img_hi) computed and the
     number of clean extra steps.
@@ -591,14 +584,15 @@ def interval_images(seq, lo, hi, depth, extra, guard=CENSUS_GUARD):
     for m in range(depth):
         mp = seq.map_at(m)
         for c in mp.critical_points:
-            if a + guard < c < b - guard:
+            if a + CENSUS_GUARD < c < b - CENSUS_GUARD:
                 raise ValueError("interval is not inside a monotone cell")
         fa, fb = float(mp.evaluator(a)), float(mp.evaluator(b))
         a, b = min(fa, fb), max(fa, fb)
     clean = 0
     for m in range(depth, depth + extra):
         mp = seq.map_at(m)
-        if any(a + guard < c < b - guard for c in mp.critical_points):
+        if any(a + CENSUS_GUARD < c < b - CENSUS_GUARD
+               for c in mp.critical_points):
             break
         fa, fb = float(mp.evaluator(a)), float(mp.evaluator(b))
         a, b = min(fa, fb), max(fa, fb)

@@ -1,9 +1,8 @@
 """Finite-time expansion statistics.
 
-Fiberwise and full-differential Lyapunov averages, visit frequencies to
-critical neighbourhoods, vectorized branch-size statistics, and the decay
-experiment for the overlap of slow-branch-growth points with expanding
-points.
+Fiberwise and full-differential Lyapunov averages, vectorized
+branch-size statistics, and the decay experiment for the overlap of
+slow-branch-growth points with expanding points.
 """
 
 import csv
@@ -14,6 +13,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
+from .branches import HIT_TOL
 from .errors import (DegenerateDifferential, EmptySample, HitCritical)
 from .maps import IntervalMap, MapSequence, SkewProduct, wrap
 from .rng import make_generator
@@ -100,30 +100,16 @@ def ftle_full(skew: SkewProduct, z, n):
     return s / n
 
 
-def visit_frequency(seq: MapSequence, x, n, eps):
-    """Fraction of the first n orbit points within eps of the critical set."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x = float(x)
-    hits = 0
-    for j in range(n):
-        m = seq.map_at(j)
-        cp = m.critical_points
-        if cp and min(abs(x - c) for c in cp) < eps:
-            hits += 1
-        x = float(m.evaluator(x))
-    return hits / n
-
-
 # ---------------------------------------------------------------------------
 # vectorized branch-size statistics
 # ---------------------------------------------------------------------------
 
-def _branch_loop(steps, critical_points, domain, x0, n, hit_tol):
+def _branch_loop(steps, critical_points, domain, x0, n):
     """The branch-size loop behind branch_stats and fiber_branch_stats.
 
     `steps` yields one (f, Df) pair of array callables per step; the
-    critical set is the same at every step.
+    critical set is the same at every step.  An anchor dies once it comes
+    within HIT_TOL of that set, as in track_branch.
     """
     x0 = np.asarray(x0, dtype=float)
     a = np.full(x0.shape, domain.lo)
@@ -134,7 +120,7 @@ def _branch_loop(steps, critical_points, domain, x0, n, hit_tol):
     logd = np.full((n,) + x0.shape, -np.inf)
     for j, (f, df) in zip(range(n), steps):
         for c in critical_points:
-            alive &= np.abs(y - c) > hit_tol
+            alive &= np.abs(y - c) > HIT_TOL
             cut_lo = alive & (a < c) & (c < y)
             a = np.where(cut_lo, c, a)
             cut_hi = alive & (y < c) & (c < b)
@@ -149,7 +135,7 @@ def _branch_loop(steps, critical_points, domain, x0, n, hit_tol):
     return r, logd, alive
 
 
-def branch_stats(m: IntervalMap, x0, n, hit_tol=1e-12):
+def branch_stats(m: IntervalMap, x0, n):
     """Image-side branch sizes r_i and log |Df| for a batch of anchors.
 
     Returns (r, logd, alive): arrays of shape (n, len(x0)) plus the final
@@ -158,10 +144,10 @@ def branch_stats(m: IntervalMap, x0, n, hit_tol=1e-12):
     arithmetic exactly.
     """
     return _branch_loop(repeat((m.evaluator, m.derivative)),
-                        m.critical_points, m.domain, x0, n, hit_tol)
+                        m.critical_points, m.domain, x0, n)
 
 
-def fiber_branch_stats(skew: SkewProduct, thetas, x0, n, hit_tol=1e-12):
+def fiber_branch_stats(skew: SkewProduct, thetas, x0, n):
     """branch_stats along fiber sequences for a batch of (theta, x) points.
 
     Requires the fiber critical set to sit at theta-independent x values
@@ -180,7 +166,7 @@ def fiber_branch_stats(skew: SkewProduct, thetas, x0, n, hit_tol=1e-12):
             th = wrap(np.asarray(skew.base(th), dtype=float))
 
     th = np.asarray(thetas, dtype=float) % 1.0
-    return _branch_loop(steps(th), cps, skew.fiber_domain, x0, n, hit_tol)
+    return _branch_loop(steps(th), cps, skew.fiber_domain, x0, n)
 
 
 def _cloud_branch_stats(system, cloud, n):
@@ -201,66 +187,8 @@ def _cloud_branch_stats(system, cloud, n):
 
 
 # ---------------------------------------------------------------------------
-# membership records and the decay experiment
+# the decay experiment
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExpansionRecord:
-    point: tuple
-    n: int
-    ftle: float
-    r_mean: float
-    r_last: float
-    in_Y: bool
-    in_A: bool
-    in_Z: bool = None
-    visit_freq: float = None
-
-
-def classify_point(system, point, n, lam, delta, eps=None):
-    """Expansion membership record for one point.
-
-    `system` is an IntervalMap, a constant MapSequence, or a SkewProduct;
-    for skew-products `point` is (theta, x) and the full-differential
-    average feeds the Z flag while the fiber average feeds Y.
-    """
-    if isinstance(system, SkewProduct):
-        theta, x = (float(v) for v in point)
-        in_z = ftle_full(system, point, n) > lam
-        point = (theta, x)
-    else:
-        x = float(point) if np.isscalar(point) else float(point[-1])
-        theta, in_z, point = 0.0, None, (x,)
-    seq = system.sequence(theta)
-    r, logd, _ = (branch_stats(seq.map_at(0), np.array([x]), n)
-                  if seq.constant else
-                  _sequence_branch_stats(seq, x, n))
-    rs = r[:, 0]
-    ft = float(logd[:, 0].sum() / n)
-    r_mean = float(rs.mean())
-    r_last = float(rs[-1])
-    vf = visit_frequency(seq, x, n, eps) if eps else None
-    return ExpansionRecord(point, n, ft, r_mean, r_last, ft > lam,
-                           r_mean < delta**2 and r_last > 0, in_z, vf)
-
-
-def _sequence_branch_stats(seq, x, n):
-    from .branches import track_branch
-    try:
-        br = track_branch(seq, x, n)
-        rs = np.array(br.r_history)
-    except HitCritical as ex:
-        rs = np.zeros(n)
-        rs[:len(ex.branch.r_history)] = ex.branch.r_history
-    logd = np.empty((n, 1))
-    y = float(x)
-    for j in range(n):
-        m = seq.map_at(j)
-        d = abs(float(m.derivative(y)))
-        logd[j, 0] = math.log(d) if d > 1e-300 else -np.inf
-        y = float(m.evaluator(y))
-    return rs.reshape(-1, 1), logd, None
-
 
 @dataclass(frozen=True)
 class DecayTable:
@@ -275,9 +203,6 @@ class DecayTable:
             for (n, frac, _, bound, delta, lam, samples, seed) in self.rows:
                 w.writerow([n, repr(frac), repr(bound), repr(delta),
                             repr(lam), samples, seed])
-
-    def fractions(self, delta):
-        return {n: f for (n, f, _, _, d, _, _, _) in self.rows if d == delta}
 
     def deltas(self):
         return sorted({row[4] for row in self.rows})

@@ -66,8 +66,14 @@ def _assemble_sections(args):
         key, sep, raw = item.partition("=")
         if not sep:
             raise ValidationError(f"system.{item}", "expected KEY=VALUE")
-        value = float(raw)
-        sections["system"][key] = int(value) if key == "d" else value
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValidationError(f"system.{key}",
+                                  "expected a number") from None
+        # an integral degree keeps its int form, as in a config file
+        sections["system"][key] = (int(value) if key == "d"
+                                   and value.is_integer() else value)
     for key in EXPERIMENT_PARAMS[args.kind]:
         value = getattr(args, f"param_{key}", None)
         if value is not None:

@@ -224,8 +224,9 @@ def validate_config(sections):
         if key not in allowed:
             raise ValidationError(f"system.{key}",
                                   f"not a parameter of family {family!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"system.{key}", "expected a number")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ValidationError(f"system.{key}", "expected a finite number")
     exp = dict(sections.get("experiment", {}))
     kind = exp.pop("kind", None)
     if kind is None:

@@ -136,12 +136,13 @@ class CurveGraph:
         return cls(th, np.asarray(fn(th), dtype=float), slopes=slopes)
 
 
-def _refine_for_step(skew, piece, x_gap, theta_gap, max_depth=42):
+def _refine_for_step(skew, piece):
     """Insert midpoints until the image of each segment is short enough.
 
-    Works on the piecewise-linear representation; raises NotAGraph when a
-    segment whose image is still wider than x_gap cannot be split further
-    (float exhaustion or split depth beyond max_depth).
+    Works on the piecewise-linear representation: a segment is split while
+    its image is wider than 1e-3 or its theta extent times the base degree
+    exceeds 1/64.  Raises NotAGraph when a segment whose image is still too
+    wide cannot be split further (float exhaustion or split depth 42).
     """
     th = list(piece.theta)
     xs = list(piece.x)
@@ -152,13 +153,13 @@ def _refine_for_step(skew, piece, x_gap, theta_gap, max_depth=42):
     while i < len(th) - 1:
         ia = skew.fiber(th[i], xs[i])
         ib = skew.fiber(th[i + 1], xs[i + 1])
-        wide_x = abs(ib - ia) > x_gap
-        wide_t = (th[i + 1] - th[i]) * skew.base_degree > theta_gap
+        wide_x = abs(ib - ia) > 1e-3
+        wide_t = (th[i + 1] - th[i]) * skew.base_degree > 1.0 / 64
         if not (wide_x or wide_t):
             i += 1
             continue
         mid = 0.5 * (th[i] + th[i + 1])
-        splittable = th[i] < mid < th[i + 1] and depth[i] < max_depth
+        splittable = th[i] < mid < th[i + 1] and depth[i] < 42
         if not splittable:
             if wide_x:
                 raise NotAGraph(
@@ -177,20 +178,19 @@ def _refine_for_step(skew, piece, x_gap, theta_gap, max_depth=42):
                       np.array(sl) if sl is not None else None, np.array(og))
 
 
-def propagate_curve(skew: SkewProduct, curve: CurveGraph, n,
-                    x_gap=1e-3, theta_gap=1.0 / 64, cap=10**5):
+def propagate_curve(skew: SkewProduct, curve: CurveGraph, n):
     """Iterate a curve, splitting at base fundamental-domain wraps.
 
     Returns a list over iterates 1..n; each entry is a tuple of CurveGraph
     pieces (the base map multiplies the theta extent by about its degree,
-    so the piece count grows geometrically; CapExceeded guards the budget).
+    so the piece count grows geometrically; CapExceeded past 10**5 pieces).
     """
     pieces = [curve]
     out = []
     for _ in range(n):
         new_pieces = []
         for piece in pieces:
-            piece = _refine_for_step(skew, piece, x_gap, theta_gap)
+            piece = _refine_for_step(skew, piece)
             th_old = piece.theta
             x_old = piece.x
             th_img, x_img = skew.step((th_old, x_old), 0)
@@ -214,8 +214,8 @@ def propagate_curve(skew: SkewProduct, curve: CurveGraph, n,
                     seg_th, x_img[a:b],
                     s_img[a:b] if s_img is not None else None,
                     piece.origin[a:b]))
-        if len(new_pieces) > cap:
-            raise CapExceeded(f"{len(new_pieces)} curve pieces exceed {cap}")
+        if len(new_pieces) > 10**5:
+            raise CapExceeded(f"{len(new_pieces)} curve pieces exceed 10**5")
         pieces = new_pieces
         out.append(tuple(pieces))
     return out
@@ -245,16 +245,16 @@ def slope_envelope(skew: SkewProduct, curve: CurveGraph, n):
     return env
 
 
-def curve_growth_constants(skew: SkewProduct, alpha=0.0, grid=128):
+def curve_growth_constants(skew: SkewProduct, alpha=0.0):
     """(L, C1, C2) from the fitted domination constants.
 
     L bounds |d_theta f| / |d_theta g|; iterated slopes of alpha-curves
     stay below C1 = L*C*A + C*sigma*alpha with A = sum sigma^k, and curve
     arc length contracts backwards by C2 = sqrt(1 + C1^2) per inverse
-    branch of the base.
+    branch of the base.  L is the maximum over a 128 x 128 grid.
     """
-    th = np.linspace(0.0, 1.0, grid, endpoint=False)
-    xs = skew.fiber_domain.grid(grid)
+    th = np.linspace(0.0, 1.0, 128, endpoint=False)
+    xs = skew.fiber_domain.grid(128)
     T, X = np.meshgrid(th, xs, indexing="ij")
     L = float(np.max(np.abs(skew.fiber_dtheta(T, X))
                      / np.abs(skew.base_derivative(T))))

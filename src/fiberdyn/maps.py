@@ -46,15 +46,15 @@ class IntervalDomain:
     def length(self):
         return self.hi - self.lo
 
-    def contains(self, x, tol=0.0):
-        return self.lo - tol <= x <= self.hi + tol
+    def contains(self, x):
+        return self.lo <= x <= self.hi
 
     def grid(self, n):
         return np.linspace(self.lo, self.hi, n)
 
 
-def find_critical_points(derivative, domain, grid=CRITICAL_GRID, tol=1e-12):
-    """Locate zeros of f' by sign-change bisection on a fine grid."""
+def find_critical_points(derivative, domain, grid=CRITICAL_GRID):
+    """Locate zeros of f' by sign-change bisection to width 1e-12."""
     xs = domain.grid(grid)
     ds = np.asarray(derivative(xs), dtype=float)
     found = []
@@ -62,7 +62,7 @@ def find_critical_points(derivative, domain, grid=CRITICAL_GRID, tol=1e-12):
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
         lo, hi = float(xs[i]), float(xs[i + 1])
         flo = float(ds[i])
-        while hi - lo > tol:
+        while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
             fm = float(derivative(mid))
             if fm == 0.0:
@@ -185,19 +185,11 @@ class MapSequence:
             self._cache[key] = m
         return m
 
-    def compose(self, x, n, start=0):
-        """Evaluate f_{start+n-1} o ... o f_start at x (scalar or array)."""
-        for j in range(start, start + n):
+    def compose(self, x, n):
+        """Evaluate f_{n-1} o ... o f_0 at x (scalar or array)."""
+        for j in range(n):
             x = self.map_at(j).evaluator(x)
         return x
-
-    def shifted(self, k):
-        """The sequence j -> f_{k+j}."""
-        if self.constant:
-            return self
-        return MapSequence(lambda j: self.map_at(k + j), self.domain,
-                           self.max_critical_count,
-                           label=f"{self.label}<<{k}")
 
     def sample(self, rng, k):
         """k points drawn uniformly from the shared domain."""
@@ -212,10 +204,10 @@ class MapSequence:
         return self
 
 
-def constant_sequence(m: IntervalMap, label=None):
+def constant_sequence(m: IntervalMap):
     """The sequence f_k = m for all k."""
     return MapSequence(lambda k: m, m.domain, len(m.critical_points),
-                       label=label or f"const[{m.label}]", constant=True)
+                       label=f"const[{m.label}]", constant=True)
 
 
 def estimate_modulus(seq: MapSequence, zeta, k_probe=8, grid=512,
@@ -285,7 +277,7 @@ class SkewProduct:
     each step shifts out log2(d) bits of the float's 53-bit mantissa, so
     an orbit reaches exactly 0.0 after about 53 / log2(d) steps and stays
     there (viana_skew().base_orbit(pi/10, 20) is 0.0 from step 13 on);
-    ROADMAP item 4 plans exact digit-stream orbits.  `base_affine` marks
+    exact digit-stream orbits are planned (see ROADMAP).  `base_affine` marks
     bases of the exact form d*theta mod 1, for which pullbacks of tiny
     arcs admit exact offset arithmetic.
     """
@@ -610,8 +602,11 @@ def viana_skew(a0=1.7, alpha=0.05, d=16):
 
     The fiber domain is the invariant interval [-beta, beta] with beta the
     positive fixed point of x -> (a0 - alpha) - x^2; for the default
-    parameters beta ~ 1.8784, strictly inside [-2, 2].
+    parameters beta ~ 1.8784, strictly inside [-2, 2].  d must be integral.
     """
+    if not float(d).is_integer():
+        raise ValueError(f"base degree must be an integer, got {d!r}")
+    d = int(d)
     if d < 2:
         raise ValueError("base degree must be >= 2")
     a_min = a0 - abs(alpha)
@@ -624,7 +619,7 @@ def viana_skew(a0=1.7, alpha=0.05, d=16):
     dom = IntervalDomain(-beta, beta)
     two_pi = 2.0 * math.pi
     return SkewProduct(
-        base_degree=int(d),
+        base_degree=d,
         base=lambda t: (d * t) % 1.0,
         base_derivative=lambda t: float(d) + 0.0 * t,
         fiber=lambda t, x: a0 + alpha * np.sin(two_pi * t) - x * x,
@@ -650,7 +645,7 @@ _FAMILIES = {
     "twowell": lambda **kw: twowell_map(),
     "viana": lambda **kw: viana_skew(kw.get("a0", 1.7),
                                      kw.get("alpha", 0.05),
-                                     int(kw.get("d", 16))),
+                                     kw.get("d", 16)),
 }
 
 

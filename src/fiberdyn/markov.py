@@ -21,15 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import (LANE_BATCH, bisect_preimage, bisect_preimages,
-                       compose_lanes, min_max, monotonicity_partition,
-                       track_branch, track_branches)
+from .branches import (HIT_TOL, LANE_BATCH, bisect_preimage,
+                       bisect_preimages, compose_lanes, min_max,
+                       monotonicity_partition, track_branch, track_branches)
 from .errors import (ClosureDiverges, DegenerateGap, EscapedDomain,
                      HitCritical, InducingTimeNotFound, NotMonotone)
 from .maps import IntervalMap, constant_sequence
 from .rng import make_generator
 
 ENDPOINT_TOL = 1e-9
+
+
+def _endpoint_defects(m: IntervalMap, endpoints):
+    """Distance from f(e) to the endpoint set, for each endpoint e."""
+    pts = np.asarray(endpoints)
+    return [float(np.abs(pts - float(m.evaluator(e))).min())
+            for e in endpoints]
 
 
 @dataclass(frozen=True)
@@ -57,21 +64,7 @@ class MarkovPartition:
 
     def invariance_defect(self, m: IntervalMap):
         """Largest distance from f(endpoint) to the endpoint set."""
-        pts = np.asarray(self.endpoints)
-        worst = 0.0
-        for e in self.endpoints:
-            fe = float(m.evaluator(e))
-            worst = max(worst, float(np.abs(pts - fe).min()))
-        return worst
-
-    @property
-    def cells(self):
-        return tuple(zip(self.endpoints, self.endpoints[1:]))
-
-    def cell_index(self, y):
-        """Index of the cell containing y (clipped to the domain)."""
-        i = _bisect.bisect_right(self.endpoints, y) - 1
-        return min(max(i, 0), len(self.endpoints) - 2)
+        return max(_endpoint_defects(m, self.endpoints))
 
     def near_endpoint(self, y, tol=1e-12):
         i = _bisect.bisect_left(self.endpoints, y)
@@ -81,13 +74,13 @@ class MarkovPartition:
         return False
 
 
-def _forward_closure(m: IntervalMap, points, orbit_cap, tol):
+def _forward_closure(m: IntervalMap, points):
     pts = sorted(points)
 
     def near(v):
         i = _bisect.bisect_left(pts, v)
         for j in (i - 1, i):
-            if 0 <= j < len(pts) and abs(pts[j] - v) <= tol:
+            if 0 <= j < len(pts) and abs(pts[j] - v) <= ENDPOINT_TOL:
                 return True
         return False
 
@@ -95,7 +88,7 @@ def _forward_closure(m: IntervalMap, points, orbit_cap, tol):
     while queue:
         p = queue.pop()
         v = float(p)
-        for _ in range(orbit_cap):
+        for _ in range(64):
             v = float(m.evaluator(v))
             if near(v):
                 break
@@ -103,7 +96,7 @@ def _forward_closure(m: IntervalMap, points, orbit_cap, tol):
             queue.append(v)
         else:
             raise ClosureDiverges(
-                f"orbit of {p!r} found no endpoint within {orbit_cap} steps")
+                f"orbit of {p!r} found no endpoint within 64 steps")
     return pts
 
 
@@ -120,19 +113,19 @@ def _preimages(m: IntervalMap, value):
     return out
 
 
-def build_partition(m: IntervalMap, depth, orbit_cap=64, tol=ENDPOINT_TOL):
+def build_partition(m: IntervalMap, depth):
     """Forward-invariant partition from critical orbits plus preimages.
 
     Endpoints start from the domain boundary and the critical points, are
-    closed under the map (ClosureDiverges if an orbit will not land back on
-    the set within orbit_cap steps), then refined `depth` times by taking
-    preimages of all current endpoints; preimages keep the set closed since
-    they map onto existing endpoints.
+    closed under the map (ClosureDiverges if an orbit will not land back
+    within ENDPOINT_TOL of the set within 64 steps), then refined `depth`
+    times by taking preimages of all current endpoints; preimages keep the
+    set closed since they map onto existing endpoints.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     base = {m.domain.lo, m.domain.hi, *m.critical_points}
-    pts = _forward_closure(m, base, orbit_cap, tol)
+    pts = _forward_closure(m, base)
     for _ in range(depth):
         new = list(pts)
         for e in list(pts):
@@ -146,13 +139,12 @@ def build_partition(m: IntervalMap, depth, orbit_cap=64, tol=ENDPOINT_TOL):
     return MarkovPartition.from_endpoints(m, pts)
 
 
-def monotone_scale(m: IntervalMap, part: MarkovPartition, n_cap=30,
-                   cell_cap=10**5):
+def monotone_scale(m: IntervalMap, part: MarkovPartition, n_cap=30):
     """Smallest n whose depth-n monotone cells are shorter than min_len/4."""
     seq = constant_sequence(m)
     target = part.min_len / 4.0
     for n in range(1, n_cap + 1):
-        p = monotonicity_partition(seq, n, cell_cap)
+        p = monotonicity_partition(seq, n)
         if max(hi - lo for lo, hi in p.cells) < target:
             return n
     raise InducingTimeNotFound(
@@ -161,8 +153,7 @@ def monotone_scale(m: IntervalMap, part: MarkovPartition, n_cap=30,
                f"n_cap={n_cap}")
 
 
-def _covering_ks(m: IntervalMap, part: MarkovPartition, xs, N, k_max,
-                 hit_tol=1e-12):
+def _covering_ks(m: IntervalMap, part: MarkovPartition, xs, N, k_max):
     """Image-side search for the minimal covering iterate k >= N, per lane.
 
     All lanes step in lockstep; returns arrays (k, ci) with k = 0 where the
@@ -182,7 +173,7 @@ def _covering_ks(m: IntervalMap, part: MarkovPartition, xs, N, k_max,
         yl, al, bl = y[live], a[live], b[live]
         on_crit = np.zeros(live.size, dtype=bool)
         for c in m.critical_points:
-            on_crit |= np.abs(yl - c) <= hit_tol
+            on_crit |= np.abs(yl - c) <= HIT_TOL
             below = (al < c) & (c < yl)
             al = np.where(below, c, al)
             bl = np.where(~below & (yl < c) & (c < bl), c, bl)
@@ -336,24 +327,21 @@ def _log_deriv_n(m, x, k):
 
 
 def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
-                    N=None, k_max=200, seed=0, gap_rounds=4,
-                    strat_depth=8, check_constancy=True,
-                    constancy_samples=10, composition_probes=200):
+                    k_max=200, seed=0, check_constancy=True):
     """Discover induced branches from stratified seeds and certify them.
 
-    Discovery seeds one point per depth-`strat_depth` monotone cell plus
-    uniformly drawn extras, skips points already covered, and dedupes by
-    left endpoint; leftover gaps between discovered branches are reseeded
-    at their midpoints for `gap_rounds` passes.  The certificate reports
-    image exactness (both endpoints of f^k(I) on cell endpoints), minimum
-    image length, (k, I) constancy on interior samples, coverage, and a
-    sampled distortion bound along compositions up to length 3.
+    Discovery seeds one point per depth-8 monotone cell plus uniformly
+    drawn extras, skips points already covered, and dedupes by left
+    endpoint; leftover gaps between discovered branches are reseeded at
+    their midpoints for up to 4 passes.  The certificate reports image
+    exactness (both endpoints of f^k(I) on cell endpoints), minimum image
+    length, (k, I) constancy at 10 interior samples per branch, coverage,
+    and a distortion bound sampled along compositions up to length 3.
     """
-    if N is None:
-        N = monotone_scale(m, part)
+    N = monotone_scale(m, part)
     dom = m.domain
     seq = constant_sequence(m)
-    strat = monotonicity_partition(seq, strat_depth, cap=10**6)
+    strat = monotonicity_partition(seq, 8, cap=10**6)
     points = [0.5 * (lo + hi) for lo, hi in strat.cells]
     rng = make_generator(seed)
     extra = max(0, seeds - len(points))
@@ -390,7 +378,7 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
                 branches.insert(i, (k, lo, hi, ci))
 
     discover(points)
-    for _ in range(gap_rounds):
+    for _ in range(4):
         gaps = []
         frontier = dom.lo
         for lo, hi in zip(los, his):
@@ -407,10 +395,8 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
     # iterates when the endpoint set is forward invariant, so that check is
     # part of the certificate
     failures = []
-    pts = np.asarray(part.endpoints)
-    for e in part.endpoints:
-        fe = float(m.evaluator(e))
-        defect = float(np.abs(pts - fe).min())
+    for e, defect in zip(part.endpoints,
+                         _endpoint_defects(m, part.endpoints)):
         if defect > ENDPOINT_TOL:
             failures.append(
                 f"partition endpoint {e!r}: image leaves the endpoint set "
@@ -422,7 +408,7 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
     rng2 = make_generator(seed + 1)
 
     def constancy_points(lo, hi):
-        return np.linspace(lo, hi, constancy_samples + 2)[1:-1]
+        return np.linspace(lo, hi, 12)[1:-1]
 
     # inducing times at the constancy samples of all branches, computed
     # LANE_BATCH at a time as the loop below consumes them
@@ -460,7 +446,7 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
     K_hat = max((b.distortion_sample for b in out), default=1.0)
     for length in (2, 3):
         groups = {}
-        starts = rng2.uniform(dom.lo, dom.hi, composition_probes)
+        starts = rng2.uniform(dom.lo, dom.hi, 200)
         for x0 in starts:
             x = float(x0)
             itinerary = []
@@ -530,12 +516,12 @@ def cross_ratio_operator(m: IntervalMap, k, T, J):
     return after / before
 
 
-def fit_cross_ratio_constant(m: IntervalMap, pairs, seed, depth_max=8):
+def fit_cross_ratio_constant(m: IntervalMap, pairs, seed):
     """Empirical constant C with B(f^n, T, J) >= exp(-C |f^n(T)|^2).
 
-    Samples nested pairs inside depth-n monotone cells and returns the
-    smallest C explaining every observed cross-ratio drop (0 when no drop
-    is observed, as for nonpositive-Schwarzian maps).
+    Samples nested pairs inside depth-n monotone cells (n drawn from
+    1..8) and returns the smallest C explaining every observed cross-ratio
+    drop (0 when no drop is observed, as for nonpositive-Schwarzian maps).
     """
     rng = make_generator(seed)
     seq = constant_sequence(m)
@@ -544,7 +530,7 @@ def fit_cross_ratio_constant(m: IntervalMap, pairs, seed, depth_max=8):
     attempts = 0
     while count < pairs and attempts < 50 * pairs:
         attempts += 1
-        n = int(rng.integers(1, depth_max + 1))
+        n = int(rng.integers(1, 9))
         x = float(rng.uniform(m.domain.lo, m.domain.hi))
         try:
             br = track_branch(seq, x, n)
@@ -576,13 +562,8 @@ def fit_cross_ratio_constant(m: IntervalMap, pairs, seed, depth_max=8):
 @dataclass(frozen=True)
 class SummabilityStat:
     mean_time: float
-    per_probe_means: tuple
     dispersion: float          # std of per-probe means
     escaped: int
-
-    def stable_within(self, rel):
-        lo, hi = min(self.per_probe_means), max(self.per_probe_means)
-        return (hi - lo) <= rel * self.mean_time
 
 
 def summability_stat(branches, m: IntervalMap, orbit_len, probes, seed):
@@ -617,5 +598,4 @@ def summability_stat(branches, m: IntervalMap, orbit_len, probes, seed):
     if not means:
         raise EscapedDomain("every probe escaped the branch domains")
     arr = np.asarray(means)
-    return SummabilityStat(float(arr.mean()), tuple(float(v) for v in arr),
-                           float(arr.std()), escaped)
+    return SummabilityStat(float(arr.mean()), float(arr.std()), escaped)

@@ -5,10 +5,12 @@ import pytest
 
 from fiberdyn import (BranchTerminated, CapExceeded, HitCritical,
                       bisect_preimage, bisect_preimages, branch_stats,
-                      component_census, constant_sequence, fiber_sequence,
-                      identity_map, interval_images, logistic_map, moebius_map,
-                      monotonicity_partition, quadratic_map, symbol_sequence,
-                      track_branch, track_branches, twowell_map, viana_skew)
+                      component_census, constant_sequence, fiber_branch_stats,
+                      fiber_sequence, identity_map, interval_images,
+                      logistic_map, moebius_map, monotonicity_partition,
+                      quadratic_map, symbol_sequence, track_branch,
+                      track_branches, twowell_map, viana_skew)
+from fiberdyn.branches import HIT_TOL
 from fiberdyn.rng import make_generator
 
 E1 = (2.0 - math.sqrt(2.0)) / 4.0
@@ -144,6 +146,39 @@ class TestTrackBranch:
                                                      abs=1e-9)
 
 
+class TestHitTolerance:
+    """Every branch loop stops at |y - c| <= HIT_TOL, and nowhere else."""
+
+    @pytest.mark.parametrize("family", ["logistic", "viana"])
+    def test_loops_agree_at_the_boundary(self, family):
+        if family == "logistic":
+            m, c = logistic_map(), 0.5
+            seq = constant_sequence(m)
+            stats = lambda xs: branch_stats(m, xs, 1)
+        else:
+            skew, c, theta = viana_skew(), 0.0, 0.3
+            seq = fiber_sequence(skew, theta)
+            stats = lambda xs: fiber_branch_stats(
+                skew, np.full(xs.size, theta), xs, 1)
+        xs = np.array([v for a in (c - HIT_TOL, c + HIT_TOL)
+                       for v in (np.nextafter(a, -1.0), a,
+                                 np.nextafter(a, 2.0))])
+        want = [abs(float(x) - c) <= HIT_TOL for x in xs]
+        assert any(want) and not all(want)
+        scalar = []
+        for x in xs:
+            try:
+                track_branch(seq, float(x), 1)
+                scalar.append(False)
+            except HitCritical as ex:
+                assert ex.step == 0
+                scalar.append(True)
+        assert scalar == want
+        assert track_branches(seq, xs, 1).terminated.tolist() == want
+        _, _, alive = stats(xs)
+        assert (~alive).tolist() == want
+
+
 class TestSymbolSequence:
     def test_thresholding(self, logistic_seq):
         br = track_branch(logistic_seq, 0.25, 2)
@@ -190,7 +225,7 @@ class TestPartition:
                 br = track_branch(logistic_seq, float(x), 6)
             except HitCritical:
                 continue
-            lo, hi = part.cells[part.cell_index(float(x))]
+            lo, hi = next(c for c in part.cells if c[0] <= x <= c[1])
             assert abs(br.t_lo - lo) <= 1e-9
             assert abs(br.t_hi - hi) <= 1e-9
 

@@ -22,6 +22,20 @@ dir = out
 seed = 1
 """
 
+# a viana ftle run that finishes at once even if a bad value slips through
+TINY_VIANA_FTLE = ["ftle", "--family", "viana", "--n", "10", "--samples", "1"]
+
+VIANA_D_16_7 = """
+[system]
+family = viana
+d = 16.7
+
+[experiment]
+kind = ftle
+n = 10
+samples = 1
+"""
+
 
 class TestParsing:
     def test_minimal_config(self):
@@ -172,12 +186,30 @@ class TestCli:
         ["acim", "--family", "viana", "--bins", "7"],
         ["acim", "--family", "viana", "--bins", "10"],
         ["components", "--family", "viana", "--bins", "10"],
+        ["ftle", "--config", "VIANA_D_16_7"],
+        [*TINY_VIANA_FTLE, "--system", "d=16.7"],
+        [*TINY_VIANA_FTLE, "--system", "a0=abc"],
+        [*TINY_VIANA_FTLE, "--system", "d=nan"],
+        ["acim", "--family", "affine", "--system", "slope=nan",
+         "--samples", "100", "--n", "10"],
     ], ids=["infinite-delta", "inverted-delta-grid", "non-integer-depths",
             "family-parameter-out-of-range", "curve-needs-skew",
             "probe-needs-skew", "markov-needs-interval-map",
-            "skew-bins-7", "skew-bins-10", "skew-components-bins-10"])
+            "skew-bins-7", "skew-bins-10", "skew-components-bins-10",
+            "config-fractional-degree", "fractional-degree",
+            "non-numeric-system-value", "nan-degree", "nan-slope"])
     def test_bad_values_are_config_errors(self, tmp_path, argv):
+        cfg_file = tmp_path / "viana_d.cfg"
+        cfg_file.write_text(VIANA_D_16_7)
+        argv = [str(cfg_file) if a == "VIANA_D_16_7" else a for a in argv]
         assert cli_main([*argv, "--out", str(tmp_path / "bad")]) == 2
+
+    def test_integral_degree_keeps_int_label(self, tmp_path):
+        rc = cli_main([*TINY_VIANA_FTLE, "--system", "d=16.0",
+                       "--out", str(tmp_path / "d")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert "d = 16\n" in manifest["config"]
 
     def test_partition_scale_failure_message(self, tmp_path, capsys):
         rc = cli_main(["markov", "--family", "doubling", "--depth", "1",

@@ -5,10 +5,10 @@ import pytest
 
 from fiberdyn import (DegenerateDifferential, EmptySample, HitCritical,
                       IntervalDomain, IntervalMap, SkewProduct, branch_stats,
-                      classify_point, constant_sequence, doubling_map,
-                      estimate_f2, fiber_branch_stats, fiber_sequence,
-                      ftle_fiber, ftle_full, make_system, measure_AY_decay,
-                      smallest_singular_value, visit_frequency)
+                      constant_sequence, doubling_map, estimate_f2,
+                      fiber_branch_stats, fiber_sequence, ftle_fiber,
+                      ftle_full, make_system, measure_AY_decay,
+                      smallest_singular_value)
 from fiberdyn import expansion
 from fiberdyn.rng import make_generator
 
@@ -41,7 +41,9 @@ class TestFtleFiber:
         total = ftle_fiber(seq, x, n1 + n2)
         first = ftle_fiber(seq, x, n1)
         mid = float(seq.compose(x, n1))
-        second = ftle_fiber(seq.shifted(n1), mid, n2)
+        # the fiber sequence from g^n1(0.3) is f_{n1}, f_{n1+1}, ...
+        later = fiber_sequence(viana, viana.base_orbit(0.3, n1)[-1])
+        second = ftle_fiber(later, mid, n2)
         recombined = (n1 * first + n2 * second) / (n1 + n2)
         assert total == pytest.approx(recombined, abs=1e-12)
 
@@ -179,27 +181,6 @@ class TestFtleFull:
             ftle_full(viana, (0.25, 0.0), 1)
 
 
-class TestVisitFrequency:
-    def test_no_critical_points(self):
-        seq = constant_sequence(doubling_map())
-        assert visit_frequency(seq, 0.3, 100, 0.05) == 0.0
-
-    def test_huge_radius(self, logistic_seq):
-        assert visit_frequency(logistic_seq, 0.3, 50, 2.0) == 1.0
-
-    def test_matches_invariant_density_mass(self, logistic_seq):
-        # Birkhoff frequency of |x - 1/2| < 0.05 equals the invariant mass
-        # of (0.45, 0.55): (2/pi) (asin sqrt(0.55) - asin sqrt(0.45))
-        expected = (2.0 / math.pi) * (math.asin(math.sqrt(0.55))
-                                      - math.asin(math.sqrt(0.45)))
-        freq = visit_frequency(logistic_seq, 0.123456, 10**5, 0.05)
-        assert freq == pytest.approx(expected, abs=0.005)
-
-    def test_eps_positive(self, logistic_seq):
-        with pytest.raises(ValueError):
-            visit_frequency(logistic_seq, 0.3, 10, 0.0)
-
-
 class TestDecayTable:
     def test_huge_delta_reduces_to_expansion_set(self, logistic):
         # delta^2 > |I0| makes the mean-size constraint vacuous
@@ -209,7 +190,9 @@ class TestDecayTable:
         for n in (10, 20):
             y_frac = float(((np.cumsum(logd, 0)[n - 1] / n > 0.3)
                             & (r[n - 1] > 0)).mean())
-            assert table.fractions(2.0)[n] == pytest.approx(y_frac, abs=0)
+            (frac,) = [row[1] for row in table.rows
+                       if row[0] == n and row[4] == 2.0]
+            assert frac == y_frac
 
     def test_unreachable_rate_empties_the_set(self, logistic):
         # lambda = 10 exceeds log sup |Df| = log 4
@@ -302,18 +285,3 @@ class TestEstimateF2:
     def test_sample_floor(self, viana):
         with pytest.raises(ValueError):
             estimate_f2(viana, 10, 1)
-
-
-class TestClassifyPoint:
-    def test_membership_flags_consistent(self, logistic):
-        rec = classify_point(logistic, 0.3, 40, lam=0.3, delta=0.1,
-                             eps=0.05)
-        assert rec.in_A == (rec.r_mean < 0.01 and rec.r_last > 0)
-        assert rec.in_Y == (rec.ftle > 0.3)
-        assert rec.in_Z is None
-        assert 0.0 <= rec.visit_freq <= 1.0
-
-    def test_skew_point_gets_z_flag(self, viana):
-        rec = classify_point(viana, (0.3, 0.2), 30, lam=0.1, delta=0.1)
-        assert rec.in_Z in (True, False)
-        assert rec.r_mean >= 0.0

@@ -79,11 +79,6 @@ class TestTelescoping:
         merged = counts512.reshape(41, 256, 2).sum(axis=2)
         assert np.array_equal(merged, counts256)
 
-    def test_coarsen_matches_rebuild(self, logistic):
-        mu512 = empirical_measure(logistic, 3000, 40, 512, 13)
-        mu256 = empirical_measure(logistic, 3000, 40, 256, 13)
-        assert np.array_equal(mu512.coarsen(2).weights, mu256.weights)
-
 
 class TestInvarianceDefect:
     def test_uniform_under_doubling(self):
