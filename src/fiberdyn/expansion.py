@@ -150,23 +150,16 @@ def branch_stats(m: IntervalMap, x0, n):
 def fiber_branch_stats(skew: SkewProduct, thetas, x0, n):
     """branch_stats along fiber sequences for a batch of (theta, x) points.
 
-    Requires the fiber critical set to sit at theta-independent x values
-    (true for the quadratic catalogue fibers).
+    Every fiber map has the critical set `skew.fiber_critical_points`.
     """
-    if skew.fiber_criticals is None:
-        raise NotImplementedError("fiber critical set must be supplied")
-    probes = np.linspace(0.0, 1.0, 8, endpoint=False)
-    cps = skew.fiber_criticals(0.0)
-    if any(skew.fiber_criticals(t) != cps for t in probes):
-        raise NotImplementedError("fiber critical set varies with theta")
-
     def steps(th):
         while True:
             yield partial(skew.fiber, th), partial(skew.fiber_dx, th)
             th = wrap(np.asarray(skew.base(th), dtype=float))
 
     th = np.asarray(thetas, dtype=float) % 1.0
-    return _branch_loop(steps(th), cps, skew.fiber_domain, x0, n)
+    return _branch_loop(steps(th), skew.fiber_critical_points,
+                        skew.fiber_domain, x0, n)
 
 
 def _cloud_branch_stats(system, cloud, n):
@@ -275,6 +268,7 @@ def estimate_f2(skew: SkewProduct, samples, seed, pairs_per_sample=4):
         raise ValueError("need at least 1e3 samples")
     rng = make_generator(seed)
     dom = skew.fiber_domain
+    cps = skew.fiber_critical_points
     best = 0.0
     admissible = 0
     th = rng.uniform(0.0, 1.0, samples)
@@ -283,12 +277,6 @@ def estimate_f2(skew: SkewProduct, samples, seed, pairs_per_sample=4):
     radii = rng.uniform(0.0, 1.0, (samples, pairs_per_sample))
     for i in range(samples):
         t, x = float(th[i]), float(xs[i])
-        if skew.fiber_criticals is not None:
-            cps = skew.fiber_criticals(t)
-        else:
-            from .maps import find_critical_points
-            cps = find_critical_points(lambda u: skew.fiber_dx(t, u), dom,
-                                       grid=2**10)
         dv = min((abs(x - c) for c in cps), default=1.0)
         if dv <= 0.0:
             continue

@@ -292,17 +292,19 @@ class ProbeReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _point_in_polygon(px, py, poly_x, poly_y):
-    inside = False
-    n = len(poly_x)
-    j = n - 1
-    for i in range(n):
-        if (poly_y[i] > py) != (poly_y[j] > py):
-            t = (py - poly_y[j]) / (poly_y[i] - poly_y[j])
-            if px < poly_x[j] + t * (poly_x[i] - poly_x[j]):
-                inside = not inside
-        j = i
-    return inside
+def _inside_polygon(px, py, poly_x, poly_y):
+    """Even-odd ray casting: whether each point (px[a], py[a]) is inside.
+
+    Edge i runs from vertex i - 1 to vertex i (edge 0 closes the polygon);
+    one array expression covers every point and every edge.
+    """
+    px = np.asarray(px, float)[:, None]
+    py = np.asarray(py, float)[:, None]
+    xj, yj = np.roll(poly_x, 1), np.roll(poly_y, 1)
+    crosses = (poly_y > py) != (yj > py)
+    t = (py - yj) / np.where(crosses, poly_y - yj, 1.0)
+    hits = crosses & (px < xj + t * (poly_x - xj))
+    return np.count_nonzero(hits, axis=1) % 2 == 1
 
 
 def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
@@ -315,12 +317,11 @@ def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
     iterate, the spread of |det D(iterate)|, and the radius of a ball
     around the image of z covered by the image quadrilateral.
 
-    The base arc of the box has width 2 rho' / d^k; for an affine base the
-    mesh is iterated in exact offset coordinates so the probe stays
-    meaningful when that width falls below float spacing.
+    The base arc of the box has width 2 rho' / d^k; since the base
+    d*theta mod 1 is affine on each arc, the mesh is iterated in exact
+    offset coordinates so the probe stays meaningful when that width
+    falls below float spacing.
     """
-    if not skew.base_affine:
-        raise NotImplementedError("probe requires an affine base map")
     if grid < 2:
         raise ValueError("grid must be >= 2")
     if delta_tilde <= 0:
@@ -401,13 +402,11 @@ def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
     seg2 = eu * eu + ev * ev
     t = np.clip(np.where(seg2 > 0, -(au * eu + av * ev) / np.where(seg2 > 0, seg2, 1.0), 0.0), 0.0, 1.0)
     delta1_hat = float(np.min(np.hypot(au + t * eu, av + t * ev)))
-    covers = True
-    for ang in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
-        px = 0.99 * delta1_hat * math.cos(ang)
-        py = 0.99 * delta1_hat * math.sin(ang)
-        if not _point_in_polygon(px, py, poly_u, poly_v):
-            covers = False
-            break
+    angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    radius = 0.99 * delta1_hat
+    covers = bool(_inside_polygon([radius * math.cos(a) for a in angles],
+                                  [radius * math.sin(a) for a in angles],
+                                  poly_u, poly_v).all())
 
     return ProbeReport(theta, x, int(k), float(delta_tilde), int(grid),
                        injective, K_hat, delta1_hat, covers,

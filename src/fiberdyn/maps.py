@@ -12,7 +12,7 @@ configs refer to them by name via :func:`make_system`.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -78,6 +78,30 @@ def find_critical_points(derivative, domain, grid=CRITICAL_GRID):
     return tuple(sorted(set(found)))
 
 
+def _check_invariance(values, domain, what):
+    ys = np.asarray(values, dtype=float)
+    over = max(domain.lo - ys.min(), ys.max() - domain.hi)
+    if over > INVARIANCE_TOL:
+        raise ValueError(f"{what} leaves its domain by {over:.3e}")
+
+
+def _check_critical_set(cp, domain, derivative):
+    """cp is strictly increasing inside domain and f' vanishes on it.
+
+    `derivative(c)` may return one value per fiber; each must be within
+    1e-9 of zero.
+    """
+    if any(c2 <= c1 for c1, c2 in zip(cp, cp[1:])):
+        raise ValueError("critical points must be strictly increasing")
+    for c in cp:
+        if not domain.contains(c):
+            raise ValueError(f"critical point {c} outside domain")
+        worst = float(np.max(np.abs(derivative(c))))
+        if worst > 1e-9:
+            raise ValueError(f"|f'({c})| reaches {worst:.3e} > 1e-9; "
+                             "not a critical point")
+
+
 @dataclass(frozen=True)
 class IntervalMap:
     """A smooth self-map of an interval with derivatives up to order 3.
@@ -96,30 +120,14 @@ class IntervalMap:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "critical_points",
-                           tuple(float(c) for c in self.critical_points))
-        self._check_invariance()
-        self._check_critical_points()
-
-    def _check_invariance(self):
-        xs = self.domain.grid(INVARIANCE_GRID)
-        ys = np.asarray(self.evaluator(xs), dtype=float)
-        overshoot = max(self.domain.lo - ys.min(), ys.max() - self.domain.hi)
-        if overshoot > INVARIANCE_TOL:
-            raise ValueError(
-                f"map {self.label!r} leaves its domain by {overshoot:.3e}")
-
-    def _check_critical_points(self):
-        cp = self.critical_points
-        if any(c2 <= c1 for c1, c2 in zip(cp, cp[1:])):
-            raise ValueError("critical points must be strictly increasing")
-        for c in cp:
-            if not self.domain.contains(c):
-                raise ValueError(f"critical point {c} outside domain")
-            if abs(float(self.derivative(c))) > 1e-9:
-                raise ValueError(f"|f'({c})| > 1e-9; not a critical point")
+        dom = self.domain
+        cp = tuple(float(c) for c in self.critical_points)
+        object.__setattr__(self, "critical_points", cp)
+        _check_invariance(self.evaluator(dom.grid(INVARIANCE_GRID)), dom,
+                          f"map {self.label!r}")
+        _check_critical_set(cp, dom, self.derivative)
         # f' keeps one sign strictly between consecutive critical points
-        knots = [self.domain.lo, *cp, self.domain.hi]
+        knots = [dom.lo, *cp, dom.hi]
         for a, b in zip(knots, knots[1:]):
             if b <= a:
                 continue
@@ -157,16 +165,13 @@ def schwarzian(m: IntervalMap, x):
 class MapSequence:
     """Ordered source of interval maps f_0, f_1, ... on one shared domain.
 
-    `generator` maps an index k to an IntervalMap; produced maps are cached
-    so the accessor is repeatable.  `max_critical_count` bounds the number
-    of critical points of every member.
+    `generator` maps an index k to an IntervalMap on `domain`; produced maps
+    are cached so the accessor is repeatable.
     """
 
-    def __init__(self, generator, domain, max_critical_count, label="",
-                 constant=False):
+    def __init__(self, generator, domain, label="", constant=False):
         self.generator = generator
         self.domain = domain
-        self.max_critical_count = int(max_critical_count)
         self.label = label
         self.constant = bool(constant)
         self._cache = {}
@@ -175,14 +180,7 @@ class MapSequence:
         key = 0 if self.constant else int(k)
         m = self._cache.get(key)
         if m is None:
-            m = self.generator(key)
-            if m.domain != self.domain:
-                raise ValueError("sequence members must share one domain")
-            if len(m.critical_points) > self.max_critical_count:
-                raise ValueError(
-                    f"map {key} has {len(m.critical_points)} critical points, "
-                    f"cap is {self.max_critical_count}")
-            self._cache[key] = m
+            m = self._cache[key] = self.generator(key)
         return m
 
     def compose(self, x, n):
@@ -206,8 +204,8 @@ class MapSequence:
 
 def constant_sequence(m: IntervalMap):
     """The sequence f_k = m for all k."""
-    return MapSequence(lambda k: m, m.domain, len(m.critical_points),
-                       label=f"const[{m.label}]", constant=True)
+    return MapSequence(lambda k: m, m.domain, label=f"const[{m.label}]",
+                       constant=True)
 
 
 def estimate_modulus(seq: MapSequence, zeta, k_probe=8, grid=512,
@@ -269,66 +267,60 @@ class PartialHyperbolicityReport:
 
 @dataclass(frozen=True)
 class SkewProduct:
-    """(theta, x) -> (g(theta), f(theta, x)) with expanding base g.
+    """(theta, x) -> (d*theta mod 1, f(theta, x)) with an integer d >= 2.
 
-    The base acts on the circle [0,1); iterates of g are computed by
-    repeated application with a wrap to [0,1) after every step.  For
-    d*theta mod 1 with an integer d this does not keep them accurate:
-    each step shifts out log2(d) bits of the float's 53-bit mantissa, so
-    an orbit reaches exactly 0.0 after about 53 / log2(d) steps and stays
-    there (viana_skew().base_orbit(pi/10, 20) is 0.0 from step 13 on);
-    exact digit-stream orbits are planned (see ROADMAP).  `base_affine` marks
-    bases of the exact form d*theta mod 1, for which pullbacks of tiny
-    arcs admit exact offset arithmetic.
+    The base map g(theta) = d*theta mod 1 is fixed by `base_degree`;
+    `base` and `base_derivative` evaluate it on scalars and arrays.
+    `fiber_critical_points` is the strictly increasing critical set of
+    every fiber map x -> f(theta, x), the same x values for every theta.
+    The domination constants are fitted on a test grid at construction.
+
+    Iterates of g are computed by repeated application with a wrap to [0,1)
+    after every step.  This does not keep them accurate: each step shifts
+    out log2(d) bits of the float's 53-bit mantissa, so an orbit reaches
+    exactly 0.0 after about 53 / log2(d) steps and stays there
+    (viana_skew().base_orbit(pi/10, 20) is 0.0 from step 13 on); exact
+    digit-stream orbits are planned (see ROADMAP).
     """
 
     base_degree: int
-    base: callable
-    base_derivative: callable
     fiber: callable              # f(theta, x)
     fiber_dx: callable
     fiber_dtheta: callable
     fiber_domain: IntervalDomain
+    fiber_critical_points: tuple
     fiber_dxx: callable = None
     fiber_dxxx: callable = None
-    fiber_criticals: callable = None   # theta -> tuple of critical x values
-    domination: Domination = None
-    base_affine: bool = False
     label: str = ""
+    domination: Domination = field(init=False)
 
     def __post_init__(self):
-        if self.base_degree < 2:
-            raise ValueError("base degree must be >= 2")
-        self._check_base_expansion()
-        self._check_fiber_invariance()
+        d = self.base_degree
+        if not (float(d).is_integer() and d >= 2):
+            raise ValueError(f"base degree must be an integer >= 2, got {d!r}")
+        object.__setattr__(self, "base_degree", int(d))
+        object.__setattr__(self, "fiber_critical_points",
+                           tuple(float(c) for c in self.fiber_critical_points))
+        # fiber invariance and the critical set on a 64-theta grid
+        dom = self.fiber_domain
+        th = np.linspace(0.0, 1.0, 64, endpoint=False)
+        T, X = np.meshgrid(th, dom.grid(256), indexing="ij")
+        _check_invariance(self.fiber(T, X), dom, "fiber")
+        _check_critical_set(self.fiber_critical_points, dom,
+                            lambda c: self.fiber_dx(th, c))
         rep = verify_partial_hyperbolicity(self, n_max=12, grid=32)
         if not rep.decays:
             raise ValueError("no geometric domination on the test grid")
-        if self.domination is None:
-            object.__setattr__(self, "domination",
-                               Domination(rep.sigma_hat, rep.C))
-        else:
-            dom = self.domination
-            for n, r in zip(rep.n_values, rep.max_ratio):
-                if r > dom.C * dom.sigma_hat ** n * (1.0 + 1e-9):
-                    raise ValueError(
-                        "supplied domination constants fail on the test grid")
+        object.__setattr__(self, "domination",
+                           Domination(rep.sigma_hat, rep.C))
 
-    def _check_base_expansion(self):
-        th = np.linspace(0.0, 1.0, 512, endpoint=False)
-        dg = np.abs(np.asarray(self.base_derivative(th), float))
-        if dg.min() <= 1.0:
-            raise ValueError("base map is not uniformly expanding")
+    def base(self, theta):
+        """g(theta) = d*theta mod 1 for a scalar or an array."""
+        return (self.base_degree * theta) % 1.0
 
-    def _check_fiber_invariance(self):
-        th = np.linspace(0.0, 1.0, 64, endpoint=False)
-        xs = self.fiber_domain.grid(256)
-        T, X = np.meshgrid(th, xs, indexing="ij")
-        ys = np.asarray(self.fiber(T, X), float)
-        over = max(self.fiber_domain.lo - ys.min(),
-                   ys.max() - self.fiber_domain.hi)
-        if over > INVARIANCE_TOL:
-            raise ValueError(f"fiber leaves its domain by {over:.3e}")
+    def base_derivative(self, theta):
+        """g'(theta) = d, shaped like theta."""
+        return float(self.base_degree) + 0.0 * theta
 
     def sample(self, rng, k):
         """k points (theta, x): all thetas first, then all fiber values."""
@@ -360,15 +352,11 @@ class SkewProduct:
         th = float(theta) % 1.0
         d2 = (lambda x: self.fiber_dxx(th, x)) if self.fiber_dxx else None
         d3 = (lambda x: self.fiber_dxxx(th, x)) if self.fiber_dxxx else None
-        if self.fiber_criticals is not None:
-            cps = self.fiber_criticals(th)
-        else:
-            cps = find_critical_points(lambda x: self.fiber_dx(th, x),
-                                       self.fiber_domain)
         return IntervalMap(self.fiber_domain,
                            evaluator=lambda x: self.fiber(th, x),
                            derivative=lambda x: self.fiber_dx(th, x),
-                           second=d2, third=d3, critical_points=cps,
+                           second=d2, third=d3,
+                           critical_points=self.fiber_critical_points,
                            label=f"{self.label}@theta={th:.6f}")
 
 
@@ -377,23 +365,14 @@ def fiber_sequence(skew: SkewProduct, theta):
     theta = float(theta)
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
-    orbit = {0: theta}
+    orbit = [theta]
 
     def generator(k):
-        top = max(orbit)
-        while top < k:
-            orbit[top + 1] = float(skew.base(orbit[top])) % 1.0
-            top += 1
+        if k >= len(orbit):
+            orbit.extend(skew.base_orbit(orbit[-1], k + 1 - len(orbit))[1:])
         return skew.fiber_map(orbit[k])
 
-    thetas = np.linspace(0.0, 1.0, 64, endpoint=False)
-    if skew.fiber_criticals is not None:
-        p = max(len(skew.fiber_criticals(t)) for t in thetas)
-    else:
-        p = max(len(find_critical_points(lambda x: skew.fiber_dx(t, x),
-                                         skew.fiber_domain, grid=2**10))
-                for t in thetas[::8])
-    return MapSequence(generator, skew.fiber_domain, p,
+    return MapSequence(generator, skew.fiber_domain,
                        label=f"fiber[{skew.label}]@theta={theta:.6f}")
 
 
@@ -607,8 +586,6 @@ def viana_skew(a0=1.7, alpha=0.05, d=16):
     if not float(d).is_integer():
         raise ValueError(f"base degree must be an integer, got {d!r}")
     d = int(d)
-    if d < 2:
-        raise ValueError("base degree must be >= 2")
     a_min = a0 - abs(alpha)
     a_max = a0 + abs(alpha)
     if a_min <= 0.75:
@@ -620,16 +597,13 @@ def viana_skew(a0=1.7, alpha=0.05, d=16):
     two_pi = 2.0 * math.pi
     return SkewProduct(
         base_degree=d,
-        base=lambda t: (d * t) % 1.0,
-        base_derivative=lambda t: float(d) + 0.0 * t,
         fiber=lambda t, x: a0 + alpha * np.sin(two_pi * t) - x * x,
         fiber_dx=lambda t, x: -2.0 * x + 0.0 * t,
         fiber_dtheta=lambda t, x: alpha * two_pi * np.cos(two_pi * t) + 0.0 * x,
         fiber_dxx=lambda t, x: -2.0 + 0.0 * x + 0.0 * t,
         fiber_dxxx=lambda t, x: 0.0 * x + 0.0 * t,
-        fiber_criticals=lambda t: (0.0,),
         fiber_domain=dom,
-        base_affine=True,
+        fiber_critical_points=(0.0,),
         label=f"viana[a0={a0!r},alpha={alpha!r},d={d}]",
     )
 

@@ -32,6 +32,23 @@ from .rng import make_generator
 ENDPOINT_TOL = 1e-9
 
 
+def _near(pts, v, tol):
+    """Whether v lies within tol of an entry of the sorted list pts."""
+    i = _bisect.bisect_left(pts, v)
+    return ((i > 0 and abs(pts[i - 1] - v) <= tol)
+            or (i < len(pts) and abs(pts[i] - v) <= tol))
+
+
+def _branch_at(los, his, x):
+    """Index of the branch [los[i], his[i]] containing x, or -1.
+
+    The branches are disjoint and sorted by left endpoint; x may overshoot
+    a right endpoint by 1e-12.
+    """
+    i = _bisect.bisect_right(los, x) - 1
+    return i if i >= 0 and x <= his[i] + 1e-12 else -1
+
+
 def _endpoint_defects(m: IntervalMap, endpoints):
     """Distance from f(e) to the endpoint set, for each endpoint e."""
     pts = np.asarray(endpoints)
@@ -67,30 +84,18 @@ class MarkovPartition:
         return max(_endpoint_defects(m, self.endpoints))
 
     def near_endpoint(self, y, tol=1e-12):
-        i = _bisect.bisect_left(self.endpoints, y)
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.endpoints) and abs(self.endpoints[j] - y) <= tol:
-                return True
-        return False
+        return _near(self.endpoints, y, tol)
 
 
 def _forward_closure(m: IntervalMap, points):
     pts = sorted(points)
-
-    def near(v):
-        i = _bisect.bisect_left(pts, v)
-        for j in (i - 1, i):
-            if 0 <= j < len(pts) and abs(pts[j] - v) <= ENDPOINT_TOL:
-                return True
-        return False
-
     queue = list(pts)
     while queue:
         p = queue.pop()
         v = float(p)
         for _ in range(64):
             v = float(m.evaluator(v))
-            if near(v):
+            if _near(pts, v, ENDPOINT_TOL):
                 break
             _bisect.insort(pts, v)
             queue.append(v)
@@ -130,10 +135,7 @@ def build_partition(m: IntervalMap, depth):
         new = list(pts)
         for e in list(pts):
             for y in _preimages(m, e):
-                i = _bisect.bisect_left(new, y)
-                close = any(0 <= j < len(new) and abs(new[j] - y) <= 1e-12
-                            for j in (i - 1, i))
-                if not close:
+                if not _near(new, y, 1e-12):
                     _bisect.insort(new, y)
         pts = new
     return MarkovPartition.from_endpoints(m, pts)
@@ -349,10 +351,6 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
 
     los, his, branches = [], [], []
 
-    def covered(x):
-        i = _bisect.bisect_right(los, x) - 1
-        return i >= 0 and x <= his[i] + 1e-12
-
     def discover(xs):
         # inducing times of a chunk are computed in one batch (skipping
         # points already covered before the chunk), then the points are
@@ -361,18 +359,17 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
         xs = [float(x) for x in xs]
         for s in range(0, len(xs), LANE_BATCH):
             chunk = xs[s:s + LANE_BATCH]
-            todo = [x for x in chunk
-                    if not part.near_endpoint(x) and not covered(x)]
+            # inducing_times answers a point near an endpoint with ValueError
+            todo = [x for x in chunk if _branch_at(los, his, x) < 0]
             found = dict(zip(todo, inducing_times(m, part, todo, N, k_max)))
             for x in chunk:
-                if (part.near_endpoint(x) or covered(x)
+                if (_branch_at(los, his, x) >= 0
                         or isinstance(found[x], Exception)):
                     continue
                 k, (lo, hi), ci = found[x]
-                i = _bisect.bisect_left(los, lo)
-                if any(0 <= j < len(los) and abs(los[j] - lo) <= ENDPOINT_TOL
-                       for j in (i - 1, i)):
+                if _near(los, lo, ENDPOINT_TOL):
                     continue
+                i = _bisect.bisect_left(los, lo)
                 los.insert(i, lo)
                 his.insert(i, hi)
                 branches.insert(i, (k, lo, hi, ci))
@@ -453,8 +450,8 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
             logd = 0.0
             ok = True
             for _ in range(length):
-                i = _bisect.bisect_right(los, x) - 1
-                if not (0 <= i < len(los) and x <= his[i] + 1e-12):
+                i = _branch_at(los, his, x)
+                if i < 0:
                     ok = False
                     break
                 k = out[i].time
@@ -577,6 +574,7 @@ def summability_stat(branches, m: IntervalMap, orbit_len, probes, seed):
     if coverage < 0.95:
         raise ValueError(f"branches cover only {coverage:.3f} of the domain")
     los = [b.lo for b in branches]
+    his = [b.hi for b in branches]
     rng = make_generator(seed)
     seq = constant_sequence(m)
     means = []
@@ -586,8 +584,8 @@ def summability_stat(branches, m: IntervalMap, orbit_len, probes, seed):
         ks = []
         try:
             for _ in range(orbit_len):
-                i = _bisect.bisect_right(los, x) - 1
-                if not (0 <= i < len(los) and x <= branches[i].hi + 1e-12):
+                i = _branch_at(los, his, x)
+                if i < 0:
                     raise EscapedDomain(f"orbit left the branches at {x!r}")
                 ks.append(branches[i].time)
                 x = float(seq.compose(x, branches[i].time))

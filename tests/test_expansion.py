@@ -118,15 +118,12 @@ def _linear_fiber_skew():
     dom = IntervalDomain(-0.5, 0.5)
     return SkewProduct(
         base_degree=16,
-        base=lambda t: (16.0 * t) % 1.0,
-        base_derivative=lambda t: 16.0 + 0.0 * t,
         fiber=lambda t, x: 0.5 * x + 0.1 * np.sin(2 * np.pi * t),
         fiber_dx=lambda t, x: 0.5 + 0.0 * x + 0.0 * t,
         fiber_dtheta=lambda t, x: 0.2 * np.pi * np.cos(2 * np.pi * t)
                                   + 0.0 * x,
-        fiber_criticals=lambda t: (),
+        fiber_critical_points=(),
         fiber_domain=dom,
-        base_affine=True,
         label="linear-fiber",
     )
 
@@ -136,14 +133,11 @@ class TestFtleFull:
         dom = IntervalDomain(-0.5, 0.5)
         skew = SkewProduct(
             base_degree=16,
-            base=lambda t: (16.0 * t) % 1.0,
-            base_derivative=lambda t: 16.0 + 0.0 * t,
             fiber=lambda t, x: 0.5 * x + 0.0 * t,
             fiber_dx=lambda t, x: 0.5 + 0.0 * x + 0.0 * t,
             fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
-            fiber_criticals=lambda t: (),
+            fiber_critical_points=(),
             fiber_domain=dom,
-            base_affine=True,
         )
         val = ftle_full(skew, (0.3, 0.2), 500)
         assert val == pytest.approx(math.log(0.5), abs=1e-12)

@@ -9,6 +9,7 @@ from fiberdyn import (CurveGraph, HitCritical, InvalidConstants, NotAGraph,
                       hyperbolic_like_times, pliss_times, probe_neighborhood,
                       propagate_curve, slope_envelope, symbol_sequence,
                       track_branch)
+from fiberdyn import hyptimes
 from fiberdyn.rng import make_generator
 
 
@@ -110,14 +111,11 @@ class TestCurves:
         from fiberdyn import IntervalDomain, SkewProduct
         skew = SkewProduct(
             base_degree=16,
-            base=lambda t: (16.0 * t) % 1.0,
-            base_derivative=lambda t: 16.0 + 0.0 * t,
             fiber=lambda t, x: 0.5 * x + 0.0 * t,
             fiber_dx=lambda t, x: 0.5 + 0.0 * x + 0.0 * t,
             fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
-            fiber_criticals=lambda t: (),
+            fiber_critical_points=(),
             fiber_domain=IntervalDomain(-0.5, 0.5),
-            base_affine=True,
         )
         cur = CurveGraph.horizontal(0.2, 0.0, 1.0, 129)
         env = slope_envelope(skew, cur, 30)
@@ -230,3 +228,43 @@ class TestProbe:
         for key in ("theta", "x", "k", "delta_tilde", "injective", "K_hat",
                     "delta1_hat", "grid"):
             assert key in payload
+
+
+def _ray_cast(px, py, poly_x, poly_y):
+    """Even-odd ray casting for one point, one edge at a time."""
+    inside = False
+    j = len(poly_x) - 1
+    for i in range(len(poly_x)):
+        if (poly_y[i] > py) != (poly_y[j] > py):
+            t = (py - poly_y[j]) / (poly_y[i] - poly_y[j])
+            if px < poly_x[j] + t * (poly_x[i] - poly_x[j]):
+                inside = not inside
+        j = i
+    return inside
+
+
+class TestInsidePolygon:
+    def test_matches_scalar_ray_casting(self):
+        rng = make_generator(53)
+        for trial in range(24):
+            n = int(rng.integers(3, 40))
+            angles = rng.uniform(0.0, 2.0 * math.pi, n)
+            if trial % 3:
+                angles = np.sort(angles)       # star-shaped; else it crosses
+            radii = rng.uniform(0.2, 1.0, n)
+            pu, pv = radii * np.cos(angles), radii * np.sin(angles)
+            if trial % 2:
+                pv[::3] = pv[0]                # horizontal edges, shared ys
+            px = np.concatenate([rng.uniform(-1.1, 1.1, 300), pu, pu + 1e-3])
+            py = np.concatenate([rng.uniform(-1.1, 1.1, 300), pv, pv])
+            got = hyptimes._inside_polygon(px, py, pu, pv)
+            want = [_ray_cast(float(x), float(y), pu, pv)
+                    for x, y in zip(px, py)]
+            assert got.tolist() == want
+
+    def test_square(self):
+        pu = np.array([-1.0, 1.0, 1.0, -1.0])
+        pv = np.array([-1.0, -1.0, 1.0, 1.0])
+        got = hyptimes._inside_polygon([0.0, 0.99, 1.01, 0.0],
+                                       [0.0, 0.5, 0.0, -1.5], pu, pv)
+        assert got.tolist() == [True, True, False, False]

@@ -242,12 +242,10 @@ class TestPartialHyperbolicity:
         with pytest.raises(ValueError, match="domination"):
             maps.SkewProduct(
                 base_degree=2,
-                base=lambda t: (2 * t) % 1.0,
-                base_derivative=lambda t: 2.0 + 0.0 * t,
                 fiber=lambda t, x: 4.0 * x * (1.0 - x) + 0.0 * t,
                 fiber_dx=lambda t, x: 4.0 - 8.0 * x + 0.0 * t,
                 fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
-                fiber_criticals=lambda t: (0.5,),
+                fiber_critical_points=(0.5,),
                 fiber_domain=IntervalDomain(0.0, 1.0),
             )
 
@@ -260,6 +258,103 @@ class TestPartialHyperbolicity:
         ys = viana.fiber(T, X)
         assert ys.max() <= viana.fiber_domain.hi + 1e-9
         assert ys.min() >= viana.fiber_domain.lo - 1e-9
+
+
+def _viana_fields(**overrides):
+    """The construction arguments of viana_skew(), with overrides."""
+    v = viana_skew()
+    kw = dict(base_degree=v.base_degree, fiber=v.fiber, fiber_dx=v.fiber_dx,
+              fiber_dtheta=v.fiber_dtheta, fiber_domain=v.fiber_domain,
+              fiber_critical_points=v.fiber_critical_points)
+    kw.update(overrides)
+    return kw
+
+
+def _contracting_skew(d):
+    """x -> x/2 over theta -> d*theta mod 1; dominated for every d >= 2."""
+    return maps.SkewProduct(
+        base_degree=d,
+        fiber=lambda t, x: 0.5 * x + 0.0 * t,
+        fiber_dx=lambda t, x: 0.5 + 0.0 * x + 0.0 * t,
+        fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
+        fiber_domain=IntervalDomain(-0.5, 0.5),
+        fiber_critical_points=(),
+    )
+
+
+class TestSkewProductConstruction:
+    def test_viana_fields_rebuild_viana(self, viana):
+        skew = maps.SkewProduct(**_viana_fields())
+        assert skew.base_degree == 16
+        assert skew.fiber_critical_points == (0.0,)
+        assert skew.domination == viana.domination
+
+    def test_critical_point_not_critical(self):
+        # the viana fiber has d_x f = -0.6 at x = 0.3
+        with pytest.raises(ValueError, match="not a critical point"):
+            maps.SkewProduct(**_viana_fields(fiber_critical_points=(0.3,)))
+
+    def test_critical_point_not_critical_at_some_theta(self):
+        # d_x f vanishes at x = 0 only where sin(2 pi theta) = 0
+        v = viana_skew()
+        with pytest.raises(ValueError, match="not a critical point"):
+            maps.SkewProduct(**_viana_fields(
+                fiber_dx=lambda t, x: v.fiber_dx(t, x)
+                + 1e-3 * np.sin(2.0 * np.pi * t)))
+
+    def test_critical_point_outside_domain(self):
+        with pytest.raises(ValueError, match="outside domain"):
+            maps.SkewProduct(**_viana_fields(fiber_critical_points=(0.0, 2.5)))
+
+    @pytest.mark.parametrize("cps", [(0.0, -0.5), (0.0, 0.0)])
+    def test_unsorted_critical_points(self, cps):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            maps.SkewProduct(**_viana_fields(fiber_critical_points=cps))
+
+    @pytest.mark.parametrize("d", [2.5, 1, 0, -16, float("nan")])
+    def test_bad_base_degree(self, d):
+        with pytest.raises(ValueError, match="base degree"):
+            maps.SkewProduct(**_viana_fields(base_degree=d))
+
+    def test_viana_degree_one_rejected(self):
+        with pytest.raises(ValueError, match="base degree"):
+            viana_skew(d=1)
+
+    def test_integral_float_degree_becomes_int(self):
+        skew = _contracting_skew(16.0)
+        assert type(skew.base_degree) is int and skew.base_degree == 16
+
+    @pytest.mark.parametrize("name", ["base", "base_derivative", "domination",
+                                      "fiber_criticals", "base_affine"])
+    def test_removed_parameters_rejected(self, name):
+        with pytest.raises(TypeError):
+            maps.SkewProduct(**_viana_fields(**{name: None}))
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_base_matches_the_old_lambdas_bitwise(self, viana, d):
+        skew = viana if d == 16 else _contracting_skew(d)
+        old_base = lambda t: (d * t) % 1.0
+        old_derivative = lambda t: float(d) + 0.0 * t
+        ts = np.concatenate([make_generator(5).uniform(0.0, 1.0, 1000),
+                             [0.0, 0.5, 1.0 - 2**-53, 1.0 / 3.0, 0.3]])
+        for new, old in ((skew.base, old_base),
+                         (skew.base_derivative, old_derivative)):
+            got, want = new(ts), old(ts)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            for t in ts:
+                got, want = new(float(t)), old(float(t))
+                assert type(got) is float and got == want
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_fiber_sequence_follows_base_orbit(self, viana):
+        seq = fiber_sequence(viana, 0.3)
+        orbit = viana.base_orbit(0.3, 9)
+        # out-of-order access extends the cached orbit as needed
+        for k in (6, 2, 9, 0, 7):
+            want = viana.fiber_map(orbit[k])
+            assert seq.map_at(k).label == want.label
+            assert seq.map_at(k).evaluator(0.25) == want.evaluator(0.25)
 
 
 class TestEstimateModulus:

@@ -11,6 +11,7 @@ from fiberdyn import (ClosureDiverges, DegenerateGap, HitCritical,
                       fit_cross_ratio_constant, inducing_time, inducing_times,
                       moebius_map, monotone_scale, quadratic_map,
                       summability_stat, track_branch)
+from fiberdyn import markov
 from fiberdyn.rng import make_generator
 
 E1 = (2.0 - math.sqrt(2.0)) / 4.0
@@ -216,3 +217,34 @@ class TestSummability:
         branches = (InducedBranch(0.0, 0.25, 6, 0),)
         with pytest.raises(ValueError, match="cover"):
             summability_stat(branches, logistic, 10, 10, 1)
+
+
+class TestSortedLookups:
+    def test_near_matches_a_full_scan(self):
+        rng = make_generator(61)
+        pts = sorted(rng.uniform(0.0, 1.0, 40).tolist() + [0.5, 0.5 + 1e-12])
+        for tol in (1e-12, 1e-9, 1e-3):
+            queries = [0.0, 1.0, -1.0, 2.0, *rng.uniform(0.0, 1.0, 200)]
+            for p in pts:
+                queries += [p, p + tol, p - tol, p + 2 * tol, p - 2 * tol,
+                            np.nextafter(p + tol, 2.0),
+                            np.nextafter(p - tol, -1.0)]
+            for v in queries:
+                v = float(v)
+                want = any(abs(p - v) <= tol for p in pts)
+                assert markov._near(pts, v, tol) == want, (v, tol)
+        assert not markov._near([], 0.3, 1.0)
+
+    def test_branch_at_matches_a_full_scan(self):
+        rng = make_generator(67)
+        ends = np.sort(rng.uniform(0.0, 1.0, 60)).tolist()
+        los, his = ends[0::2], ends[1::2]
+        queries = rng.uniform(-0.1, 1.1, 500).tolist()
+        for lo, hi in zip(los, his):
+            queries += [lo, hi, hi + 1e-12, hi + 3e-12,
+                        float(np.nextafter(lo, -1.0)), 0.5 * (lo + hi)]
+        for x in queries:
+            hits = [i for i, (lo, hi) in enumerate(zip(los, his))
+                    if lo <= x <= hi + 1e-12]
+            assert markov._branch_at(los, his, x) == (hits[0] if hits else -1)
+        assert markov._branch_at([], [], 0.3) == -1
