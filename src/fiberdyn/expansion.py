@@ -18,8 +18,8 @@ from .errors import (DegenerateDifferential, EmptySample, HitCritical)
 from .maps import IntervalMap, MapSequence, SkewProduct, wrap
 from .rng import make_generator
 
-# Orbit steps per chunk of the constant-sequence kernel in ftle_fiber: long
-# enough to amortise the array calls, short enough to keep memory flat.
+# Orbit steps per chunk of the ftle_fiber kernel: long enough to amortise
+# the array calls, short enough to keep memory flat.
 _ORBIT_CHUNK = 4096
 
 
@@ -27,36 +27,25 @@ def ftle_fiber(seq: MapSequence, x, n):
     """(1/n) sum of log |Df_j| along the orbit of x under the sequence.
 
     Raises HitCritical(step) at the first step j with |Df_j(x_j)| <= 1e-300.
-    For a constant sequence the orbit is built in chunks, one scalar
-    `evaluator` call per step, and `derivative` is evaluated on each chunk
-    as an array.  The log terms are still added left to right in orbit
-    order, as in the per-step loop used for other sequences; the two agree
-    up to np.log rounding, which can differ from math.log's by one ulp.
+    The orbit is built in chunks with the scalar step `seq.chunk` supplies,
+    whose derivative is then evaluated on the whole chunk as an array; the
+    np.log terms are added left to right, so a per-step math.log sum agrees
+    up to one ulp per term.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     x = float(x)
     s = 0.0
-    if not seq.constant:
-        for j in range(n):
-            m = seq.map_at(j)
-            d = abs(float(m.derivative(x)))
-            if d <= 1e-300:
-                raise HitCritical(j)
-            s += math.log(d)
-            x = float(m.evaluator(x))
-        return s / n
-    m = seq.map_at(0)
-    f = m.evaluator
     for start in range(0, n, _ORBIT_CHUNK):
         k = min(_ORBIT_CHUNK, n - start)
+        f, args, df = seq.chunk(start, k)
         orbit = [x]
         # map iterates over the list that extend is growing, so it reads
         # each point just appended: x, f(x), f(f(x)), ...
-        orbit.extend(islice(map(f, orbit), k - 1))
-        x = f(orbit[-1])
+        orbit.extend(islice(map(f, *args, orbit), k))
+        x = orbit.pop()
         xs = np.fromiter(orbit, float, k)
-        d = np.abs(np.broadcast_to(m.derivative(xs), xs.shape), dtype=float)
+        d = np.abs(np.broadcast_to(df(xs), xs.shape), dtype=float)
         hits = np.flatnonzero(d <= 1e-300)
         if hits.size:
             raise HitCritical(start + int(hits[0]))

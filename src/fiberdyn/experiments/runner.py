@@ -35,6 +35,15 @@ def _require(cfg, system, cls):
             f"{cfg.family!r} is a {type(system).__name__}")
 
 
+def _anchor(cfg, domain):
+    """experiment.x, which must be finite and interior to the domain."""
+    x = cfg.param("x")
+    if not domain.lo < x < domain.hi:
+        raise ValidationError("experiment.x", f"{x!r} is not interior to "
+                              f"the domain [{domain.lo!r}, {domain.hi!r}]")
+    return x
+
+
 def _grid(cfg, system):
     try:
         return resolve_grid(system, cfg.param("bins"))
@@ -71,7 +80,7 @@ def _run_ftle(cfg, system, out):
 
 def _run_branch(cfg, system, out):
     seq = system.sequence(cfg.params.get("theta", 0.0))
-    br = track_branch(seq, cfg.param("x"), cfg.param("n"))
+    br = track_branch(seq, _anchor(cfg, seq.domain), cfg.param("n"))
     payload = {
         "x": br.x, "n": br.n, "t_lo": br.t_lo, "t_hi": br.t_hi,
         "img_lo": br.img_lo, "img_hi": br.img_hi,
@@ -108,7 +117,7 @@ def _run_ay_decay(cfg, system, out):
 
 def _run_pliss(cfg, system, out):
     seq = system.sequence(cfg.params.get("theta", 0.0))
-    br = track_branch(seq, cfg.param("x"), cfg.param("n"))
+    br = track_branch(seq, _anchor(cfg, seq.domain), cfg.param("n"))
     q = PlissQuery(br.r_history, cfg.param("c1"), cfg.param("c2"),
                    seq.domain.length)
     res = pliss_times(q)
@@ -148,7 +157,8 @@ def _run_curve(cfg, system, out):
 
 def _run_probe(cfg, system, out):
     _require(cfg, system, SkewProduct)
-    rep = probe_neighborhood(system, (cfg.param("theta"), cfg.param("x")),
+    x = _anchor(cfg, system.fiber_domain)
+    rep = probe_neighborhood(system, (cfg.param("theta"), x),
                              cfg.param("k"), cfg.param("delta_tilde"),
                              cfg.param("grid"))
     (out / "probe.json").write_text(rep.to_json())

@@ -307,6 +307,15 @@ def _inside_polygon(px, py, poly_x, poly_y):
     return np.count_nonzero(hits, axis=1) % 2 == 1
 
 
+def _mesh_injective(X):
+    """No row of X (a mesh column) has x values within 1e-9 at non-adjacent
+    indices; columns differ in theta by >= 2 rho'/(grid-1), so only
+    same-column pairs can collide.  Sorted neighbours are compared."""
+    order = np.argsort(X, axis=1, kind="stable")
+    gaps = np.abs(np.diff(np.take_along_axis(X, order, axis=1), axis=1))
+    return not np.any((gaps < 1e-9) & (np.abs(np.diff(order, axis=1)) > 1))
+
+
 def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
     """Empirical test of the rectangle sent diffeomorphically over a ball.
 
@@ -359,7 +368,7 @@ def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
 
     d = float(skew.base_degree)
     offsets = np.linspace(-rho_p, rho_p, grid)          # image-side offsets
-    theta_orbit = skew.base_orbit(theta, k)
+    theta_orbit = seq.thetas(k + 1)
     xs0 = np.linspace(f_lo, f_hi, grid)
     X = np.tile(xs0, (grid, 1))                         # X[j, i]
     logdet = np.zeros((grid, grid))
@@ -375,18 +384,7 @@ def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
     det_max = float(np.exp(logdet.max()))
     K_hat = math.inf if det_min == 0.0 else det_max / det_min
 
-    # mesh injectivity: columns differ in theta by >= 2 rho_p/(grid-1), so
-    # only same-column pairs can collide; flag non-adjacent x collisions
-    injective = True
-    for j in range(grid):
-        col = X[j]
-        order = np.argsort(col, kind="stable")
-        for i1, i2 in zip(order, order[1:]):
-            if abs(col[i1] - col[i2]) < 1e-9 and abs(int(i1) - int(i2)) > 1:
-                injective = False
-                break
-        if not injective:
-            break
+    injective = _mesh_injective(X)
 
     # boundary polygon of the image, in local coordinates around phi^k(z)
     bj = ([(j, 0) for j in range(grid)]

@@ -12,7 +12,9 @@ configs refer to them by name via :func:`make_system`.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -78,19 +80,19 @@ def find_critical_points(derivative, domain, grid=CRITICAL_GRID):
     return tuple(sorted(set(found)))
 
 
-def _check_invariance(values, domain, what):
-    ys = np.asarray(values, dtype=float)
+def _check_maps(evaluator, derivative, domain, cp, what,
+                grid=INVARIANCE_GRID):
+    """The construction checks of an interval map, or of a block of them.
+
+    f maps a `grid`-point grid into the domain, cp is strictly increasing
+    inside it with |f'| <= 1e-9 on it, and f' keeps one sign strictly
+    between consecutive points of cp.  For a block of fiber maps
+    `evaluator` and `derivative` return one row per map; every row counts.
+    """
+    ys = np.asarray(evaluator(domain.grid(grid)), dtype=float)
     over = max(domain.lo - ys.min(), ys.max() - domain.hi)
     if over > INVARIANCE_TOL:
         raise ValueError(f"{what} leaves its domain by {over:.3e}")
-
-
-def _check_critical_set(cp, domain, derivative):
-    """cp is strictly increasing inside domain and f' vanishes on it.
-
-    `derivative(c)` may return one value per fiber; each must be within
-    1e-9 of zero.
-    """
     if any(c2 <= c1 for c1, c2 in zip(cp, cp[1:])):
         raise ValueError("critical points must be strictly increasing")
     for c in cp:
@@ -100,6 +102,15 @@ def _check_critical_set(cp, domain, derivative):
         if worst > 1e-9:
             raise ValueError(f"|f'({c})| reaches {worst:.3e} > 1e-9; "
                              "not a critical point")
+    knots = [domain.lo, *cp, domain.hi]
+    for a, b in zip(knots, knots[1:]):
+        if b <= a:
+            continue
+        ds = np.atleast_1d(np.asarray(
+            derivative(np.linspace(a, b, 130)[1:-1]), dtype=float))
+        if ((ds.max(axis=-1) > 0) & (ds.min(axis=-1) < 0)).any():
+            raise ValueError(
+                f"f' changes sign inside ({a}, {b}); missing critical point?")
 
 
 @dataclass(frozen=True)
@@ -120,22 +131,10 @@ class IntervalMap:
     label: str = ""
 
     def __post_init__(self):
-        dom = self.domain
         cp = tuple(float(c) for c in self.critical_points)
         object.__setattr__(self, "critical_points", cp)
-        _check_invariance(self.evaluator(dom.grid(INVARIANCE_GRID)), dom,
-                          f"map {self.label!r}")
-        _check_critical_set(cp, dom, self.derivative)
-        # f' keeps one sign strictly between consecutive critical points
-        knots = [dom.lo, *cp, dom.hi]
-        for a, b in zip(knots, knots[1:]):
-            if b <= a:
-                continue
-            xs = np.linspace(a, b, 130)[1:-1]
-            ds = np.asarray(self.derivative(xs), dtype=float)
-            if ds.max() > 0 and ds.min() < 0:
-                raise ValueError(
-                    f"f' changes sign inside ({a}, {b}); missing critical point?")
+        _check_maps(self.evaluator, self.derivative, self.domain, cp,
+                    f"map {self.label!r}")
 
     def sample(self, rng, k):
         """k points drawn uniformly from the domain."""
@@ -162,26 +161,58 @@ def schwarzian(m: IntervalMap, x):
     return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
 
-class MapSequence:
-    """Ordered source of interval maps f_0, f_1, ... on one shared domain.
+# x -> f(theta_j, x): a view that evaluates the skew-product, unchecked.
+FiberMap = namedtuple("FiberMap", "domain evaluator derivative critical_points")
+_THETA_BLOCK = 512    # most theta_j per block check: 16 MB of float64
 
-    `generator` maps an index k to an IntervalMap on `domain`; produced maps
-    are cached so the accessor is repeatable.
+
+class MapSequence:
+    """Ordered interval maps f_0, f_1, ... on one shared domain.
+
+    A constant sequence repeats the IntervalMap `m`.  A fiber sequence is a
+    skew-product plus its base orbit theta_j (Python floats), extended with
+    `SkewProduct.base_orbit` in blocks that grow geometrically from the
+    index reached.  Each new block passes IntervalMap's checks in one 2-d
+    evaluation; `map_at(j)` is then a FiberMap over f(theta_j, .).
     """
 
-    def __init__(self, generator, domain, label="", constant=False):
-        self.generator = generator
+    def __init__(self, domain, m=None, skew=None, theta=0.0):
         self.domain = domain
-        self.label = label
-        self.constant = bool(constant)
-        self._cache = {}
+        self.constant = skew is None
+        self._map, self._skew = m, skew
+        self._theta = [theta]     # the base orbit computed so far
+        self._checked = 0         # theta_j with j < _checked passed the checks
 
-    def map_at(self, k):
-        key = 0 if self.constant else int(k)
-        m = self._cache.get(key)
-        if m is None:
-            m = self._cache[key] = self.generator(key)
-        return m
+    def thetas(self, stop):
+        """The base orbit through at least theta_{stop-1}, all of it checked."""
+        th, skew = self._theta, self._skew
+        while self._checked < stop:
+            start = self._checked
+            end = min(max(stop, 2 * start), start + _THETA_BLOCK)
+            if end > len(th):
+                th.extend(skew.base_orbit(th[-1], end - len(th))[1:].tolist())
+            T = np.array(th[start:end])[:, None]
+            _check_maps(partial(skew.fiber, T), partial(skew.fiber_dx, T),
+                        self.domain, skew.fiber_critical_points,
+                        f"fiber map at theta_j, {start} <= j < {end},")
+            self._checked = end
+        return th
+
+    def map_at(self, j):
+        """f_j: the constant map itself, or a FiberMap over f(theta_j, .)."""
+        if self.constant:
+            return self._map
+        th, skew = self.thetas(j + 1)[j], self._skew
+        return FiberMap(self.domain, partial(skew.fiber, th),
+                        partial(skew.fiber_dx, th), skew.fiber_critical_points)
+
+    def chunk(self, start, k):
+        """Steps start .. start+k-1 as (f, args, df): step start+i sends x to
+        f(*(a[i] for a in args), x), and df(xs) is its derivative at xs[i]."""
+        if self.constant:
+            return self._map.evaluator, (), self._map.derivative
+        ths, skew = self.thetas(start + k)[start:start + k], self._skew
+        return skew.fiber, (ths,), partial(skew.fiber_dx, np.array(ths))
 
     def compose(self, x, n):
         """Evaluate f_{n-1} o ... o f_0 at x (scalar or array)."""
@@ -204,8 +235,7 @@ class MapSequence:
 
 def constant_sequence(m: IntervalMap):
     """The sequence f_k = m for all k."""
-    return MapSequence(lambda k: m, m.domain, label=f"const[{m.label}]",
-                       constant=True)
+    return MapSequence(m.domain, m=m)
 
 
 def estimate_modulus(seq: MapSequence, zeta, k_probe=8, grid=512,
@@ -289,8 +319,6 @@ class SkewProduct:
     fiber_dtheta: callable
     fiber_domain: IntervalDomain
     fiber_critical_points: tuple
-    fiber_dxx: callable = None
-    fiber_dxxx: callable = None
     label: str = ""
     domination: Domination = field(init=False)
 
@@ -301,13 +329,10 @@ class SkewProduct:
         object.__setattr__(self, "base_degree", int(d))
         object.__setattr__(self, "fiber_critical_points",
                            tuple(float(c) for c in self.fiber_critical_points))
-        # fiber invariance and the critical set on a 64-theta grid
-        dom = self.fiber_domain
-        th = np.linspace(0.0, 1.0, 64, endpoint=False)
-        T, X = np.meshgrid(th, dom.grid(256), indexing="ij")
-        _check_invariance(self.fiber(T, X), dom, "fiber")
-        _check_critical_set(self.fiber_critical_points, dom,
-                            lambda c: self.fiber_dx(th, c))
+        # IntervalMap's checks for the fibers over a 64-theta grid
+        T = np.linspace(0.0, 1.0, 64, endpoint=False)[:, None]
+        _check_maps(partial(self.fiber, T), partial(self.fiber_dx, T),
+                    self.fiber_domain, self.fiber_critical_points, "fiber", 256)
         rep = verify_partial_hyperbolicity(self, n_max=12, grid=32)
         if not rep.decays:
             raise ValueError("no geometric domination on the test grid")
@@ -347,33 +372,13 @@ class SkewProduct:
             out[j + 1] = t
         return out
 
-    def fiber_map(self, theta):
-        """The interval map x -> f(theta, x) at a fixed base point."""
-        th = float(theta) % 1.0
-        d2 = (lambda x: self.fiber_dxx(th, x)) if self.fiber_dxx else None
-        d3 = (lambda x: self.fiber_dxxx(th, x)) if self.fiber_dxxx else None
-        return IntervalMap(self.fiber_domain,
-                           evaluator=lambda x: self.fiber(th, x),
-                           derivative=lambda x: self.fiber_dx(th, x),
-                           second=d2, third=d3,
-                           critical_points=self.fiber_critical_points,
-                           label=f"{self.label}@theta={th:.6f}")
-
 
 def fiber_sequence(skew: SkewProduct, theta):
     """The map sequence k -> f(g^k(theta), .) along one base orbit."""
     theta = float(theta)
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
-    orbit = [theta]
-
-    def generator(k):
-        if k >= len(orbit):
-            orbit.extend(skew.base_orbit(orbit[-1], k + 1 - len(orbit))[1:])
-        return skew.fiber_map(orbit[k])
-
-    return MapSequence(generator, skew.fiber_domain,
-                       label=f"fiber[{skew.label}]@theta={theta:.6f}")
+    return MapSequence(skew.fiber_domain, skew=skew, theta=theta)
 
 
 def verify_partial_hyperbolicity(skew: SkewProduct, n_max=12, grid=32):
@@ -600,8 +605,6 @@ def viana_skew(a0=1.7, alpha=0.05, d=16):
         fiber=lambda t, x: a0 + alpha * np.sin(two_pi * t) - x * x,
         fiber_dx=lambda t, x: -2.0 * x + 0.0 * t,
         fiber_dtheta=lambda t, x: alpha * two_pi * np.cos(two_pi * t) + 0.0 * x,
-        fiber_dxx=lambda t, x: -2.0 + 0.0 * x + 0.0 * t,
-        fiber_dxxx=lambda t, x: 0.0 * x + 0.0 * t,
         fiber_domain=dom,
         fiber_critical_points=(0.0,),
         label=f"viana[a0={a0!r},alpha={alpha!r},d={d}]",

@@ -192,12 +192,21 @@ class TestCli:
         [*TINY_VIANA_FTLE, "--system", "d=nan"],
         ["acim", "--family", "affine", "--system", "slope=nan",
          "--samples", "100", "--n", "10"],
+        ["branch", "--family", "logistic", "--x", "1.5"],
+        ["branch", "--family", "logistic", "--x", "0.0"],
+        ["pliss", "--family", "viana", "--x", "nan"],
+        ["probe", "--family", "viana", "--k", "0", "--x", "nan"],
+        ["probe", "--family", "viana", "--k", "0", "--x", "5.0"],
+        ["probe", "--family", "viana", "--k", "0", "--x", "inf"],
     ], ids=["infinite-delta", "inverted-delta-grid", "non-integer-depths",
             "family-parameter-out-of-range", "curve-needs-skew",
             "probe-needs-skew", "markov-needs-interval-map",
             "skew-bins-7", "skew-bins-10", "skew-components-bins-10",
             "config-fractional-degree", "fractional-degree",
-            "non-numeric-system-value", "nan-degree", "nan-slope"])
+            "non-numeric-system-value", "nan-degree", "nan-slope",
+            "branch-anchor-outside", "branch-anchor-at-endpoint",
+            "pliss-nan-anchor", "probe-nan-anchor", "probe-anchor-outside",
+            "probe-infinite-anchor"])
     def test_bad_values_are_config_errors(self, tmp_path, argv):
         cfg_file = tmp_path / "viana_d.cfg"
         cfg_file.write_text(VIANA_D_16_7)

@@ -7,8 +7,8 @@ from fiberdyn import (DegenerateDifferential, EmptySample, HitCritical,
                       IntervalDomain, IntervalMap, SkewProduct, branch_stats,
                       constant_sequence, doubling_map, estimate_f2,
                       fiber_branch_stats, fiber_sequence, ftle_fiber,
-                      ftle_full, make_system, measure_AY_decay,
-                      smallest_singular_value)
+                      ftle_full, logistic_map, make_system, measure_AY_decay,
+                      smallest_singular_value, viana_skew)
 from fiberdyn import expansion
 from fiberdyn.rng import make_generator
 
@@ -47,39 +47,59 @@ class TestFtleFiber:
         recombined = (n1 * first + n2 * second) / (n1 + n2)
         assert total == pytest.approx(recombined, abs=1e-12)
 
-    def test_fast_and_generic_paths_agree(self, logistic):
-        seq_fast = constant_sequence(logistic)
-        seq_slow = constant_sequence(logistic)
-        seq_slow.constant = False   # forces the per-step path
+    def test_fast_and_generic_paths_agree(self):
+        # the chunked kernel against the per-step loop it replaced, on a
+        # constant sequence and on a fiber sequence
         chunk = expansion._ORBIT_CHUNK
-        for n in (1, 5000, chunk - 1, chunk, chunk + 1, 3 * chunk + 17):
-            a = ftle_fiber(seq_fast, 0.3217, n)
-            b = ftle_fiber(seq_slow, 0.3217, n)
-            assert a == pytest.approx(b, abs=1e-12), n
-        steps = []
-        for seq in (seq_fast, seq_slow):
-            with pytest.raises(HitCritical) as exc:
-                ftle_fiber(seq, 0.5, 10)
-            steps.append(exc.value.step)
-        assert steps == [0, 0]
+        for seq, x_crit in ((constant_sequence(logistic_map()), 0.5),
+                            (fiber_sequence(viana_skew(), 0.3), 0.0)):
+            for n in (1, 5000, chunk - 1, chunk, chunk + 1, 3 * chunk + 17):
+                a = ftle_fiber(seq, 0.3217, n)
+                b = _per_step_ftle(seq, 0.3217, n)
+                assert a == pytest.approx(b, abs=1e-12), n
+            steps = []
+            for fn in (ftle_fiber, _per_step_ftle):
+                with pytest.raises(HitCritical) as exc:
+                    fn(seq, x_crit, 10)
+                steps.append(exc.value.step)
+            assert steps == [0, 0]
 
     def test_hit_critical_step_across_chunks(self):
         # x -> x + h walks onto the critical point 0.75 of the (fake)
-        # derivative after exactly `steps` steps, in exact dyadic arithmetic
+        # derivative after exactly `steps` steps, in exact dyadic arithmetic;
+        # once as one map, once as the fibers of a skew-product
         h = 2.0 ** -20
         m = IntervalMap(IntervalDomain(0.0, 1.0),
                         evaluator=lambda x: np.minimum(x + h, 1.0),
                         derivative=lambda x: (x - 0.75) ** 2,
                         critical_points=(0.75,))
-        seq_fast = constant_sequence(m)
-        seq_slow = constant_sequence(m)
-        seq_slow.constant = False
+        skew = SkewProduct(base_degree=2,
+                           fiber=lambda t, x: np.minimum(x + h, 1.0) + 0.0 * t,
+                           fiber_dx=lambda t, x: (x - 0.75) ** 2 + 0.0 * t,
+                           fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
+                           fiber_domain=IntervalDomain(0.0, 1.0),
+                           fiber_critical_points=(0.75,))
         chunk = expansion._ORBIT_CHUNK
-        for steps in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
-            for seq in (seq_fast, seq_slow):
-                with pytest.raises(HitCritical) as exc:
-                    ftle_fiber(seq, 0.75 - steps * h, 3 * chunk)
-                assert exc.value.step == steps
+        for seq in (constant_sequence(m), fiber_sequence(skew, 0.3)):
+            for steps in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+                for fn in (ftle_fiber, _per_step_ftle):
+                    with pytest.raises(HitCritical) as exc:
+                        fn(seq, 0.75 - steps * h, 3 * chunk)
+                    assert exc.value.step == steps, fn
+
+
+def _per_step_ftle(seq, x, n):
+    """ftle_fiber as a per-step loop of map_at, the reference for its kernel."""
+    x = float(x)
+    s = 0.0
+    for j in range(n):
+        m = seq.map_at(j)
+        d = abs(float(m.derivative(x)))
+        if d <= 1e-300:
+            raise HitCritical(j)
+        s += math.log(d)
+        x = float(m.evaluator(x))
+    return s / n
 
 
 def _sweep_min_singular(M, coarse=10**4):

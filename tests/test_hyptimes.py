@@ -268,3 +268,49 @@ class TestInsidePolygon:
         got = hyptimes._inside_polygon([0.0, 0.99, 1.01, 0.0],
                                        [0.0, 0.5, 0.0, -1.5], pu, pv)
         assert got.tolist() == [True, True, False, False]
+
+
+def _injective_by_loop(X):
+    """probe_neighborhood's former per-column loop, the reference."""
+    for col in X:
+        order = np.argsort(col, kind="stable")
+        for i1, i2 in zip(order, order[1:]):
+            if abs(col[i1] - col[i2]) < 1e-9 and abs(int(i1) - int(i2)) > 1:
+                return False
+    return True
+
+
+def _mesh(*pairs, grid=8):
+    """A well-spread grid x grid mesh; pairs (j, i, v) set X[j, i] = v."""
+    X = np.tile(np.linspace(-1.0, 1.0, grid), (grid, 1))
+    for j, i, v in pairs:
+        X[j, i] = v
+    return X
+
+
+class TestMeshInjective:
+    @pytest.mark.parametrize("X, want", [
+        (_mesh(), True),
+        (_mesh((3, 6, -1.0 + 2.0 / 7)), False),           # X[3, 6] = X[3, 1]
+        (_mesh((3, 2, -1.0 + 2.0 / 7)), True),            # X[3, 2] = X[3, 1]
+        (_mesh((5, 0, 0.0), (5, 6, 1e-9)), True),         # gap exactly 1e-9
+        (_mesh((5, 0, 0.0), (5, 6, np.nextafter(1e-9, 0.0))), False),
+        (_mesh((2, 4, np.nan), (2, 6, np.nan)), True),
+    ], ids=["no-collision", "non-adjacent", "adjacent-only", "gap-1e-9",
+            "gap-below-1e-9", "nan"])
+    def test_cases(self, X, want):
+        assert _injective_by_loop(X) is want
+        assert hyptimes._mesh_injective(X) is want
+
+    def test_matches_loop_on_crowded_meshes(self):
+        rng = make_generator(59)
+        for trial in range(200):
+            grid = int(rng.integers(2, 12))
+            # few distinct values, so ties and near-ties are common
+            X = rng.integers(0, grid, (grid, grid)) * (0.6e-9 + 0.1 * (trial % 2))
+            X[:, ::2] += rng.uniform(-1e-9, 1e-9, X[:, ::2].shape)
+            assert hyptimes._mesh_injective(X) is _injective_by_loop(X)
+
+    def test_probe_mesh_flag(self, viana):
+        rep = probe_neighborhood(viana, (0.3, 0.5), 3, 0.1)
+        assert rep.injective

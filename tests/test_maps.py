@@ -7,8 +7,9 @@ from fiberdyn import (DerivativeVanishes, IntervalDomain, IntervalMap,
                       MissingDerivative, constant_sequence, estimate_modulus,
                       fiber_sequence, find_critical_points, identity_map,
                       make_system, maps, moebius_map, quadratic_map,
-                      schwarzian, twowell_map, verify_partial_hyperbolicity,
-                      viana_skew)
+                      schwarzian, track_branch, twowell_map,
+                      verify_partial_hyperbolicity, viana_skew)
+from fiberdyn.expansion import ftle_fiber
 from fiberdyn.rng import make_generator
 
 
@@ -130,10 +131,18 @@ class TestFiberSequence:
         assert float(m2.evaluator(0.0)) == pytest.approx(expected, abs=1e-12)
 
     def test_accessor_repeatable(self, viana):
+        # map_at keeps no map per index: each call gives a fresh view of
+        # the same theta_j, which must evaluate bit for bit alike
         seq = fiber_sequence(viana, 0.123)
+        xs = np.linspace(-1.5, 1.5, 11)
         a = seq.map_at(5)
+        seq.map_at(40)
         b = seq.map_at(5)
-        assert a is b
+        for fa, fb in ((a.evaluator, b.evaluator), (a.derivative, b.derivative)):
+            assert fa(xs).tobytes() == fb(xs).tobytes()
+            assert float(fa(0.3)) == float(fb(0.3))
+        assert a.critical_points == b.critical_points == (0.0,)
+        assert a.domain == b.domain == viana.fiber_domain
 
     def test_fiber_criticals_match_bisection(self, viana):
         seq = fiber_sequence(viana, 0.37)
@@ -147,6 +156,70 @@ class TestFiberSequence:
     def test_theta_out_of_range(self, viana):
         with pytest.raises(ValueError):
             fiber_sequence(viana, 1.5)
+
+
+def _off_grid_skew():
+    """x -> x/2 + 0.6 sin^2(64 pi theta) on [-1, 1].
+
+    The bump vanishes on the 64-theta construction grid theta = i/64, so
+    construction accepts it, but at theta = 1/128 it sends x = 1 to 1.1.
+    """
+    return maps.SkewProduct(
+        base_degree=2,
+        fiber=lambda t, x: 0.5 * x + 0.6 * np.sin(64 * np.pi * t) ** 2,
+        fiber_dx=lambda t, x: 0.5 + 0.0 * x + 0.0 * t,
+        fiber_dtheta=lambda t, x: 38.4 * np.pi * np.sin(128 * np.pi * t)
+        + 0.0 * x,
+        fiber_domain=IntervalDomain(-1.0, 1.0),
+        fiber_critical_points=(),
+    )
+
+
+class TestFiberBlocks:
+    """Fiber sequences check their theta_j in blocks, not map by map."""
+
+    def _count(self, monkeypatch):
+        built, checks = [], []
+        post_init, check = maps.IntervalMap.__post_init__, maps._check_maps
+        monkeypatch.setattr(maps.IntervalMap, "__post_init__",
+                            lambda m: built.append(m) or post_init(m))
+        monkeypatch.setattr(maps, "_check_maps",
+                            lambda *a, **kw: checks.append(a) or check(*a, **kw))
+        return built, checks
+
+    def test_ftle_builds_no_interval_map(self, monkeypatch):
+        skew = viana_skew()
+        built, checks = self._count(monkeypatch)
+        n = 4096
+        val = ftle_fiber(fiber_sequence(skew, 0.3), 0.2, n)
+        assert math.isfinite(val)
+        assert built == []
+        assert 1 <= len(checks) <= math.ceil(math.log2(n)) + 1
+
+    def test_blocks_grow_with_the_index_reached(self, monkeypatch):
+        skew = viana_skew()
+        built, checks = self._count(monkeypatch)
+        seq = fiber_sequence(skew, 0.3)
+        for j in range(100):
+            seq.map_at(j)
+        assert built == []
+        assert len(checks) == math.ceil(math.log2(100)) + 1
+        assert len(seq.thetas(0)) == 128
+        # a depth-5 branch checks 8 theta_j, not a fixed large block
+        seq = fiber_sequence(skew, 0.3)
+        track_branch(seq, 0.2, 5)
+        assert len(seq.thetas(0)) == 8
+
+    def test_fiber_leaving_domain_off_the_construction_grid(self):
+        skew = _off_grid_skew()
+        seq = fiber_sequence(skew, 1.0 / 256)       # theta_1 = 1/128
+        assert float(seq.map_at(0).evaluator(1.0)) == pytest.approx(0.8)
+        with pytest.raises(ValueError, match="leaves its domain"):
+            seq.map_at(1)
+        with pytest.raises(ValueError, match="leaves its domain"):
+            ftle_fiber(fiber_sequence(skew, 1.0 / 256), 0.1, 5)
+        # elsewhere the same skew-product runs
+        assert math.isfinite(ftle_fiber(fiber_sequence(skew, 0.0), 0.1, 50))
 
 
 class TestSystemProtocol:
@@ -306,6 +379,11 @@ class TestSkewProductConstruction:
         with pytest.raises(ValueError, match="outside domain"):
             maps.SkewProduct(**_viana_fields(fiber_critical_points=(0.0, 2.5)))
 
+    def test_missing_critical_point_rejected(self):
+        # d_x f = -2x changes sign at 0, which the empty tuple leaves out
+        with pytest.raises(ValueError, match="changes sign"):
+            maps.SkewProduct(**_viana_fields(fiber_critical_points=()))
+
     @pytest.mark.parametrize("cps", [(0.0, -0.5), (0.0, 0.0)])
     def test_unsorted_critical_points(self, cps):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -350,11 +428,13 @@ class TestSkewProductConstruction:
     def test_fiber_sequence_follows_base_orbit(self, viana):
         seq = fiber_sequence(viana, 0.3)
         orbit = viana.base_orbit(0.3, 9)
-        # out-of-order access extends the cached orbit as needed
+        # out-of-order access extends the stored orbit as needed
         for k in (6, 2, 9, 0, 7):
-            want = viana.fiber_map(orbit[k])
-            assert seq.map_at(k).label == want.label
-            assert seq.map_at(k).evaluator(0.25) == want.evaluator(0.25)
+            m = seq.map_at(k)
+            assert m.evaluator(0.25) == viana.fiber(orbit[k], 0.25)
+            assert m.derivative(0.25) == viana.fiber_dx(orbit[k], 0.25)
+        assert seq.thetas(10)[:10] == orbit.tolist()
+        assert all(type(t) is float for t in seq.thetas(10))
 
 
 class TestEstimateModulus:

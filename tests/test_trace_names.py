@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fiberdyn import maps
+from fiberdyn.branches import bisect_preimage, compose_maps, track_branch
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -60,3 +61,30 @@ def test_counted_skew_callables_keep_their_values(tracing):
     assert np.array_equal(system.base(th), plain.base(th))
     assert system.base_derivative(0.3) == plain.base_derivative(0.3)
     assert np.array_equal(system.base_orbit(0.3, 5), plain.base_orbit(0.3, 5))
+
+
+def test_bisect_residual_hook_reads_fiber_sequence_maps(tracing):
+    seq = maps.viana_skew().sequence(0.3)
+    k = 4
+    fiber_maps = [seq.map_at(j) for j in range(k)]
+    br = track_branch(seq, 0.2, k)
+    target = 0.5 * (br.img_lo + br.img_hi)
+    t = bisect_preimage(fiber_maps, target, br.t_lo, br.t_hi)
+    span = tracing.Span(0, "branches.bisect", None, 0)
+    tracing._bisect_residual(None, span, (fiber_maps, target, br.t_lo,
+                                          br.t_hi), {}, t, None)
+    assert span.info == abs(compose_maps(fiber_maps, t) - target)
+    assert span.info < 1e-9
+
+
+def test_counted_viana_counts_fiber_calls_of_its_sequences(tracing):
+    system = maps.viana_skew()
+    tracer = tracing.Tracer()
+    tracer.count_maps(system)
+    # drop the counted base again, so that every scalar call counted below
+    # is a fiber map call (fiber_dx is only called on arrays here)
+    object.__delattr__(system, "base")
+    seq = system.sequence(0.3)
+    assert seq.map_at(0).evaluator.func is system.fiber
+    track_branch(seq, 0.2, 6)
+    assert tracer._root.scalar_calls > 0
