@@ -11,11 +11,11 @@ __version__ = "0.1.0"
 
 from .errors import (BranchTerminated, CapExceeded, ClosureDiverges,
                      DegenerateDifferential, DegenerateGap,
-                     DerivativeVanishes, EmptySample, EscapedDomain,
-                     FiberdynError, HitCritical, InducingTimeNotFound,
-                     InvalidConstants, IOFailure, MissingDerivative,
-                     NotAGraph, NotHyperbolicLike, NotMonotone, ParseError,
-                     ValidationError)
+                     DerivativeVanishes, DomainCollapsed, EmptySample,
+                     EscapedDomain, FiberdynError, HitCritical,
+                     InducingTimeNotFound, InvalidConstants, IOFailure,
+                     MissingDerivative, NotAGraph, NotHyperbolicLike,
+                     NotMonotone, ParseError, ValidationError)
 from .maps import (Domination, IntervalDomain, IntervalMap, MapSequence,
                    SkewProduct, affine_map, constant_sequence, doubling_map,
                    estimate_modulus, family_names, fiber_sequence,

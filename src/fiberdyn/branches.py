@@ -16,6 +16,7 @@ while each bisection step composes the maps once over all live lanes.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,15 @@ def bisect_preimage(maps, target, lo, hi, value_tol=PULLBACK_VALUE_TOL):
     F must be strictly monotone on the bracket with the target between the
     endpoint values.  Bisection runs until the residual drops below
     `value_tol` or the bracket cannot be split in floats; returns the point
-    with the smallest observed residual.
+    with the smallest observed residual.  A one-float bracket (lo == hi)
+    returns lo without composing F, the point bisection would return.  A
+    depth-n branch domain shrinks like e^(-n lambda), so it is one float
+    after about 53 ln 2 / lambda steps (53 for the logistic map).
     """
     if not maps:
         return float(target)
+    if lo == hi:
+        return lo
     flo = compose_maps(maps, lo)
     fhi = compose_maps(maps, hi)
     increasing = fhi >= flo
@@ -88,16 +94,18 @@ def bisect_preimages(maps, targets, los, his, value_tol=PULLBACK_VALUE_TOL):
     residual and float-exhaustion stops, the strict-< best-residual choice
     and the bracket update), so lane i equals
     ``bisect_preimage(maps, targets[i], los[i], his[i])`` bit for bit.  A
-    step composes `maps` once over the lanes still running; lanes are
-    solved LANE_BATCH at a time.
+    one-float lane (lo == hi) takes its lo and is never composed; a step
+    composes `maps` once over the open lanes still running, solved
+    LANE_BATCH at a time.
     """
     targets, los, his = (np.array(v, dtype=float).ravel() for v in
                          np.broadcast_arrays(targets, los, his))
     if not maps:
         return targets
-    out = np.empty_like(targets)
-    for s in range(0, targets.size, LANE_BATCH):
-        part = slice(s, s + LANE_BATCH)
+    out = los.copy()
+    open_lanes = np.flatnonzero(los != his)
+    for s in range(0, open_lanes.size, LANE_BATCH):
+        part = open_lanes[s:s + LANE_BATCH]
         out[part] = _bisect_lanes(maps, targets[part], los[part], his[part],
                                   value_tol)
     return out
@@ -407,10 +415,28 @@ def monotonicity_partition(seq, n, cap=10**5):
     if n < 1:
         raise ValueError("depth must be >= 1")
     dom = seq.domain
-    cells = [_Cell(dom.lo, dom.hi, dom.lo, dom.hi, True, [])]
     levels = [(dom.lo, dom.hi)]
+    for _, cells in zip(range(n), _partition_levels(seq, cap)):
+        levels.append(tuple(sorted({c.lo for c in cells} | {dom.hi})))
+    return BranchPartition(
+        depth=n,
+        cells=tuple((c.lo, c.hi) for c in cells),
+        cell_images=tuple((c.img_lo, c.img_hi) for c in cells),
+        levels=tuple(levels),
+        branch_images=tuple(tuple(c.branch_imgs) for c in cells),
+    )
+
+
+def _partition_levels(seq, cap):
+    """Yield the depth-1, depth-2, ... monotone cells, one level a step.
+
+    Level j + 1 refines level j, so a caller that walks the depths builds
+    each level once; CapExceeded when a level has more than `cap` cells.
+    """
+    dom = seq.domain
+    cells = [_Cell(dom.lo, dom.hi, dom.lo, dom.hi, True, [])]
     maps = []
-    for j in range(n):
+    for j in itertools.count():
         m = seq.map_at(j)
         inside = [[c for c in m.critical_points
                    if cell.img_lo < c < cell.img_hi] for cell in cells]
@@ -448,15 +474,7 @@ def monotonicity_partition(seq, n, cap=10**5):
             raise CapExceeded(f"{len(new_cells)} cells exceed cap {cap}")
         cells = new_cells
         maps.append(m)
-        pts = sorted({c.lo for c in cells} | {dom.hi})
-        levels.append(tuple(pts))
-    return BranchPartition(
-        depth=n,
-        cells=tuple((c.lo, c.hi) for c in cells),
-        cell_images=tuple((c.img_lo, c.img_hi) for c in cells),
-        levels=tuple(levels),
-        branch_images=tuple(tuple(c.branch_imgs) for c in cells),
-    )
+        yield cells
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ class NotAGraph(FiberdynError):
     """A propagated curve piece degenerated below float resolution."""
 
 
+class DomainCollapsed(FiberdynError):
+    """A branch domain shrank to one float, so nothing can be solved in it."""
+
+
 class NotHyperbolicLike(FiberdynError):
     """The requested iterate is not a hyperbolic-like time for the point."""
 

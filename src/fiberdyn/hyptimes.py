@@ -15,8 +15,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .branches import MonotoneBranch, bisect_preimage, track_branch
-from .errors import (CapExceeded, InvalidConstants, NotAGraph,
-                     NotHyperbolicLike)
+from .errors import (CapExceeded, DomainCollapsed, InvalidConstants,
+                     NotAGraph, NotHyperbolicLike)
 from .maps import SkewProduct, fiber_sequence, wrap
 
 
@@ -340,6 +340,10 @@ def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
     seq = fiber_sequence(skew, theta)
     if k > 0:
         branch = track_branch(seq, x, k)
+        if branch.t_lo == branch.t_hi:
+            raise DomainCollapsed(
+                f"the depth-{k} domain of x = {x!r} is one float "
+                f"({branch.t_lo!r}): k exceeds float64 resolution")
         r_k = branch.r_n
         if r_k < delta_tilde:
             raise NotHyperbolicLike(

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import (HIT_TOL, LANE_BATCH, bisect_preimage,
-                       bisect_preimages, compose_lanes, min_max,
-                       monotonicity_partition, track_branch, track_branches)
+from .branches import (HIT_TOL, LANE_BATCH, _partition_levels,
+                       bisect_preimage, bisect_preimages, compose_lanes,
+                       min_max, monotonicity_partition, track_branch,
+                       track_branches)
 from .errors import (ClosureDiverges, DegenerateGap, EscapedDomain,
                      HitCritical, InducingTimeNotFound, NotMonotone)
 from .maps import IntervalMap, constant_sequence
@@ -143,11 +144,10 @@ def build_partition(m: IntervalMap, depth):
 
 def monotone_scale(m: IntervalMap, part: MarkovPartition, n_cap=30):
     """Smallest n whose depth-n monotone cells are shorter than min_len/4."""
-    seq = constant_sequence(m)
     target = part.min_len / 4.0
-    for n in range(1, n_cap + 1):
-        p = monotonicity_partition(seq, n)
-        if max(hi - lo for lo, hi in p.cells) < target:
+    levels = _partition_levels(constant_sequence(m), cap=10**5)
+    for n, cells in zip(range(1, n_cap + 1), levels):
+        if max(c.hi - c.lo for c in cells) < target:
             return n
     raise InducingTimeNotFound(
         n_cap, f"no partition scale N: depth-n monotone cells stay longer "

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -407,3 +408,56 @@ class TestBatchedPullback:
     def test_track_branches_rejects_boundary_anchor(self, logistic_seq):
         with pytest.raises(ValueError):
             track_branches(logistic_seq, [0.3, 0.0], 3)
+
+
+class TestOneFloatBracket:
+    """A bracket with lo == hi returns lo and composes no map."""
+
+    @staticmethod
+    def _counted(seq, depth):
+        """The first `depth` maps of seq, counting evaluated points."""
+        points = []
+
+        def wrap(m):
+            def evaluator(x):
+                points.append(np.size(x))
+                return m.evaluator(x)
+            return SimpleNamespace(evaluator=evaluator)
+        return [wrap(seq.map_at(j)) for j in range(depth)], points
+
+    def test_collapsed_bracket_costs_no_map_call(self, logistic_seq):
+        maps, points = self._counted(logistic_seq, 5)
+        assert bisect_preimage(maps, 0.7, 0.3, 0.3) == 0.3
+        assert bisect_preimages(maps, [0.7, 0.1], [0.3, 0.9],
+                                [0.3, 0.9]).tolist() == [0.3, 0.9]
+        assert points == []
+
+    def test_mixed_batch_matches_scalar(self, logistic_seq):
+        maps, points = self._counted(logistic_seq, 4)
+        rng = make_generator(9)
+        los = rng.uniform(0.0, 1.0, 40)
+        his = los.copy()                                  # 0-9 collapsed
+        his[10:20] = np.nextafter(los[10:20], 1.0)        # no float between
+        his[20:40] = np.minimum(los[20:40] + rng.uniform(0.0, 0.3, 20), 1.0)
+        los, his = np.append(los, -0.0), np.append(his, 0.0)
+        targets = rng.uniform(0.0, 1.0, los.size)
+        targets[20:30] = logistic_seq.compose(0.5 * (los[20:30]
+                                                     + his[20:30]), 4)
+        got = bisect_preimages(maps, targets, los, his)
+        batch_points = sum(points)
+        want = np.array([bisect_preimage(maps, t, lo, hi) for t, lo, hi
+                         in zip(targets.tolist(), los.tolist(),
+                                his.tolist())])
+        assert got.tobytes() == want.tobytes()       # -0.0 stays -0.0
+        assert np.signbit(got[-1])
+        # only the 30 open lanes were composed
+        points.clear()
+        bisect_preimages(maps, targets[10:40], los[10:40], his[10:40])
+        assert batch_points == sum(points) > 0
+
+    def test_no_maps_returns_target(self):
+        # with nothing to compose the target is its own preimage, collapsed
+        # bracket or not
+        assert bisect_preimage([], 0.7, 0.3, 0.3) == 0.7
+        assert bisect_preimages([], [0.7, 0.1], [0.3, 0.5],
+                                [0.3, 0.6]).tolist() == [0.7, 0.1]

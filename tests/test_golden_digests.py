@@ -9,9 +9,11 @@ ftle, pliss and viana branch entries, and the branch-size arrays, from the
 code that dispatched on the system type with isinstance ladders.  The full
 bin-count arrays, invariance defects and component reports were taken from
 the cloud loops that binned one step per call, before iterates were binned
-in blocks.  Files
-that carry the generator metadata (measure_meta.json, components.json)
-also record the numpy version, so they pin it too.
+in blocks.  The deep pliss and branch entries (depth 300-1000, where a
+branch domain has collapsed to one float) were taken from the pullback that
+still bisected one-float brackets.  Files that carry the generator metadata
+(measure_meta.json, components.json) also record the numpy version, so they
+pin it too.
 """
 
 import hashlib
@@ -110,6 +112,24 @@ GOLDEN = {
                       "54673301b8d2a061f95b4a62dd098e8b",
          "pliss.json": "83aa431c7c643bbc8618c48238ca1068"
                        "836c1a250ded749626713839f46fbf7e"}),
+    "pliss logistic deep": (
+        ["pliss", "--family", "logistic", "--n", "1000"],
+        {"pliss.csv": "28734181037779333c176adfe0acc5f0"
+                      "6dae3eef5de5a432d2f7931a3aa545bd",
+         "pliss.json": "63aa5cd68d792b36637adba76fcf85b6"
+                       "b4064bbb485d9c70203988515a35c59f"}),
+    "pliss twowell deep": (
+        ["pliss", "--family", "twowell", "--n", "300"],
+        {"pliss.csv": "e84f3f6293c0bcc05fb197c4f8f4970d"
+                      "2554e846cf1c0341001f4673a00a28f5",
+         "pliss.json": "502acbdf7a67145841b3f3e58514651e"
+                       "82beb6b293dfcd709e699b67447f3c53"}),
+    "branch logistic deep": (
+        ["branch", "--family", "logistic", "--n", "1000"],
+        {"branch.json": "baa7930ae00758261c9a5bdcab1eb9ee"
+                        "9ba3a6181045f4613c08b57bf89c7e55",
+         "r_history.csv": "13451874a613316b9e6fff055b98ac17"
+                          "16d3a3fc82a7ce5fefc7e9398c106d92"}),
     "branch viana": (
         ["branch", "--family", "viana", "--n", "12", "--theta", "0.3", "--x",
          "0.2"],

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fiberdyn import (CurveGraph, HitCritical, InvalidConstants, NotAGraph,
-                      NotHyperbolicLike, PlissQuery, constant_sequence,
-                      curve_growth_constants, fiber_branch_stats,
-                      hyperbolic_like_times, pliss_times, probe_neighborhood,
-                      propagate_curve, slope_envelope, symbol_sequence,
-                      track_branch)
+from fiberdyn import (CurveGraph, DomainCollapsed, HitCritical,
+                      InvalidConstants, NotAGraph, NotHyperbolicLike,
+                      PlissQuery, constant_sequence, curve_growth_constants,
+                      fiber_branch_stats, hyperbolic_like_times, pliss_times,
+                      probe_neighborhood, propagate_curve, slope_envelope,
+                      symbol_sequence, track_branch)
 from fiberdyn import hyptimes
+from fiberdyn.experiments.cli import main as cli_main
 from fiberdyn.rng import make_generator
 
 
@@ -203,6 +204,18 @@ class TestProbe:
                     probe_neighborhood(viana, (theta, x), 6, 0.3)
                 return
         pytest.fail("no sub-threshold point found")
+
+    def test_collapsed_domain_is_named(self, viana, tmp_path, capsys):
+        # the depth-120 fiber domain of x = 0.5 is the one float 0.5, so
+        # nothing inside it can be trimmed or bisected
+        with pytest.raises(DomainCollapsed,
+                           match=r"depth-120 domain .* is one float"):
+            probe_neighborhood(viana, (0.3, 0.5), 120, 0.1)
+        rc = cli_main(["probe", "--family", "viana", "--theta", "0.3",
+                       "--x", "0.5", "--k", "120", "--delta-tilde", "0.1",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert "k exceeds float64 resolution" in capsys.readouterr().err
 
     def test_probe_at_hyperbolic_like_time(self, viana):
         rng = make_generator(47)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from fiberdyn import (ClosureDiverges, DegenerateGap, HitCritical,
-                      InducedBranch, InducingTimeNotFound, MarkovPartition,
-                      NotMonotone, affine_map, assemble_markov,
-                      build_partition, constant_sequence, cross_ratio,
-                      cross_ratio_operator, doubling_map,
+                      InducedBranch, InducingTimeNotFound, MapSequence,
+                      MarkovPartition, NotMonotone, affine_map,
+                      assemble_markov, build_partition, constant_sequence,
+                      cross_ratio, cross_ratio_operator, doubling_map,
                       fit_cross_ratio_constant, inducing_time, inducing_times,
-                      moebius_map, monotone_scale, quadratic_map,
-                      summability_stat, track_branch)
+                      logistic_map, moebius_map, monotone_scale,
+                      monotonicity_partition, quadratic_map, summability_stat,
+                      track_branch)
 from fiberdyn import markov
 from fiberdyn.rng import make_generator
 
@@ -105,6 +106,47 @@ class TestInducingTime:
         with pytest.raises(InducingTimeNotFound, match="n_cap=7") as info:
             monotone_scale(m, part, n_cap=7)
         assert "k_max" not in str(info.value)
+
+
+def _monotone_scale_rebuilt(m, part, n_cap=30):
+    """monotone_scale with every depth's partition built from scratch."""
+    seq = constant_sequence(m)
+    for n in range(1, n_cap + 1):
+        cells = monotonicity_partition(seq, n).cells
+        if max(hi - lo for lo, hi in cells) < part.min_len / 4.0:
+            return n
+    return None
+
+
+class TestMonotoneScale:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_matches_rebuilt_partitions(self, logistic, depth):
+        part = build_partition(logistic, depth)
+        assert monotone_scale(logistic, part) == \
+            _monotone_scale_rebuilt(logistic, part)
+
+    @pytest.mark.parametrize("make, n_cap, levels", [
+        (logistic_map, 30, 6),          # N = 6 is found at level 6
+        (doubling_map, 7, 7),           # never shrinks: every level to n_cap
+    ])
+    def test_builds_each_level_once(self, monkeypatch, make, n_cap, levels):
+        m = make()
+        part = build_partition(m, 1)
+        want = _monotone_scale_rebuilt(m, part, n_cap)
+        maps_fetched = []
+        map_at = MapSequence.map_at
+
+        def counted(seq, j):
+            maps_fetched.append(j)
+            return map_at(seq, j)
+        monkeypatch.setattr(MapSequence, "map_at", counted)
+        if want is None:
+            with pytest.raises(InducingTimeNotFound):
+                monotone_scale(m, part, n_cap)
+        else:
+            assert monotone_scale(m, part, n_cap) == want
+        # one map fetched per level built: N levels, not N(N+1)/2
+        assert maps_fetched == list(range(levels))
 
 
 @pytest.fixture(scope="module")
