@@ -9,10 +9,9 @@ seeded experiment runner for reproducible batch runs.
 
 __version__ = "0.1.0"
 
-from .errors import (BranchTerminated, CapExceeded, ClosureDiverges,
-                     DegenerateDifferential, DegenerateGap,
-                     DerivativeVanishes, DomainCollapsed, EmptySample,
-                     EscapedDomain, FiberdynError, HitCritical,
+from .errors import (CapExceeded, ClosureDiverges, DegenerateDifferential,
+                     DegenerateGap, DerivativeVanishes, DomainCollapsed,
+                     EmptySample, EscapedDomain, FiberdynError, HitCritical,
                      InducingTimeNotFound, InvalidConstants, IOFailure,
                      MissingDerivative, NotAGraph, NotHyperbolicLike,
                      NotMonotone, ParseError, ValidationError)
@@ -22,11 +21,10 @@ from .maps import (Domination, IntervalDomain, IntervalMap, MapSequence,
                    find_critical_points, identity_map, logistic_map,
                    make_system, moebius_map, quadratic_map, schwarzian,
                    twowell_map, verify_partial_hyperbolicity, viana_skew)
-from .branches import (BranchBatch, BranchPartition, CensusRecord,
-                       EndpointCut, MonotoneBranch, bisect_preimage,
-                       bisect_preimages, component_census, interval_images,
-                       monotonicity_partition, symbol_sequence, track_branch,
-                       track_branches)
+from .branches import (BranchPartition, CensusRecord, EndpointCut,
+                       MonotoneBranch, bisect_preimage, bisect_preimages,
+                       branch_domains, component_census, interval_images,
+                       monotonicity_partition, symbol_sequence, track_branch)
 from .expansion import (DecayTable, branch_stats, estimate_f2,
                         fiber_branch_stats, ftle_fiber, ftle_full,
                         measure_AY_decay, smallest_singular_value)

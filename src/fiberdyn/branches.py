@@ -8,11 +8,14 @@ exhaustion (residual well below the 1e-12 pullback tolerance), so each
 endpoint carries a checkable certificate (step, critical value).
 
 Pullbacks with many independent solves (the cells of a partition level,
-the threshold crossings of a census depth, the branches of many anchors)
-go through `bisect_preimages`, the elementwise replica of
+the threshold crossings of a census depth, the branch domains of many
+anchors) go through `bisect_preimages`, the elementwise replica of
 `bisect_preimage`: every lane keeps the scalar stopping rule and
 best-residual choice, so its result is bit-identical to the scalar call,
 while each bisection step composes the maps once over all live lanes.
+The array loops that follow many branch images at once (`branch_domains`,
+the branch-size statistics and the Markov covering search) take their
+steps with one rule, `image_step`.
 """
 
 import csv
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BranchTerminated, CapExceeded, HitCritical)
+from .errors import CapExceeded, HitCritical
 
 HIT_TOL = 1e-12
 PULLBACK_VALUE_TOL = 1e-13
@@ -173,8 +176,6 @@ class MonotoneBranch:
     r_history: tuple
     lo_cut: EndpointCut = None    # None: endpoint sits on the domain boundary
     hi_cut: EndpointCut = None
-    terminated: bool = False
-    termination_step: int = None
 
     @property
     def r_n(self):
@@ -185,7 +186,7 @@ def track_branch(seq, x, n):
     """Depth-n maximal monotone branch around x for the map sequence.
 
     Raises HitCritical(j) when the orbit of x lands on a critical point of
-    f_j within HIT_TOL; the exception carries the truncated branch.
+    f_j within HIT_TOL.
     """
     dom = seq.domain
     x = float(x)
@@ -199,17 +200,11 @@ def track_branch(seq, x, n):
     r_hist = []
     lo_cut = hi_cut = None
     maps = []
-
-    def snapshot(j):
-        return MonotoneBranch(x, j, t_lo, t_hi, a, b, orientation,
-                              tuple(r_hist), lo_cut, hi_cut,
-                              terminated=True, termination_step=j)
-
     for j in range(n):
         m = seq.map_at(j)
         for c in m.critical_points:
             if abs(y - c) <= HIT_TOL:
-                raise HitCritical(j, branch=snapshot(j))
+                raise HitCritical(j)
         cut_lo = cut_hi = None
         for c in m.critical_points:
             if a < c < y and (cut_lo is None or c > cut_lo):
@@ -247,134 +242,77 @@ def track_branch(seq, x, n):
                           tuple(r_hist), lo_cut, hi_cut)
 
 
-@dataclass(frozen=True, eq=False)
-class BranchBatch:
-    """Branches of many anchors, stored as per-lane arrays.
+def image_step(f, critical_points, a, b, y):
+    """One step of branch images [a, b] around orbit points y, lane by lane.
 
-    Item i is lane i's MonotoneBranch.  `n` is the depth reached (the
-    termination step for lanes that hit a critical point); row i of
-    `r_history` is valid up to n[i]; `cut_level`/`cut_value` hold the
-    lo_cut (row 0) and hi_cut (row 1) certificates, level -1 for none.
+    Returns (hit, lo, hi, f(lo), f(hi), f(y)): `hit` marks the lanes with y
+    within HIT_TOL of a critical point, and [lo, hi] is [a, b] cut at the
+    nearest critical point strictly inside on each side of y, the rule of
+    track_branch.  The images are left unordered; a hit lane is still cut
+    and mapped, and its caller drops or masks it.
     """
-
-    x: np.ndarray
-    n: np.ndarray
-    t_lo: np.ndarray
-    t_hi: np.ndarray
-    img_lo: np.ndarray
-    img_hi: np.ndarray
-    orientation: np.ndarray
-    r_history: np.ndarray
-    cut_level: np.ndarray
-    cut_value: np.ndarray
-    terminated: np.ndarray
-
-    def __len__(self):
-        return self.x.size
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, i):
-        n = int(self.n[i])
-        cuts = [EndpointCut(int(self.cut_level[e, i]),
-                            float(self.cut_value[e, i]))
-                if self.cut_level[e, i] >= 0 else None for e in (0, 1)]
-        hit = bool(self.terminated[i])
-        return MonotoneBranch(
-            float(self.x[i]), n, float(self.t_lo[i]), float(self.t_hi[i]),
-            float(self.img_lo[i]), float(self.img_hi[i]),
-            int(self.orientation[i]), tuple(self.r_history[i, :n].tolist()),
-            *cuts, terminated=hit, termination_step=n if hit else None)
+    hit = np.zeros(np.shape(y), dtype=bool)
+    lo, hi = a, b
+    for c in critical_points:
+        hit |= np.abs(y - c) <= HIT_TOL
+        lo = np.where((lo < c) & (c < y), c, lo)
+        hi = np.where((y < c) & (c < hi), c, hi)
+    return (hit, lo, hi, np.asarray(f(lo), dtype=float),
+            np.asarray(f(hi), dtype=float), np.asarray(f(y), dtype=float))
 
 
-def track_branches(seq, xs, n):
-    """track_branch for many anchors in lockstep.
+def branch_domains(seq, xs, n):
+    """Branch domains (t_lo, t_hi) of many anchors, tracked in lockstep.
 
-    `n` is one depth for every anchor or one depth per anchor.  Returns a
-    BranchBatch whose item i equals ``track_branch(seq, xs[i], n)`` field
-    by field; where that call raises HitCritical(j), item i is the
-    truncated branch the exception carries (terminated at step j).  Step j
-    pulls back the cuts of all live lanes in one bisect_preimages call and
-    maps their images in one evaluator call.  Raises ValueError when an
-    anchor is not interior to the domain.
+    `n` is one depth for every anchor or one depth per anchor.  Lane i
+    equals the t_lo and t_hi of ``track_branch(seq, xs[i], n)`` bit for
+    bit: step j maps the images of all lanes with one image_step and pulls
+    their cuts back in one bisect_preimages call.  Raises ValueError when
+    an anchor is not interior to the domain and HitCritical(j) when a lane
+    meets a critical point at step j.
     """
     dom = seq.domain
     x = np.array(xs, dtype=float).ravel()
     if not np.all((dom.lo < x) & (x < dom.hi)):
         raise ValueError("anchor must be interior to the domain")
-    depth = np.broadcast_to(np.asarray(n, dtype=int), x.shape).copy()
-    size = x.size
-    t_lo, t_hi = np.full(size, dom.lo), np.full(size, dom.hi)
+    depth = np.broadcast_to(np.asarray(n, dtype=int), x.shape)
+    t_lo, t_hi = np.full(x.size, dom.lo), np.full(x.size, dom.hi)
     a, b, y = t_lo.copy(), t_hi.copy(), x.copy()
-    lo_to_lo = np.ones(size, dtype=bool)
-    orientation = np.ones(size, dtype=int)
-    cut_level = np.full((2, size), -1)     # rows: lo_cut, hi_cut
-    cut_value = np.zeros((2, size))
-    hit = np.zeros(size, dtype=bool)
-    steps = int(depth.max(initial=0))
-    r_hist = np.empty((size, steps))
+    lo_to_lo = np.ones(x.size, dtype=bool)
     maps = []
-    live = np.arange(size)
-    for j in range(steps):
+    live = np.arange(x.size)
+    for j in range(int(depth.max(initial=0))):
         live = live[depth[live] > j]
         m = seq.map_at(j)
-        crit = m.critical_points
-        on_crit = np.zeros(live.size, dtype=bool)
-        for c in crit:
-            on_crit |= np.abs(y[live] - c) <= HIT_TOL
-        hits = live[on_crit]
-        hit[hits], depth[hits] = True, j
-        live = live[~on_crit]
-        if not live.size:
-            break
-        al, bl, yl = a[live], b[live], y[live]
-        cut_lo = np.full(live.size, np.nan)
-        cut_hi = np.full(live.size, np.nan)
-        for c in crit:
-            cut_lo = np.where((al < c) & (c < yl)
-                              & (np.isnan(cut_lo) | (c > cut_lo)), c, cut_lo)
-            cut_hi = np.where((yl < c) & (c < bl)
-                              & (np.isnan(cut_hi) | (c < cut_hi)), c, cut_hi)
-        has_lo, has_hi = ~np.isnan(cut_lo), ~np.isnan(cut_hi)
+        al, bl = a[live], b[live]
+        hit, lo, hi, fa, fb, y[live] = image_step(
+            m.evaluator, m.critical_points, al, bl, y[live])
+        if hit.any():
+            raise HitCritical(j)
         ltl = lo_to_lo[live]
         # a cut below y moves the endpoint that maps to a (t_lo when
         # lo_to_lo), a cut above y the one that maps to b
-        sets_lo = np.where(ltl, has_lo, has_hi)
-        sets_hi = np.where(ltl, has_hi, has_lo)
-        target_lo = np.where(ltl, cut_lo, cut_hi)[sets_lo]
-        target_hi = np.where(ltl, cut_hi, cut_lo)[sets_hi]
+        sets_lo = np.where(ltl, lo != al, hi != bl)
+        sets_hi = np.where(ltl, hi != bl, lo != al)
         il, ih = live[sets_lo], live[sets_hi]
-        ts = bisect_preimages(maps, np.concatenate([target_lo, target_hi]),
+        ts = bisect_preimages(maps,
+                              np.concatenate([np.where(ltl, lo, hi)[sets_lo],
+                                              np.where(ltl, hi, lo)[sets_hi]]),
                               np.concatenate([t_lo[il], x[ih]]),
                               np.concatenate([x[il], t_hi[ih]]))
         t_lo[il], t_hi[ih] = ts[:il.size], ts[il.size:]
-        cut_level[0, il], cut_value[0, il] = j, target_lo
-        cut_level[1, ih], cut_value[1, ih] = j, target_hi
-        al = np.where(has_lo, cut_lo, al)
-        bl = np.where(has_hi, cut_hi, bl)
-        fa, fb, yl = np.split(compose_lanes([m], np.concatenate([al, bl, yl])),
-                              3)
         keep = fa <= fb
         a[live] = np.where(keep, fa, fb)
         b[live] = np.where(keep, fb, fa)
-        y[live] = yl
-        flips = live[~keep]
-        lo_to_lo[flips] = ~lo_to_lo[flips]
-        orientation[flips] = -orientation[flips]
+        lo_to_lo[live] = ltl == keep
         maps.append(m)
-        r_hist[live, j] = min_max(yl - a[live], b[live] - yl)[0]
-    return BranchBatch(x, depth, t_lo, t_hi, a, b, orientation, r_hist,
-                       cut_level, cut_value, hit)
+    return t_lo, t_hi
 
 
 def symbol_sequence(branch: MonotoneBranch, delta):
     """Threshold the branch r-history: 1 where r_i >= delta, else 0."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if branch.terminated:
-        raise BranchTerminated(
-            f"branch ended at step {branch.termination_step}")
     return tuple(1 if r >= delta else 0 for r in branch.r_history)
 
 

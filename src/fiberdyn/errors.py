@@ -14,24 +14,15 @@ class MissingDerivative(FiberdynError):
 
 
 class HitCritical(FiberdynError):
-    """An orbit landed exactly on a critical point at the given step.
+    """An orbit landed exactly on a critical point at the given step."""
 
-    Carries the step index and, when produced by branch tracking, the
-    truncated branch computed up to that step.
-    """
-
-    def __init__(self, step, branch=None):
+    def __init__(self, step):
         super().__init__(f"orbit hits a critical point at step {step}")
         self.step = step
-        self.branch = branch
 
 
 class DegenerateDifferential(FiberdynError):
     """A column of the skew-product differential vanished entirely."""
-
-
-class BranchTerminated(FiberdynError):
-    """The branch ended before the requested depth."""
 
 
 class CapExceeded(FiberdynError):

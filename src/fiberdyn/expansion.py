@@ -13,7 +13,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .branches import HIT_TOL
+from .branches import image_step
 from .errors import (DegenerateDifferential, EmptySample, HitCritical)
 from .maps import IntervalMap, MapSequence, SkewProduct, wrap
 from .rng import make_generator
@@ -98,7 +98,7 @@ def _branch_loop(steps, critical_points, domain, x0, n):
 
     `steps` yields one (f, Df) pair of array callables per step; the
     critical set is the same at every step.  An anchor dies once it comes
-    within HIT_TOL of that set, as in track_branch.
+    within HIT_TOL of that set, as in track_branch (branches.image_step).
     """
     x0 = np.asarray(x0, dtype=float)
     a = np.full(x0.shape, domain.lo)
@@ -108,19 +108,14 @@ def _branch_loop(steps, critical_points, domain, x0, n):
     r = np.zeros((n,) + x0.shape)
     logd = np.full((n,) + x0.shape, -np.inf)
     for j, (f, df) in zip(range(n), steps):
-        for c in critical_points:
-            alive &= np.abs(y - c) > HIT_TOL
-            cut_lo = alive & (a < c) & (c < y)
-            a = np.where(cut_lo, c, a)
-            cut_hi = alive & (y < c) & (c < b)
-            b = np.where(cut_hi, c, b)
         d = np.abs(np.asarray(df(y), dtype=float))
-        logd[j] = np.where(alive, np.log(np.maximum(d, 1e-300)), -np.inf)
-        fa = np.asarray(f(a), dtype=float)
-        fb = np.asarray(f(b), dtype=float)
-        y = np.asarray(f(y), dtype=float)
+        hit, _, _, fa, fb, y = image_step(f, critical_points, a, b, y)
+        alive &= ~hit
+        # dead lanes keep the -inf and 0 the rows start with; [j, ...] is a
+        # view even for one anchor
+        np.log(np.maximum(d, 1e-300), out=logd[j, ...], where=alive)
         a, b = np.minimum(fa, fb), np.maximum(fa, fb)
-        r[j] = np.where(alive, np.minimum(y - a, b - y), 0.0)
+        np.minimum(y - a, b - y, out=r[j, ...], where=alive)
     return r, logd, alive
 
 

@@ -495,7 +495,7 @@ def moebius_map(shift=2.0):
     return IntervalMap(
         dom,
         evaluator=lambda x: shift * x / (1.0 + c * x),
-        derivative=lambda x: shift / (1.0 + c * x) ** 2,
+        derivative=lambda x: shift / ((1.0 + c * x) * (1.0 + c * x)),
         second=lambda x: -2.0 * shift * c / (1.0 + c * x) ** 3,
         third=lambda x: 6.0 * shift * c * c / (1.0 + c * x) ** 4,
         critical_points=(),
@@ -573,7 +573,11 @@ def twowell_map():
                        np.where(x > _WELL_HI, y_r, y_mid))
         return out if out.ndim else float(out)
 
-    ev = lambda x: piecewise(x, lambda t: w * (1.0 - 2.0 * t / w) ** 2, 0)
+    def left_well(t):
+        u = 1.0 - 2.0 * t / w
+        return w * (u * u)
+
+    ev = lambda x: piecewise(x, left_well, 0)
     d1 = lambda x: piecewise(x, lambda t: -4.0 * (1.0 - 2.0 * t / w), 1)
     d2 = lambda x: piecewise(x, lambda t: 8.0 / w + 0.0 * t, 2)
     d3 = lambda x: piecewise(x, lambda t: 0.0 * t, 3)

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import (HIT_TOL, LANE_BATCH, _partition_levels,
-                       bisect_preimage, bisect_preimages, compose_lanes,
-                       min_max, monotonicity_partition, track_branch,
-                       track_branches)
+from .branches import (LANE_BATCH, _partition_levels, bisect_preimage,
+                       bisect_preimages, branch_domains, image_step, min_max,
+                       monotonicity_partition, track_branch)
 from .errors import (ClosureDiverges, DegenerateGap, EscapedDomain,
                      HitCritical, InducingTimeNotFound, NotMonotone)
 from .maps import IntervalMap, constant_sequence
@@ -172,21 +171,14 @@ def _covering_ks(m: IntervalMap, part: MarkovPartition, xs, N, k_max):
     for j in range(k_max):
         if not live.size:
             break
-        yl, al, bl = y[live], a[live], b[live]
-        on_crit = np.zeros(live.size, dtype=bool)
-        for c in m.critical_points:
-            on_crit |= np.abs(yl - c) <= HIT_TOL
-            below = (al < c) & (c < yl)
-            al = np.where(below, c, al)
-            bl = np.where(~below & (yl < c) & (c < bl), c, bl)
-        for i in live[on_crit].tolist():
+        hit, _, _, fa, fb, yl = image_step(m.evaluator, m.critical_points,
+                                           a[live], b[live], y[live])
+        for i in live[hit].tolist():
             errors[i] = HitCritical(j)
-        keep = ~on_crit
-        live, al, bl, yl = live[keep], al[keep], bl[keep], yl[keep]
-        fa, fb, yl = np.split(compose_lanes([m], np.concatenate([al, bl, yl])),
-                              3)
-        a[live], b[live] = min_max(fa, fb)
-        y[live] = yl
+        keep = ~hit
+        live = live[keep]
+        a[live], b[live] = min_max(fa[keep], fb[keep])
+        y[live] = yl = yl[keep]
         k = j + 1
         if k >= N:
             ci = np.clip(np.searchsorted(eps, yl, side="right") - 1,
@@ -209,7 +201,7 @@ def inducing_times(m: IntervalMap, part: MarkovPartition, xs, N=None,
     Entry i is what ``inducing_time(m, part, xs[i], N, k_max)`` returns,
     or the HitCritical, InducingTimeNotFound or ValueError it raises.
     Points are processed LANE_BATCH at a time: each batch runs the covering
-    search in lockstep, tracks all branches with one track_branches call
+    search in lockstep, tracks all branch domains with one branch_domains call
     and pulls the image cells back with one bisect_preimages call per
     inducing time.
     """
@@ -233,8 +225,7 @@ def inducing_times(m: IntervalMap, part: MarkovPartition, xs, N=None,
             out[i] = err
         ok = np.flatnonzero(ks > 0)
         ks, cis = ks[ok], cis[ok]
-        branches = track_branches(seq, [xs[lanes[i]] for i in ok], ks)
-        t_lo, t_hi = branches.t_lo, branches.t_hi
+        t_lo, t_hi = branch_domains(seq, [xs[lanes[i]] for i in ok], ks)
         for k in np.unique(ks).tolist():
             sel = np.flatnonzero(ks == k)
             ci = cis[sel]
@@ -317,15 +308,17 @@ def branches_to_csv(branches, path):
 
 
 def _log_deriv_n(m, x, k):
+    """(log |(f^k)'(x)|, f^k(x)) from one walk of the orbit; (-inf, the
+    point reached) at the first step whose |f'| is at most 1e-300."""
     s = 0.0
     y = float(x)
     for _ in range(k):
         d = abs(float(m.derivative(y)))
         if d <= 1e-300:
-            return -math.inf
+            return -math.inf, y
         s += math.log(d)
         y = float(m.evaluator(y))
-    return s
+    return s, y
 
 
 def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
@@ -421,7 +414,7 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
             failures.append(f"branch@{lo!r}: image mismatch {mismatch:.3e}")
         min_img = min(min_img, img[1] - img[0])
         samples = np.linspace(lo, hi, 19)[1:-1]
-        lds = [_log_deriv_n(m, s, k) for s in samples]
+        lds = [_log_deriv_n(m, s, k)[0] for s in samples]
         dist = math.exp(max(lds) - min(lds)) if min(lds) > -math.inf else math.inf
         out.append(InducedBranch(lo, hi, k, ci, dist))
         if check_constancy:
@@ -454,14 +447,12 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
                 if i < 0:
                     ok = False
                     break
-                k = out[i].time
-                ld = _log_deriv_n(m, x, k)
+                ld, x = _log_deriv_n(m, x, out[i].time)
                 if ld == -math.inf:
                     ok = False
                     break
                 logd += ld
                 itinerary.append(i)
-                x = float(seq.compose(x, k))
             if ok:
                 groups.setdefault(tuple(itinerary), []).append(logd)
         for vals in groups.values():

@@ -4,14 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fiberdyn import (BranchTerminated, CapExceeded, HitCritical,
-                      bisect_preimage, bisect_preimages, branch_stats,
-                      component_census, constant_sequence, fiber_branch_stats,
-                      fiber_sequence, identity_map, interval_images,
-                      logistic_map, moebius_map, monotonicity_partition,
-                      quadratic_map, symbol_sequence, track_branch,
-                      track_branches, twowell_map, viana_skew)
-from fiberdyn.branches import HIT_TOL
+from fiberdyn import (CapExceeded, HitCritical, MarkovPartition,
+                      bisect_preimage, bisect_preimages, branch_domains,
+                      branch_stats, component_census, constant_sequence,
+                      fiber_branch_stats, fiber_sequence, identity_map,
+                      inducing_times, interval_images, logistic_map,
+                      moebius_map, monotonicity_partition, quadratic_map,
+                      symbol_sequence, track_branch, twowell_map, viana_skew)
+from fiberdyn.branches import HIT_TOL, image_step
 from fiberdyn.rng import make_generator
 
 E1 = (2.0 - math.sqrt(2.0)) / 4.0
@@ -36,14 +36,12 @@ class TestTrackBranch:
         with pytest.raises(HitCritical) as exc:
             track_branch(logistic_seq, 0.5, 1)
         assert exc.value.step == 0
-        assert exc.value.branch.terminated
 
-    def test_deep_hit_truncates_history(self, logistic_seq):
+    def test_deep_hit_reports_step(self, logistic_seq):
         # preimage of 1/2 hits the critical point at step 1
         with pytest.raises(HitCritical) as exc:
             track_branch(logistic_seq, E1, 5)
         assert exc.value.step == 1
-        assert len(exc.value.branch.r_history) == 1
 
     def test_critical_free_map_keeps_full_domain(self):
         seq = constant_sequence(moebius_map(2.0))
@@ -147,6 +145,15 @@ class TestTrackBranch:
                                                      abs=1e-9)
 
 
+def _hit_step(call):
+    """The step of the HitCritical that call() raises, or None."""
+    try:
+        call()
+    except HitCritical as ex:
+        return ex.step
+    return None
+
+
 class TestHitTolerance:
     """Every branch loop stops at |y - c| <= HIT_TOL, and nowhere else."""
 
@@ -166,18 +173,21 @@ class TestHitTolerance:
                                  np.nextafter(a, 2.0))])
         want = [abs(float(x) - c) <= HIT_TOL for x in xs]
         assert any(want) and not all(want)
-        scalar = []
-        for x in xs:
-            try:
-                track_branch(seq, float(x), 1)
-                scalar.append(False)
-            except HitCritical as ex:
-                assert ex.step == 0
-                scalar.append(True)
-        assert scalar == want
-        assert track_branches(seq, xs, 1).terminated.tolist() == want
+        steps = [0 if w else None for w in want]
+        assert [_hit_step(lambda: track_branch(seq, float(x), 1))
+                for x in xs] == steps
+        assert [_hit_step(lambda: branch_domains(seq, [x], 1))
+                for x in xs] == steps
+        assert _hit_step(lambda: branch_domains(seq, xs, 1)) == 0
         _, _, alive = stats(xs)
         assert (~alive).tolist() == want
+        if family == "logistic":
+            # a partition without c as an endpoint, so no anchor is
+            # rejected as lying on one
+            part = MarkovPartition.from_endpoints(m, (0.0, 1.0))
+            got = inducing_times(m, part, xs, N=1, k_max=1)
+            assert [g.step if isinstance(g, HitCritical) else None
+                    for g in got] == steps
 
 
 class TestSymbolSequence:
@@ -189,13 +199,6 @@ class TestSymbolSequence:
     def test_threshold_above_domain_length(self, logistic_seq):
         br = track_branch(logistic_seq, 0.37, 6)
         assert symbol_sequence(br, 1.5) == (0,) * 6
-
-    def test_terminated_branch_rejected(self, logistic_seq):
-        try:
-            track_branch(logistic_seq, E1, 5)
-        except HitCritical as ex:
-            with pytest.raises(BranchTerminated):
-                symbol_sequence(ex.branch, 0.1)
 
 
 class TestPartition:
@@ -313,11 +316,11 @@ PULLBACK_SYSTEMS = {
 }
 
 
-def _scalar_branch(seq, x, n):
-    try:
-        return track_branch(seq, x, n)
-    except HitCritical as ex:
-        return ex.branch
+def _scalar_domains(seq, xs, depths):
+    """(t_lo, t_hi) of track_branch per anchor, as two lists."""
+    branches = [track_branch(seq, float(x), int(n))
+                for x, n in zip(xs, np.broadcast_to(depths, np.shape(xs)))]
+    return [br.t_lo for br in branches], [br.t_hi for br in branches]
 
 
 class TestBatchedPullback:
@@ -365,13 +368,17 @@ class TestBatchedPullback:
 
     @pytest.mark.parametrize("n", [1, 6, 10])
     def test_track_branches_matches_scalar(self, logistic_seq, n):
-        xs = make_generator(n).uniform(0.0, 1.0, 150).tolist()
-        xs += [0.5, E1, 1.0 - E1, 0.25]      # hits at steps 0, 1, 1; none
-        got = list(track_branches(logistic_seq, xs, n))
-        assert got == [_scalar_branch(logistic_seq, x, n) for x in xs]
-        assert got[-4].terminated and got[-4].termination_step == 0
-        assert got[-3].terminated == (n > 1)
-        assert not got[-1].terminated
+        """branch_domains gives track_branch's domains bit for bit."""
+        xs = make_generator(n).uniform(0.0, 1.0, 150).tolist() + [0.25]
+        t_lo, t_hi = branch_domains(logistic_seq, xs, n)
+        assert (t_lo.tolist(), t_hi.tolist()) == _scalar_domains(
+            logistic_seq, xs, n)
+        # one lane on a critical orbit stops the batch at its step
+        for x, step in ((0.5, 0), (E1, 1), (1.0 - E1, 1)):
+            if step < n:
+                with pytest.raises(HitCritical) as exc:
+                    branch_domains(logistic_seq, xs + [x], n)
+                assert exc.value.step == step
 
     @pytest.mark.parametrize("name", ["quadratic", "moebius", "viana fiber"])
     def test_track_branches_matches_scalar_other_maps(self, name):
@@ -379,35 +386,84 @@ class TestBatchedPullback:
         dom = seq.domain
         xs = make_generator(7).uniform(dom.lo, dom.hi, 80)
         for n in (1, 6, 10):
-            got = list(track_branches(seq, xs, n))
-            assert got == [_scalar_branch(seq, float(x), n) for x in xs]
+            t_lo, t_hi = branch_domains(seq, xs, n)
+            assert (t_lo.tolist(), t_hi.tolist()) == _scalar_domains(
+                seq, xs, n)
 
     def test_track_branches_twowell_pullback_fields(self, twowell):
-        # the two-well evaluator squares by libm pow on scalars and exactly
-        # on arrays, so forward images may differ in the last bit; the
-        # pulled-back endpoints and their certificates do not
         seq = constant_sequence(twowell)
         xs = make_generator(8).uniform(0.0, 1.0, 40)
-        fields = ("t_lo", "t_hi", "lo_cut", "hi_cut", "orientation",
-                  "terminated", "termination_step", "n")
         for n in (1, 6, 10):
-            for got, x in zip(track_branches(seq, xs, n), xs):
-                want = _scalar_branch(seq, float(x), n)
-                for f in fields:
-                    assert getattr(got, f) == getattr(want, f)
-                assert got.r_history == pytest.approx(want.r_history,
-                                                      rel=1e-12, abs=1e-15)
+            t_lo, t_hi = branch_domains(seq, xs, n)
+            assert (t_lo.tolist(), t_hi.tolist()) == _scalar_domains(
+                seq, xs, n)
 
     def test_track_branches_per_lane_depths(self, logistic_seq):
-        xs = [0.1, 0.3, 0.5, 0.7]
+        # a depth-0 lane takes no step, so an anchor on c does not stop it
+        xs = [0.1, 0.3, 0.45, 0.5]
         depths = [1, 7, 4, 0]
-        got = list(track_branches(logistic_seq, xs, depths))
-        assert got == [_scalar_branch(logistic_seq, x, n)
-                       for x, n in zip(xs, depths)]
+        t_lo, t_hi = branch_domains(logistic_seq, xs, depths)
+        assert (t_lo.tolist(), t_hi.tolist()) == _scalar_domains(
+            logistic_seq, xs, depths)
+        assert (t_lo[3], t_hi[3]) == (0.0, 1.0)
 
     def test_track_branches_rejects_boundary_anchor(self, logistic_seq):
         with pytest.raises(ValueError):
-            track_branches(logistic_seq, [0.3, 0.0], 3)
+            branch_domains(logistic_seq, [0.3, 0.0], 3)
+
+
+class TestImageStep:
+    """The lane image step cuts where track_branch cuts."""
+
+    def test_twowell_cuts_match_track_branch(self, twowell):
+        # four critical points, so a lane may have several on each side;
+        # every lane follows its own images, step by step, next to the
+        # depth-(j + 1) branch of track_branch
+        seq = constant_sequence(twowell)
+        cps = twowell.critical_points
+        assert len(cps) == 4
+        xs = make_generator(17).uniform(0.0, 1.0, 60)
+        a, b, y = np.zeros(xs.size), np.ones(xs.size), xs.copy()
+        dead = np.zeros(xs.size, dtype=bool)
+        cut_lanes = 0
+        for j in range(5):
+            hit, lo, hi, fa, fb, fy = image_step(twowell.evaluator, cps,
+                                                 a, b, y)
+            dead |= hit
+            for i, x in enumerate(xs.tolist()):
+                try:
+                    br = track_branch(seq, x, j + 1)
+                except HitCritical:
+                    assert dead[i]
+                    continue
+                assert not dead[i]
+                got = ([lo[i]] if lo[i] != a[i] else []) + \
+                    ([hi[i]] if hi[i] != b[i] else [])
+                want = sorted(cut.critical for cut in (br.lo_cut, br.hi_cut)
+                              if cut is not None and cut.level == j)
+                assert got == want
+                cut_lanes += len(got) == 2
+                assert (min(fa[i], fb[i]), max(fa[i], fb[i])) == \
+                    (br.img_lo, br.img_hi)
+                assert fy[i] == float(seq.compose(x, j + 1))
+            a, b, y = np.minimum(fa, fb), np.maximum(fa, fb), fy
+        assert cut_lanes > 0
+
+    def test_nearest_cut_on_each_side(self, twowell):
+        cps = twowell.critical_points
+        # the whole domain around points in every gap between critical
+        # points, and points on and next to each critical point
+        ys = [0.1, 0.3, 0.47, 0.48, 0.6, 0.9]
+        for c in cps:
+            ys += [np.nextafter(c - HIT_TOL, -1.0), c - HIT_TOL, c,
+                   c + HIT_TOL, np.nextafter(c + HIT_TOL, 2.0)]
+        y = np.array(ys)
+        a, b = np.zeros(y.size), np.ones(y.size)
+        hit, lo, hi, *_ = image_step(twowell.evaluator, cps, a, b, y)
+        for i, v in enumerate(ys):
+            assert hit[i] == any(abs(v - c) <= HIT_TOL for c in cps)
+            assert lo[i] == max((c for c in cps if c < v), default=0.0)
+            assert hi[i] == min((c for c in cps if c > v), default=1.0)
 
 
 class TestOneFloatBracket:

@@ -299,3 +299,16 @@ class TestEstimateF2:
     def test_sample_floor(self, viana):
         with pytest.raises(ValueError):
             estimate_f2(viana, 10, 1)
+
+
+class TestBranchStatsShapes:
+    def test_one_anchor_is_a_column_of_a_batch(self, logistic):
+        """A 0-d anchor gives the column its value has in a batch."""
+        xs = np.array([0.3, 0.5, 0.7])
+        r, logd, alive = branch_stats(logistic, xs, 6)
+        for i, x in enumerate(xs.tolist()):
+            r1, logd1, alive1 = branch_stats(logistic, x, 6)
+            assert r1.shape == logd1.shape == (6,) and alive1.shape == ()
+            assert r1.tobytes() == r[:, i].tobytes()
+            assert logd1.tobytes() == logd[:, i].tobytes()
+            assert bool(alive1) == alive[i]

@@ -509,7 +509,10 @@ def _polyval_twowell():
                        np.where(x > hi, y_r, y_mid))
         return out if out.ndim else float(out)
 
-    return (lambda x: piecewise(x, lambda t: w * (1.0 - 2.0 * t / w) ** 2, 0),
+    # the left well squares by a product, as the catalogue map does, so that
+    # scalars and arrays agree
+    return (lambda x: piecewise(x, lambda t: w * ((1.0 - 2.0 * t / w)
+                                                  * (1.0 - 2.0 * t / w)), 0),
             lambda x: piecewise(x, lambda t: -4.0 * (1.0 - 2.0 * t / w), 1),
             lambda x: piecewise(x, lambda t: 8.0 / w + 0.0 * t, 2),
             lambda x: piecewise(x, lambda t: 0.0 * t, 3))
@@ -551,3 +554,47 @@ class TestTwoWellEvaluator:
                     assert type(got) is float
                     assert (np.float64(got).tobytes()
                             == np.float64(want).tobytes()), (x, got, want)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+class TestScalarsMatchArrays:
+    """Every catalogue callable gives the same bits on a scalar as on an
+    array, so scalar and array loops over one map can be compared exactly.
+    """
+
+    @staticmethod
+    def _grid(dom, marks, rng_seed):
+        """20,000 uniform points, then each mark and its float neighbours."""
+        xs = make_generator(rng_seed).uniform(dom.lo, dom.hi, 20000).tolist()
+        for p in (dom.lo, dom.hi, *marks):
+            xs += [p, float(np.nextafter(p, -np.inf)),
+                   float(np.nextafter(p, np.inf))]
+        return np.array([x for x in xs if dom.lo <= x <= dom.hi])
+
+    @pytest.mark.parametrize("family", maps.family_names())
+    def test_evaluator_and_derivative(self, family):
+        system = make_system(family)
+        if isinstance(system, maps.SkewProduct):
+            dom = system.fiber_domain
+            xs = self._grid(dom, (*system.fiber_critical_points, 0.45, 0.55),
+                            89)
+            th = make_generator(97).uniform(0.0, 1.0, xs.size)
+            th[:4] = (0.0, 0.25, 0.5, 0.75)
+            fns = (system.fiber, system.fiber_dx, system.fiber_dtheta)
+            args = list(zip(th.tolist(), xs.tolist()))
+            arrays = (th, xs)
+        else:
+            xs = self._grid(system.domain,
+                            (*system.critical_points, 0.45, 0.55), 89)
+            fns = (system.evaluator, system.derivative)
+            args = [(x,) for x in xs.tolist()]
+            arrays = (xs,)
+        for fn in fns:
+            want = np.broadcast_to(fn(*arrays), xs.shape)
+            got = [fn(*a) for a in args]
+            bad = [a for a, g, w in zip(args, got, want)
+                   if _bits(g) != _bits(w)]
+            assert not bad, (family, fn, len(bad), bad[:3])

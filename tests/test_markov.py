@@ -290,3 +290,36 @@ class TestSortedLookups:
                     if lo <= x <= hi + 1e-12]
             assert markov._branch_at(los, his, x) == (hits[0] if hits else -1)
         assert markov._branch_at([], [], 0.3) == -1
+
+
+class TestLogDerivN:
+    @staticmethod
+    def _two_walks(m, x, k):
+        """The log-derivative sum, then f^k(x) by a second walk."""
+        s = 0.0
+        y = float(x)
+        for _ in range(k):
+            d = abs(float(m.derivative(y)))
+            if d <= 1e-300:
+                return -math.inf, None
+            s += math.log(d)
+            y = float(m.evaluator(y))
+        return s, float(constant_sequence(m).compose(float(x), k))
+
+    @pytest.mark.parametrize("make", [logistic_map, lambda: quadratic_map(1.8),
+                                      moebius_map])
+    def test_one_walk_matches_two(self, make):
+        m = make()
+        dom = m.domain
+        xs = make_generator(71).uniform(dom.lo, dom.hi, 60).tolist()
+        xs += [0.5 * (dom.lo + dom.hi), *m.critical_points]
+        for x in xs:
+            for k in (1, 2, 5, 13):
+                got, end = markov._log_deriv_n(m, x, k)
+                want, want_end = self._two_walks(m, x, k)
+                assert got == want
+                if want > -math.inf:
+                    assert end == want_end
+
+    def test_critical_orbit_gives_minus_infinity(self, logistic):
+        assert markov._log_deriv_n(logistic, 0.5, 1) == (-math.inf, 0.5)
