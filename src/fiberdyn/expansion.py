@@ -85,7 +85,7 @@ def ftle_full(skew: SkewProduct, z, n):
             raise DegenerateDifferential(
                 f"d_x f = 0 at (theta={theta}, x={x})")
         s += math.log(smallest_singular_value(gp, ft, fx))
-        theta, x = float(skew.base(theta)) % 1.0, float(skew.fiber(theta, x))
+        theta, x = skew.base(theta), float(skew.fiber(theta, x))
     return s / n
 
 
@@ -139,9 +139,9 @@ def fiber_branch_stats(skew: SkewProduct, thetas, x0, n):
     def steps(th):
         while True:
             yield partial(skew.fiber, th), partial(skew.fiber_dx, th)
-            th = wrap(np.asarray(skew.base(th), dtype=float))
+            th = skew.base(th)
 
-    th = np.asarray(thetas, dtype=float) % 1.0
+    th = wrap(np.asarray(thetas, dtype=float))
     return _branch_loop(steps(th), skew.fiber_critical_points,
                         skew.fiber_domain, x0, n)
 

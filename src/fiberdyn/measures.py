@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from .expansion import _cloud_branch_stats
-from .maps import SkewProduct
+from .maps import SkewProduct, wrap
 from .rng import make_generator, rng_metadata
 
 
@@ -78,7 +78,7 @@ class BinGrid2D:
 
     def index(self, state):
         theta, x = state
-        t = np.remainder(theta, 1.0, dtype=float)
+        t = wrap(np.asarray(theta, dtype=float))
         t *= self.base_bins
         idx = _clamp(t.astype(int), self.base_bins - 1)
         idx *= self.fiber_bins

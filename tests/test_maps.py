@@ -480,6 +480,56 @@ class TestCatalogue:
             viana_skew(a0=1.9, alpha=0.3)
 
 
+class TestWrap:
+    """maps.wrap is np.remainder(x, 1.0) on arrays and x % 1.0 on floats."""
+
+    @staticmethod
+    def _edges():
+        one_minus = float(np.nextafter(1.0, 0.0))
+        big = 2.0**52 + 0.5
+        return np.array([-0.0, 0.0, 1e-300, -1e-300,
+                         *map(float, range(-20, 21)),
+                         one_minus, -one_minus, big, -big, 1e17, -1e17])
+
+    def test_arrays_match_remainder_bitwise(self):
+        xs = np.concatenate([make_generator(61).uniform(-5.0, 20.0, 10**6),
+                             self._edges()])
+        got, want = maps.wrap(xs), np.remainder(xs, 1.0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        block = xs[:10**4].reshape(100, 100)
+        assert (maps.wrap(block).tobytes()
+                == np.remainder(block, 1.0).tobytes())
+
+    def test_floats_match_python_mod_bitwise(self):
+        xs = np.concatenate([make_generator(62).uniform(-5.0, 20.0, 10**4),
+                             self._edges()])
+        for x in xs.tolist():
+            got = maps.wrap(x)
+            assert type(got) is float
+            assert _bits(got) == _bits(x % 1.0), x
+
+    def test_infinities_give_nan(self):
+        infs = np.array([np.inf, -np.inf])
+        # both flag the invalid operation, as numpy does for inf mod 1
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(maps.wrap(infs)).all()
+            assert np.isnan(np.remainder(infs, 1.0)).all()
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            maps.wrap(infs)
+        for x in (math.inf, -math.inf):
+            got = maps.wrap(x)
+            assert type(got) is float and math.isnan(got)
+
+    def test_base_wraps_once(self, viana):
+        # d * theta >= 0 on [0, 1): the one wrap already lands in [0, 1)
+        th = np.concatenate([make_generator(63).uniform(0.0, 1.0, 10**4),
+                             [0.0, float(np.nextafter(1.0, 0.0))]])
+        once = viana.base(th)
+        assert once.min() >= 0.0 and once.max() < 1.0
+        assert np.remainder(once, 1.0).tobytes() == once.tobytes()
+
+
 def _polyval_twowell():
     """The two-well value and derivatives through P.polyval and np.clip.
 
@@ -519,11 +569,13 @@ def _polyval_twowell():
 
 
 def _twowell_probe_points():
-    """Junctions, their float neighbours, the ends and the well centres."""
+    """Junctions and two float steps either side, the ends and the well
+    centres."""
     pts = [0.0, 1.0, 0.225, 0.775]
     for junction in (0.45, 0.55):
-        pts += [junction, np.nextafter(junction, 0.0),
-                np.nextafter(junction, 1.0)]
+        lo, hi = np.nextafter(junction, 0.0), np.nextafter(junction, 1.0)
+        pts += [np.nextafter(lo, 0.0), lo, junction, hi,
+                np.nextafter(hi, 1.0)]
     return np.array(pts)
 
 
@@ -554,6 +606,56 @@ class TestTwoWellEvaluator:
                     assert type(got) is float
                     assert (np.float64(got).tobytes()
                             == np.float64(want).tobytes()), (x, got, want)
+
+    def test_array_shapes_and_pieces_match_polyval_bitwise(self, pairs):
+        rng = make_generator(45)
+        wells = np.concatenate([rng.uniform(0.0, 0.45, 500),
+                                rng.uniform(0.55, 1.0, 500), [0.0, 1.0]])
+        wells = wells[(wells < 0.45) | (wells > 0.55)]
+        gap = np.concatenate([rng.uniform(0.45, 0.55, 500), [0.45, 0.55]])
+        cases = {
+            "wells only": wells,
+            "gap only": gap,
+            "empty": np.empty(0),
+            "probe points": _twowell_probe_points(),
+            "2-d block": rng.uniform(0.0, 1.0, (7, 300)),
+            "2-d gap block": gap[:500].reshape(5, 100),
+        }
+        for fn, ref in pairs:
+            for name, xs in cases.items():
+                got, want = fn(xs), ref(xs)
+                assert type(got) is np.ndarray, name
+                assert got.dtype == want.dtype, name
+                assert got.shape == want.shape == xs.shape, name
+                assert got.tobytes() == want.tobytes(), name
+
+    def test_connector_runs_only_on_gap_points(self, twowell, monkeypatch):
+        class Counting:
+            def __init__(self, coeffs):
+                self.coeffs, self.calls = coeffs, 0
+
+            def __getitem__(self, order):
+                self.calls += 1
+                return self.coeffs[order]
+
+        counting = Counting(maps._TW_CONNECTOR)
+        monkeypatch.setattr(maps, "_TW_CONNECTOR", counting)
+        rng = make_generator(46)
+        wells = np.concatenate([rng.uniform(0.0, 0.44, 50),
+                                rng.uniform(0.56, 1.0, 50)])
+        fns = (twowell.evaluator, twowell.derivative, twowell.second,
+               twowell.third)
+        for fn in fns:
+            fn(wells)
+            fn(wells.reshape(4, 25))
+            fn(np.empty(0))
+            fn(0.3)
+            fn(0.7)
+        assert counting.calls == 0
+        for fn in fns:
+            fn(np.append(wells, 0.5))
+            fn(0.5)
+        assert counting.calls == 2 * len(fns)
 
 
 def _bits(v):
@@ -589,7 +691,9 @@ class TestScalarsMatchArrays:
         else:
             xs = self._grid(system.domain,
                             (*system.critical_points, 0.45, 0.55), 89)
-            fns = (system.evaluator, system.derivative)
+            fns = tuple(fn for fn in (system.evaluator, system.derivative,
+                                      system.second, system.third)
+                        if fn is not None)
             args = [(x,) for x in xs.tolist()]
             arrays = (xs,)
         for fn in fns:

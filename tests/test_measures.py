@@ -301,6 +301,25 @@ class TestBlockBinning:
         assert np.array_equal(grid2.index(state),
                               _per_step_index(grid2, state))
 
+    def test_index_wraps_theta_like_remainder(self, viana):
+        # theta outside [0, 1): negative values, 1.0 and the integers, where
+        # the old np.remainder wrap and floor-subtract must agree
+        grid = resolve_grid(viana, 32 * 32)
+        one_minus = float(np.nextafter(1.0, 0.0))
+        theta = np.concatenate([
+            make_generator(19).uniform(-3.0, 0.0, 2000),
+            [1.0, 2.0, -1.0, -0.0, -1e-300, -1e-17, -one_minus, one_minus,
+             -0.5, 1.5, -2.0**-53, 16.0]])
+        x = make_generator(20).uniform(-1.5, 1.5, theta.size)
+        t = np.remainder(theta, 1.0, dtype=float) * grid.base_bins
+        old = (np.clip(t.astype(int), 0, grid.base_bins - 1) * grid.fiber_bins
+               + _per_step_index(grid, (np.zeros_like(x), x)))
+        got = grid.index((theta, x))
+        assert np.array_equal(got, old)
+        assert np.array_equal(grid.index((theta[None], x[None])), old[None])
+        for th, xv, want in zip(theta[-12:], x[-12:], old[-12:]):
+            assert grid.index((float(th), float(xv))) == want
+
 
 class TestClusterCount:
     @pytest.mark.parametrize("p", [100, 257])
