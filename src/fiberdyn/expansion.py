@@ -147,20 +147,11 @@ def fiber_branch_stats(skew: SkewProduct, thetas, x0, n):
 
 
 def _cloud_branch_stats(system, cloud, n):
-    """branch_stats of a cloud drawn by `system.sample`.
-
-    A skew-product follows each point's fiber sequence; a map or a constant
-    sequence applies its one map.  A non-constant sequence is rejected: its
-    members are not all the same map, and only a skew-product says how a
-    point's sequence depends on the point.
-    """
+    """branch_stats of a cloud drawn by `system.sample`: a skew-product
+    follows each point's fiber sequence, an interval map applies itself."""
     if isinstance(system, SkewProduct):
         return fiber_branch_stats(system, *cloud, n)
-    seq = system.sequence(0.0)
-    if not seq.constant:
-        raise ValueError("branch statistics of a cloud need an interval map, "
-                         "a constant sequence or a skew-product")
-    return branch_stats(seq.map_at(0), cloud, n)
+    return branch_stats(system, cloud, n)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ import sys
 from pathlib import Path
 
 from ..errors import FiberdynError, ParseError, ValidationError
-from .config import (EXPERIMENT_PARAMS, SYSTEM_PARAMS, parse_config,
-                     validate_config)
+from ..maps import FAMILIES
+from .config import EXPERIMENT_PARAMS, parse_config, validate_config
 from .runner import run_experiment
 
-_ALL_SYSTEM_KEYS = sorted({k for ks in SYSTEM_PARAMS.values() for k in ks})
+_ALL_SYSTEM_KEYS = sorted({k for _, ks in FAMILIES.values() for k in ks})
 
 
 def build_parser():

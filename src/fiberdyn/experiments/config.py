@@ -23,24 +23,13 @@ import re
 from dataclasses import dataclass, field
 
 from ..errors import ParseError, ValidationError
+from ..maps import FAMILIES
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _BARE_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
 EXPERIMENT_KINDS = ("ftle", "branch", "census", "ay_decay", "pliss",
                     "curve", "probe", "acim", "components", "markov")
-
-# family -> allowed numeric parameters
-SYSTEM_PARAMS = {
-    "logistic": (),
-    "quadratic": ("a",),
-    "affine": ("slope", "intercept"),
-    "identity": (),
-    "doubling": (),
-    "moebius": ("shift",),
-    "twowell": (),
-    "viana": ("a0", "alpha", "d"),
-}
 
 def _positive(v):
     return v > 0 and math.isfinite(v)
@@ -216,10 +205,10 @@ def validate_config(sections):
     family = system.pop("family", None)
     if family is None:
         raise ValidationError("system.family", "required")
-    if family not in SYSTEM_PARAMS:
+    if family not in FAMILIES:
         raise ValidationError("system.family",
                               f"unknown family {family!r}")
-    allowed = SYSTEM_PARAMS[family]
+    _, allowed = FAMILIES[family]
     for key, value in system.items():
         if key not in allowed:
             raise ValidationError(f"system.{key}",

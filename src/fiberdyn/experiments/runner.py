@@ -79,7 +79,7 @@ def _run_ftle(cfg, system, out):
 
 
 def _run_branch(cfg, system, out):
-    seq = system.sequence(cfg.params.get("theta", 0.0))
+    seq = system.sequence(cfg.param("theta"))
     br = track_branch(seq, _anchor(cfg, seq.domain), cfg.param("n"))
     payload = {
         "x": br.x, "n": br.n, "t_lo": br.t_lo, "t_hi": br.t_hi,
@@ -97,7 +97,8 @@ def _run_branch(cfg, system, out):
 
 
 def _run_census(cfg, system, out):
-    seq = system.sequence(cfg.params.get("theta", 0.0))
+    # census has no theta key: a skew-product runs its theta = 0 fibers
+    seq = system.sequence(0.0)
     record = component_census(seq, cfg.param("n"), cfg.param("delta"),
                               cap=cfg.param("cap"))
     record.to_csv(out / "census.csv")
@@ -116,7 +117,7 @@ def _run_ay_decay(cfg, system, out):
 
 
 def _run_pliss(cfg, system, out):
-    seq = system.sequence(cfg.params.get("theta", 0.0))
+    seq = system.sequence(cfg.param("theta"))
     br = track_branch(seq, _anchor(cfg, seq.domain), cfg.param("n"))
     q = PlissQuery(br.r_history, cfg.param("c1"), cfg.param("c2"),
                    seq.domain.length)

@@ -7,8 +7,11 @@ expanding circle map driving a family of fiber maps.  Construction runs
 sampled sanity checks (domain invariance, critical-point consistency,
 domination) so that downstream modules can assume a well-posed system.
 
-Map families form a closed catalogue extended in source; experiment
-configs refer to them by name via :func:`make_system`.
+A system is an IntervalMap or a SkewProduct; both draw and step clouds
+(`sample`, `step`) and give the MapSequence one point sees (`sequence`).
+
+Map families form a closed catalogue, `FAMILIES`, extended in source;
+experiment configs refer to them by name via :func:`make_system`.
 """
 
 import math
@@ -233,18 +236,6 @@ class MapSequence:
             x = self.map_at(j).evaluator(x)
         return x
 
-    def sample(self, rng, k):
-        """k points drawn uniformly from the shared domain."""
-        return rng.uniform(self.domain.lo, self.domain.hi, k)
-
-    def step(self, state, j):
-        """The image of a cloud of points under f_j."""
-        return np.asarray(self.map_at(j).evaluator(state), float)
-
-    def sequence(self, theta):
-        """The sequence itself: every point sees the same maps."""
-        return self
-
 
 def constant_sequence(m: IntervalMap):
     """The sequence f_k = m for all k."""
@@ -456,7 +447,7 @@ def logistic_map():
     )
 
 
-def quadratic_map(a):
+def quadratic_map(a=1.7):
     """a - x^2 on its dynamical core [a - a^2, a]; valid for 1 < a <= 2."""
     if not 1.0 < a <= 2.0:
         raise ValueError("quadratic family needs 1 < a <= 2")
@@ -472,7 +463,7 @@ def quadratic_map(a):
     )
 
 
-def affine_map(slope, intercept, domain=None):
+def affine_map(slope=1.0, intercept=0.0, domain=None):
     """slope*x + intercept; the domain (default [0,1]) must be invariant."""
     dom = domain or IntervalDomain(0.0, 1.0)
     if slope == 0.0:
@@ -666,30 +657,32 @@ def viana_skew(a0=1.7, alpha=0.05, d=16):
     )
 
 
-_FAMILIES = {
-    "logistic": lambda **kw: logistic_map(),
-    "quadratic": lambda **kw: quadratic_map(kw.get("a", 1.7)),
-    "affine": lambda **kw: affine_map(kw.get("slope", 1.0),
-                                      kw.get("intercept", 0.0)),
-    "identity": lambda **kw: identity_map(),
-    "doubling": lambda **kw: doubling_map(),
-    "moebius": lambda **kw: moebius_map(kw.get("shift", 2.0)),
-    "twowell": lambda **kw: twowell_map(),
-    "viana": lambda **kw: viana_skew(kw.get("a0", 1.7),
-                                     kw.get("alpha", 0.05),
-                                     kw.get("d", 16)),
+# name -> (constructor, the keyword parameters a config may set)
+FAMILIES = {
+    "logistic": (logistic_map, ()),
+    "quadratic": (quadratic_map, ("a",)),
+    "affine": (affine_map, ("slope", "intercept")),
+    "identity": (identity_map, ()),
+    "doubling": (doubling_map, ()),
+    "moebius": (moebius_map, ("shift",)),
+    "twowell": (twowell_map, ()),
+    "viana": (viana_skew, ("a0", "alpha", "d")),
 }
 
 
 def family_names():
-    return sorted(_FAMILIES)
+    return sorted(FAMILIES)
 
 
 def make_system(family, **params):
-    """Instantiate a catalogue family by name."""
+    """Instantiate a catalogue family by name with the parameters it takes."""
     try:
-        ctor = _FAMILIES[family]
+        ctor, allowed = FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}; "
                          f"known: {', '.join(family_names())}") from None
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ValueError(f"family {family!r} takes no parameter "
+                         f"{', '.join(unknown)}")
     return ctor(**params)

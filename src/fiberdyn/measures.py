@@ -98,9 +98,9 @@ class BinGrid2D:
 def resolve_grid(system, grid=None):
     """Turn an int bin count into the natural grid for the system.
 
-    None picks the defaults: 256 bins for interval maps, 128 x 128 for
-    skew-products.  A skew-product's bin count must be a perfect square,
-    side x side.
+    The system is an IntervalMap (bins over its domain; 256 by default) or
+    a SkewProduct (side x side bins over theta and the fiber domain, so
+    the count must be a perfect square; 128 x 128 by default).
     """
     if isinstance(grid, (BinGrid1D, BinGrid2D)):
         return grid
@@ -206,9 +206,8 @@ def empirical_measure(system, samples, n, grid=None, seed=0):
         raise ValueError("need samples >= 1 and n >= 1")
     counts, grid = orbit_bin_counts(system, samples, n, grid, seed)
     weights = counts[:n].sum(axis=0) / float(samples * n)
-    label = getattr(system, "label", "")
     meta = {"samples": int(samples), "iterations": int(n),
-            "system": label, **rng_metadata(seed)}
+            "system": system.label, **rng_metadata(seed)}
     return EmpiricalMeasure(grid, weights, meta)
 
 
@@ -359,7 +358,7 @@ def ergodic_components(system, probes, n, grid, seed, link_threshold=0.3,
     count, assignment = _cluster_count(dist, link_threshold)
     sens = {t: _cluster_count(dist, t)[0] for t in (0.1, 0.2, 0.3, 0.5)}
     meta = {"probes": int(probes), "iterations": int(n),
-            "burn_in": burn, "system": getattr(system, "label", ""),
+            "burn_in": burn, "system": system.label,
             **rng_metadata(seed)}
     return ComponentReport(count, assignment, float(link_threshold), sens,
                            meta)

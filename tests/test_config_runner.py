@@ -227,6 +227,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "n_cap=30" in err and "k_max" not in err
 
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_twowell_markov_closure_diverges(self, tmp_path, seed):
+        # the orbit of the connector's critical point 0.4944 meets no
+        # partition endpoint within 64 steps; no random draw comes first
+        out = tmp_path / f"tw{seed}"
+        rc = cli_main(["markov", "--family", "twowell", "--depth", "1",
+                       "--seeds", "50", "--seed", str(seed),
+                       "--out", str(out)])
+        assert rc == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith("ClosureDiverges")
+
     def test_experiment_failure_exit_code(self, tmp_path):
         rc = cli_main(["census", "--n", "16", "--cap", "4",
                        "--out", str(tmp_path / "c3")])

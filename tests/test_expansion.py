@@ -255,11 +255,6 @@ class TestDecayTable:
         assert len(table.rows) == 1
         assert table.domain_length == viana.fiber_domain.length
 
-    def test_non_constant_sequence_rejected(self, viana):
-        with pytest.raises(ValueError, match="constant sequence"):
-            measure_AY_decay(fiber_sequence(viana, 0.3), [10], 0.1, 0.3,
-                             1000, 4)
-
 
 class TestFiberBranchStats:
     def test_matches_scalar_tracking(self, viana):

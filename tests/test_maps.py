@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -223,7 +224,7 @@ class TestFiberBlocks:
 
 
 class TestSystemProtocol:
-    """sample / step / sequence on maps, sequences and skew-products."""
+    """sample / step / sequence on interval maps and skew-products."""
 
     def test_interval_map(self, logistic):
         xs = logistic.sample(make_generator(4), 5)
@@ -232,13 +233,6 @@ class TestSystemProtocol:
         assert np.array_equal(logistic.step(xs, 7), 4.0 * xs * (1.0 - xs))
         seq = logistic.sequence(0.3)
         assert seq.constant and seq.map_at(9) is logistic
-
-    def test_map_sequence_steps_its_jth_map(self, viana):
-        seq = fiber_sequence(viana, 0.3)
-        xs = seq.sample(make_generator(4), 5)
-        assert xs.min() >= seq.domain.lo and xs.max() <= seq.domain.hi
-        assert np.array_equal(seq.step(xs, 2), seq.map_at(2).evaluator(xs))
-        assert seq.sequence(0.7) is seq
 
     def test_skew_product(self, viana):
         th, xs = viana.sample(make_generator(4), 5)
@@ -466,6 +460,27 @@ class TestCatalogue:
     def test_families_construct(self):
         for name in maps.family_names():
             assert make_system(name) is not None
+
+    def test_parameter_of_another_family_rejected(self):
+        # viana takes a0, not the quadratic family's a
+        with pytest.raises(ValueError, match="takes no parameter a$"):
+            make_system("viana", a=2.5)
+
+    @pytest.mark.parametrize("family", maps.family_names())
+    def test_listed_parameters_are_constructor_keywords(self, family):
+        ctor, params = maps.FAMILIES[family]
+        signature = inspect.signature(ctor).parameters
+        for name in params:
+            assert signature[name].kind in (
+                inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                inspect.Parameter.KEYWORD_ONLY), (family, name)
+            assert (signature[name].default
+                    is not inspect.Parameter.empty), (family, name)
+
+    @pytest.mark.parametrize("family", maps.family_names())
+    def test_defaults_are_the_constructors(self, family):
+        ctor, _ = maps.FAMILIES[family]
+        assert make_system(family).label == ctor().label
 
     def test_circle_orbit_stays_wrapped(self, viana):
         orbit = viana.base_orbit(0.987654, 50)

@@ -6,7 +6,7 @@ from scipy import integrate
 
 from fiberdyn import (BinGrid1D, EmpiricalMeasure, density_compare,
                       doubling_map, empirical_measure, ergodic_components,
-                      fiber_sequence, identity_map, invariance_defect, maps,
+                      identity_map, invariance_defect, maps,
                       measures, nu_like_mass, orbit_bin_counts)
 from fiberdyn.measures import (_cluster_count, _l1_distances,
                                _probe_histograms, resolve_grid)
@@ -170,16 +170,6 @@ class TestNuLikeMass:
     def test_bound_holds_for_skew(self, viana):
         rec = nu_like_mass(viana, 2000, 40, 0.2, 33)
         assert rec.bound_holds
-
-    def test_constant_sequence_equals_its_map(self, logistic, logistic_seq):
-        assert (nu_like_mass(logistic_seq, 2000, 20, 0.2, 1)
-                == nu_like_mass(logistic, 2000, 20, 0.2, 1))
-
-    def test_non_constant_sequence_rejected(self, viana):
-        # a fiber sequence is not its first map repeated
-        seq = fiber_sequence(viana, 0.3)
-        with pytest.raises(ValueError, match="constant sequence"):
-            nu_like_mass(seq, 2000, 20, 0.2, 1)
 
 
 # ---------------------------------------------------------------------------
