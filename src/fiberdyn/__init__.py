@@ -37,7 +37,7 @@ from .measures import (BinGrid1D, BinGrid2D, ComponentReport,
                        empirical_measure, ergodic_components,
                        invariance_defect, nu_like_mass, orbit_bin_counts)
 from .markov import (InducedBranch, MarkovCertificate, MarkovPartition,
-                     SummabilityStat, assemble_markov, branches_to_csv,
-                     build_partition, cross_ratio, cross_ratio_operator,
+                     SummabilityStat, assemble_markov, build_partition,
+                     cross_ratio, cross_ratio_operator,
                      fit_cross_ratio_constant, inducing_time,
                      inducing_times, monotone_scale, summability_stat)

@@ -18,7 +18,6 @@ the branch-size statistics and the Markov covering search) take their
 steps with one rule, `image_step`.
 """
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -249,7 +248,9 @@ def image_step(f, critical_points, a, b, y):
     within HIT_TOL of a critical point, and [lo, hi] is [a, b] cut at the
     nearest critical point strictly inside on each side of y, the rule of
     track_branch.  The images are left unordered; a hit lane is still cut
-    and mapped, and its caller drops or masks it.
+    and mapped, and its caller drops or masks it.  `f` is called once, on
+    lo, hi and y stacked, so a step map with a costly lane-wise part (the
+    theta term of a skew-product fiber) computes that part once a step.
     """
     hit = np.zeros(np.shape(y), dtype=bool)
     lo, hi = a, b
@@ -257,8 +258,8 @@ def image_step(f, critical_points, a, b, y):
         hit |= np.abs(y - c) <= HIT_TOL
         lo = np.where((lo < c) & (c < y), c, lo)
         hi = np.where((y < c) & (c < hi), c, hi)
-    return (hit, lo, hi, np.asarray(f(lo), dtype=float),
-            np.asarray(f(hi), dtype=float), np.asarray(f(y), dtype=float))
+    imgs = np.asarray(f(np.array((lo, hi, y))), dtype=float)
+    return hit, lo, hi, imgs[0, ...], imgs[1, ...], imgs[2, ...]
 
 
 def branch_domains(seq, xs, n):
@@ -343,7 +344,6 @@ class BranchPartition:
 
     depth: int
     cells: tuple               # (lo, hi) per cell, sorted
-    cell_images: tuple         # ordered image interval per cell at depth n
     levels: tuple              # per level 0..n: sorted endpoint tuple
     branch_images: tuple       # per cell: tuple over i=1..n of (A_i, B_i)
 
@@ -359,7 +359,6 @@ def monotonicity_partition(seq, n, cap=10**5):
     return BranchPartition(
         depth=n,
         cells=tuple((c.lo, c.hi) for c in cells),
-        cell_images=tuple((c.img_lo, c.img_hi) for c in cells),
         levels=tuple(levels),
         branch_images=tuple(tuple(c.branch_imgs) for c in cells),
     )
@@ -438,14 +437,6 @@ class CensusRecord:
 
     def total_measure(self):
         return sum(self.measure(w) for w in self.components)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["word", "component_count", "total_measure"])
-            for word in self.words():
-                w.writerow(["".join(map(str, word)), self.count(word),
-                            repr(self.measure(word))])
 
 
 def component_census(seq, n, delta, word=None, cap=10**5):

@@ -5,7 +5,6 @@ branch-size statistics, and the decay experiment for the overlap of
 slow-branch-growth points with expanding points.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -162,15 +161,6 @@ def _cloud_branch_stats(system, cloud, n):
 class DecayTable:
     rows: tuple      # (n, fraction, measure, bound, delta, lam, samples, seed)
     domain_length: float
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "fraction", "bound", "delta", "lambda",
-                        "samples", "seed"])
-            for (n, frac, _, bound, delta, lam, samples, seed) in self.rows:
-                w.writerow([n, repr(frac), repr(bound), repr(delta),
-                            repr(lam), samples, seed])
 
     def deltas(self):
         return sorted({row[4] for row in self.rows})

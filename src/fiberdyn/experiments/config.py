@@ -28,9 +28,6 @@ from ..maps import FAMILIES
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _BARE_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
-EXPERIMENT_KINDS = ("ftle", "branch", "census", "ay_decay", "pliss",
-                    "curve", "probe", "acim", "components", "markov")
-
 def _positive(v):
     return v > 0 and math.isfinite(v)
 
@@ -181,7 +178,7 @@ def _parse_sections(text):
     return sections
 
 
-def _coerce(kind, key, value, entry):
+def _coerce(key, value, entry):
     want, _, check, _ = entry
     field_path = f"experiment.{key}"
     if want is float and isinstance(value, int) and not isinstance(value, bool):
@@ -220,7 +217,7 @@ def validate_config(sections):
     kind = exp.pop("kind", None)
     if kind is None:
         raise ValidationError("experiment.kind", "required")
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in EXPERIMENT_PARAMS:
         raise ValidationError("experiment.kind",
                               f"unknown experiment {kind!r}")
     schema = EXPERIMENT_PARAMS[kind]
@@ -229,12 +226,15 @@ def validate_config(sections):
         if key not in schema:
             raise ValidationError(f"experiment.{key}",
                                   f"unknown key for {kind!r}")
-        params[key] = _coerce(kind, key, value, schema[key])
+        params[key] = _coerce(key, value, schema[key])
     for key, entry in schema.items():
         params.setdefault(key, entry[1])
     if kind == "ay_decay" and params["delta_min"] > params["delta_max"]:
         raise ValidationError("experiment.delta_min",
                               "must not exceed experiment.delta_max")
+    if kind == "pliss" and params["c1"] >= params["c2"]:
+        raise ValidationError("experiment.c1",
+                              "must be below experiment.c2")
     out = dict(sections.get("output", {}))
     seed = out.pop("seed", 1)
     if isinstance(seed, bool) or not isinstance(seed, int):

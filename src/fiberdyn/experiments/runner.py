@@ -3,12 +3,18 @@
 Every run writes its data files plus a manifest recording the exact
 config, the seed and generator, per-file content digests and wall time.
 Reruns with an identical config reproduce the data files bit for bit.
+
+This is the one module that turns results into bytes: the numerical
+modules return values, and each `_run_*` function below lays out its
+files through `_write_csv` and `_write_json`.  Floats are written with
+`repr`, so a file round-trips them exactly.
 """
 
 import csv
 import hashlib
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +26,9 @@ from ..hyptimes import (CurveGraph, PlissQuery, curve_growth_constants,
                         pliss_times, probe_neighborhood, slope_envelope)
 from ..branches import component_census, track_branch
 from ..maps import IntervalMap, SkewProduct, make_system
-from ..measures import empirical_measure, ergodic_components, resolve_grid
-from ..markov import (assemble_markov, branches_to_csv, build_partition,
-                      summability_stat)
+from ..measures import (BinGrid1D, empirical_measure, ergodic_components,
+                        resolve_grid)
+from ..markov import assemble_markov, build_partition, summability_stat
 from ..rng import make_generator, rng_metadata
 from .config import ExperimentConfig, serialize_config
 
@@ -58,6 +64,10 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload, sort_keys=True))
+
+
 def _run_ftle(cfg, system, out):
     rng = make_generator(cfg.seed)
     n = cfg.param("n")
@@ -90,7 +100,7 @@ def _run_branch(cfg, system, out):
         "hi_cut": None if br.hi_cut is None else
             {"level": br.hi_cut.level, "critical": br.hi_cut.critical},
     }
-    (out / "branch.json").write_text(json.dumps(payload, sort_keys=True))
+    _write_json(out / "branch.json", payload)
     _write_csv(out / "r_history.csv", ["i", "r"],
                [[i + 1, repr(r)] for i, r in enumerate(br.r_history)])
     return ["branch.json", "r_history.csv"]
@@ -101,7 +111,10 @@ def _run_census(cfg, system, out):
     seq = system.sequence(0.0)
     record = component_census(seq, cfg.param("n"), cfg.param("delta"),
                               cap=cfg.param("cap"))
-    record.to_csv(out / "census.csv")
+    _write_csv(out / "census.csv",
+               ["word", "component_count", "total_measure"],
+               [["".join(map(str, w)), record.count(w),
+                 repr(record.measure(w))] for w in record.words()])
     return ["census.csv"]
 
 
@@ -112,21 +125,27 @@ def _run_ay_decay(cfg, system, out):
     deltas = list(np.geomspace(lo, hi, count)) if count > 1 else [lo]
     table = measure_AY_decay(system, n_values, deltas, cfg.param("lambda"),
                              cfg.param("samples"), cfg.seed)
-    table.to_csv(out / "decay.csv")
+    _write_csv(out / "decay.csv", ["n", "fraction", "bound", "delta",
+                                   "lambda", "samples", "seed"],
+               [[n, repr(frac), repr(bound), repr(delta), repr(lam), m, seed]
+                for n, frac, _, bound, delta, lam, m, seed in table.rows])
     return ["decay.csv"]
 
 
 def _run_pliss(cfg, system, out):
     seq = system.sequence(cfg.param("theta"))
+    length = seq.domain.length
+    if cfg.param("c2") > length:
+        raise ValidationError("experiment.c2", f"{cfg.param('c2')!r} exceeds "
+                              f"the domain length {length!r}")
     br = track_branch(seq, _anchor(cfg, seq.domain), cfg.param("n"))
-    q = PlissQuery(br.r_history, cfg.param("c1"), cfg.param("c2"),
-                   seq.domain.length)
+    q = PlissQuery(br.r_history, cfg.param("c1"), cfg.param("c2"), length)
     res = pliss_times(q)
     _write_csv(out / "pliss.csv", ["index"], [[i] for i in res.indices])
-    (out / "pliss.json").write_text(json.dumps({
+    _write_json(out / "pliss.json", {
         "density": res.density, "zeta": res.zeta,
         "guaranteed": res.guaranteed, "count": len(res.indices),
-    }, sort_keys=True))
+    })
     return ["pliss.csv", "pliss.json"]
 
 
@@ -148,11 +167,11 @@ def _run_curve(cfg, system, out):
     _, C1, C2 = curve_growth_constants(system, alpha)
     _write_csv(out / "curve_slopes.csv", ["iterate", "max_slope"],
                [[i + 1, repr(float(v))] for i, v in enumerate(env)])
-    (out / "curve.json").write_text(json.dumps({
+    _write_json(out / "curve.json", {
         "C1": C1, "C2": C2, "alpha": alpha,
         "max_slope": float(env.max()),
         "bound_satisfied": bool(env.max() <= 1.1 * C1),
-    }, sort_keys=True))
+    })
     return ["curve_slopes.csv", "curve.json"]
 
 
@@ -162,15 +181,22 @@ def _run_probe(cfg, system, out):
     rep = probe_neighborhood(system, (cfg.param("theta"), x),
                              cfg.param("k"), cfg.param("delta_tilde"),
                              cfg.param("grid"))
-    (out / "probe.json").write_text(rep.to_json())
+    _write_json(out / "probe.json", asdict(rep))
     return ["probe.json"]
 
 
 def _run_acim(cfg, system, out):
     mu = empirical_measure(system, cfg.param("samples"), cfg.param("n"),
                            _grid(cfg, system), cfg.seed)
-    mu.to_csv(out / "measure.csv")
-    (out / "measure_meta.json").write_text(mu.metadata_json())
+    w = [repr(float(v)) for v in mu.weights]
+    if isinstance(mu.grid, BinGrid1D):
+        e = [repr(float(v)) for v in mu.grid.edges]
+        _write_csv(out / "measure.csv", ["bin_lo", "bin_hi", "weight"],
+                   zip(e, e[1:], w))
+    else:
+        _write_csv(out / "measure.csv", ["flat_index", "weight"], enumerate(w))
+    _write_json(out / "measure_meta.json",
+                {**mu.metadata, "grid": mu.grid.describe()})
     return ["measure.csv", "measure_meta.json"]
 
 
@@ -178,7 +204,7 @@ def _run_components(cfg, system, out):
     rep = ergodic_components(system, cfg.param("probes"), cfg.param("n"),
                              _grid(cfg, system), cfg.seed,
                              cfg.param("threshold"))
-    (out / "components.json").write_text(rep.to_json())
+    _write_json(out / "components.json", asdict(rep))
     _write_csv(out / "assignment.csv", ["probe", "cluster"],
                list(enumerate(rep.assignment)))
     return ["components.json", "assignment.csv"]
@@ -189,8 +215,18 @@ def _run_markov(cfg, system, out):
     part = build_partition(system, cfg.param("depth"))
     cert = assemble_markov(system, part, seeds=cfg.param("seeds"),
                            k_max=cfg.param("k_max"), seed=cfg.seed)
-    branches_to_csv(cert.branches, out / "branches.csv")
-    (out / "certificate.json").write_text(cert.to_json())
+    _write_csv(out / "branches.csv",
+               ["i", "lo", "hi", "k", "image_cell", "distortion_sample"],
+               [[i, repr(b.lo), repr(b.hi), b.time, b.image_cell,
+                 repr(b.distortion_sample)]
+                for i, b in enumerate(cert.branches)])
+    _write_json(out / "certificate.json", {
+        "branch_count": len(cert.branches), "coverage": cert.coverage,
+        "image_exactness": cert.image_exactness,
+        "min_image_length": cert.min_image_length,
+        "constancy_ok": cert.constancy_ok, "K_hat": cert.K_hat, "N": cert.N,
+        "failures": cert.failures,
+    })
     try:
         st = summability_stat(cert.branches, system, cfg.param("orbit_len"),
                               cfg.param("probes"), cfg.seed)
@@ -198,7 +234,7 @@ def _run_markov(cfg, system, out):
                    "escaped": st.escaped}
     except FiberdynError as ex:
         summary = {"error": str(ex)}
-    (out / "summability.json").write_text(json.dumps(summary, sort_keys=True))
+    _write_json(out / "summability.json", summary)
     return ["branches.csv", "certificate.json", "summability.json"]
 
 

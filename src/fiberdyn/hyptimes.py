@@ -8,9 +8,8 @@ c2 = 2*delta and c1 = delta it certifies a positive density of
 hyperbolic-like times.
 """
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -287,9 +286,6 @@ class ProbeReport:
     det_max: float
     fiber_lo: float
     fiber_hi: float
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _inside_polygon(px, py, poly_x, poly_y):

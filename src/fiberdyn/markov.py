@@ -13,9 +13,7 @@ and constancy checks compute inducing times in lockstep batches
 """
 
 import bisect as _bisect
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -284,27 +282,6 @@ class MarkovCertificate:
     K_hat: float
     N: int
     failures: tuple
-
-    def to_json(self):
-        return json.dumps({
-            "branch_count": len(self.branches),
-            "coverage": self.coverage,
-            "image_exactness": self.image_exactness,
-            "min_image_length": self.min_image_length,
-            "constancy_ok": self.constancy_ok,
-            "K_hat": self.K_hat,
-            "N": self.N,
-            "failures": list(self.failures),
-        }, sort_keys=True)
-
-
-def branches_to_csv(branches, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "lo", "hi", "k", "image_cell", "distortion_sample"])
-        for i, br in enumerate(branches):
-            w.writerow([i, repr(br.lo), repr(br.hi), br.time, br.image_cell,
-                        repr(br.distortion_sample)])
 
 
 def _log_deriv_n(m, x, k):

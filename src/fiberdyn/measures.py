@@ -8,8 +8,6 @@ oracle density, and the number of distinct orbit-average histograms
 (empirical ergodic components).
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -128,25 +126,6 @@ class EmpiricalMeasure:
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
         object.__setattr__(self, "weights", w)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            if isinstance(self.grid, BinGrid1D):
-                wr.writerow(["bin_lo", "bin_hi", "weight"])
-                e = self.grid.edges
-                for i, w in enumerate(self.weights):
-                    wr.writerow([repr(float(e[i])), repr(float(e[i + 1])),
-                                 repr(float(w))])
-            else:
-                wr.writerow(["flat_index", "weight"])
-                for i, w in enumerate(self.weights):
-                    wr.writerow([i, repr(float(w))])
-
-    def metadata_json(self):
-        meta = dict(self.metadata)
-        meta["grid"] = self.grid.describe()
-        return json.dumps(meta, sort_keys=True)
 
 
 # Iterates binned per grid.index call in the cloud loops: a block holds about
@@ -278,15 +257,6 @@ class ComponentReport:
     link_threshold: float
     sensitivity: dict         # threshold -> cluster count
     metadata: dict
-
-    def to_json(self):
-        return json.dumps({
-            "count": self.count,
-            "assignment": list(self.assignment),
-            "link_threshold": self.link_threshold,
-            "sensitivity": {repr(k): v for k, v in self.sensitivity.items()},
-            "metadata": self.metadata,
-        }, sort_keys=True)
 
 
 def _probe_histograms(system, probes, n, grid, seed, burn):

@@ -5,6 +5,7 @@ criterion; each line appears only after every assertion of that criterion
 has held.
 """
 
+import csv
 import hashlib
 import math
 import time
@@ -20,6 +21,7 @@ from fiberdyn import (CurveGraph, HitCritical, PlissQuery, assemble_markov,
                       moebius_map, pliss_times, propagate_curve,
                       slope_envelope, track_branch)
 from fiberdyn.experiments import parse_config, run_experiment
+from fiberdyn.experiments.cli import main as cli_main
 from fiberdyn.rng import make_generator
 
 E1 = (2.0 - math.sqrt(2.0)) / 4.0
@@ -188,8 +190,18 @@ def test_criterion_07_overlap_decay(logistic, tmp_path):
     deltas = list(np.geomspace(0.02, 0.2, 7))
     table = measure_AY_decay(logistic, [30, 40, 50, 60], deltas,
                              lam=0.3, samples=10**5, seed=707)
-    table.to_csv(tmp_path / "decay.csv")
-    assert (tmp_path / "decay.csv").exists()
+    rc = cli_main(["ay_decay", "--family", "logistic",
+                   "--n-values", "30 40 50 60", "--delta-min", "0.02",
+                   "--delta-max", "0.2", "--delta-count", "7",
+                   "--lambda", "0.3", "--samples", str(10**5),
+                   "--seed", "707", "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "decay.csv", newline="") as fh:
+        emitted = list(csv.reader(fh))[1:]
+    assert emitted == [[str(n), repr(frac), repr(bound), repr(delta),
+                        repr(lam), str(samples), str(seed)]
+                       for n, frac, _, bound, delta, lam, samples, seed
+                       in table.rows]
     passing = table.passing_deltas()
     assert passing, "no delta stayed below the exponential envelope"
     _report(7, f"{len(passing)}/7 thresholds below |I0| exp(-n lam/2) at "

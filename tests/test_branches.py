@@ -449,6 +449,24 @@ class TestImageStep:
             a, b, y = np.minimum(fa, fb), np.maximum(fa, fb), fy
         assert cut_lanes > 0
 
+    def test_one_map_call_per_step(self, twowell):
+        # lo, hi and y go through the step map as one stacked array, so a
+        # skew-product fiber computes its theta term once a step
+        calls = []
+
+        def f(x):
+            calls.append(np.shape(x))
+            return twowell.evaluator(x)
+
+        y = make_generator(5).uniform(0.0, 1.0, 40)
+        a, b = np.zeros(y.size), np.ones(y.size)
+        hit, lo, hi, fa, fb, fy = image_step(f, twowell.critical_points,
+                                             a, b, y)
+        assert calls == [(3, y.size)]
+        assert fa.tolist() == twowell.evaluator(lo).tolist()
+        assert fb.tolist() == twowell.evaluator(hi).tolist()
+        assert fy.tolist() == twowell.evaluator(y).tolist()
+
     def test_nearest_cut_on_each_side(self, twowell):
         cps = twowell.critical_points
         # the whole domain around points in every gap between critical

@@ -213,6 +213,20 @@ class TestCli:
         argv = [str(cfg_file) if a == "VIANA_D_16_7" else a for a in argv]
         assert cli_main([*argv, "--out", str(tmp_path / "bad")]) == 2
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--c1", "0.2", "--c2", "0.1"], "experiment.c1"),
+        (["--c1", "0.1", "--c2", "0.1"], "experiment.c1"),
+        (["--c2", "2.0"], "experiment.c2"),
+    ], ids=["c1-above-c2", "c1-equals-c2", "c2-above-domain-length"])
+    def test_pliss_constants_are_config_errors(self, tmp_path, capsys, argv,
+                                               field):
+        # logistic: the domain [0, 1] has length A = 1, and Pliss needs
+        # c1 < c2 <= A
+        rc = cli_main(["pliss", "--family", "logistic", *argv,
+                       "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
     def test_integral_degree_keeps_int_label(self, tmp_path):
         rc = cli_main([*TINY_VIANA_FTLE, "--system", "d=16.0",
                        "--out", str(tmp_path / "d")])

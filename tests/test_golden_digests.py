@@ -18,6 +18,7 @@ pin it too.
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -246,6 +247,7 @@ def test_component_report_digests():
         "viana": ergodic_components(viana_skew(), 100, 600, 64, 5,
                                     burn_frac=0.25),
     }
-    actual = {k: hashlib.sha256(r.to_json().encode()).hexdigest()
+    actual = {k: hashlib.sha256(json.dumps(asdict(r), sort_keys=True)
+                                .encode()).hexdigest()
               for k, r in reports.items()}
     assert actual == COMPONENT_DIGESTS

@@ -234,10 +234,13 @@ class TestProbe:
         assert rep64.K_hat == pytest.approx(rep32.K_hat, rel=0.05)
         assert rep64.delta1_hat == pytest.approx(rep32.delta1_hat, rel=0.1)
 
-    def test_report_serializes(self, viana):
-        rep = probe_neighborhood(viana, (0.3, 0.2), 0, 0.3, grid=8)
+    def test_report_serializes(self, tmp_path):
+        rc = cli_main(["probe", "--family", "viana", "--theta", "0.3",
+                       "--x", "0.2", "--k", "0", "--delta-tilde", "0.3",
+                       "--grid", "8", "--out", str(tmp_path)])
+        assert rc == 0
         import json
-        payload = json.loads(rep.to_json())
+        payload = json.loads((tmp_path / "probe.json").read_text())
         for key in ("theta", "x", "k", "delta_tilde", "injective", "K_hat",
                     "delta1_hat", "grid"):
             assert key in payload
