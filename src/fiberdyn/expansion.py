@@ -7,8 +7,9 @@ slow-branch-growth points with expanding points.
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, repeat
+from operator import add
 
 import numpy as np
 
@@ -17,9 +18,22 @@ from .errors import (DegenerateDifferential, EmptySample, HitCritical)
 from .maps import IntervalMap, MapSequence, SkewProduct, wrap
 from .rng import make_generator
 
-# Orbit steps per chunk of the ftle_fiber kernel: long enough to amortise
-# the array calls, short enough to keep memory flat.
+# Orbit steps per chunk of the ftle kernels: long enough to amortise the
+# array calls, short enough to keep memory flat.
 _ORBIT_CHUNK = 4096
+
+
+def _orbit_chunk(f, args, x, k):
+    """x and its next k - 1 iterates, as a list, plus the k-th iterate.
+
+    Step i sends x_i to f(*(a[i] for a in args), x_i), on whatever scalars
+    f returns; the points are not converted.
+    """
+    orbit = [x]
+    # map iterates over the list that extend is growing, so it reads each
+    # point just appended: x, f(x), f(f(x)), ...
+    orbit.extend(islice(map(f, *args, orbit), k))
+    return orbit, orbit.pop()
 
 
 def ftle_fiber(seq: MapSequence, x, n):
@@ -38,11 +52,7 @@ def ftle_fiber(seq: MapSequence, x, n):
     for start in range(0, n, _ORBIT_CHUNK):
         k = min(_ORBIT_CHUNK, n - start)
         f, args, df = seq.chunk(start, k)
-        orbit = [x]
-        # map iterates over the list that extend is growing, so it reads
-        # each point just appended: x, f(x), f(f(x)), ...
-        orbit.extend(islice(map(f, *args, orbit), k))
-        x = orbit.pop()
+        orbit, x = _orbit_chunk(f, args, x, k)
         xs = np.fromiter(orbit, float, k)
         d = np.abs(np.broadcast_to(df(xs), xs.shape), dtype=float)
         hits = np.flatnonzero(d <= 1e-300)
@@ -56,12 +66,20 @@ def ftle_fiber(seq: MapSequence, x, n):
 
 
 def smallest_singular_value(gp, ft, fx):
-    """Smallest singular value of [[gp, 0], [ft, fx]] in closed form."""
+    """Smallest singular value of [[gp, 0], [ft, fx]] in closed form.
+
+    A float gives a float; arrays give an array from the same operations,
+    elementwise, so each entry equals the float result bit for bit.
+    """
     F = gp * gp + ft * ft + fx * fx
     det = abs(gp * fx)
-    disc = math.sqrt(max(F * F - 4.0 * det * det, 0.0))
-    smax = math.sqrt(0.5 * (F + disc))
-    return det / smax if smax > 0 else 0.0
+    if isinstance(F, float):
+        disc = math.sqrt(max(F * F - 4.0 * det * det, 0.0))
+        smax = math.sqrt(0.5 * (F + disc))
+        return det / smax if smax > 0 else 0.0
+    disc = np.sqrt(np.maximum(F * F - 4.0 * det * det, 0.0))
+    smax = np.sqrt(0.5 * (F + disc))
+    return np.divide(det, smax, out=np.zeros_like(det), where=smax > 0)
 
 
 def ftle_full(skew: SkewProduct, z, n):
@@ -69,22 +87,38 @@ def ftle_full(skew: SkewProduct, z, n):
 
     The co-norm is the smallest singular value of the triangular
     differential [[d_theta g, 0], [d_theta f, d_x f]], the reciprocal of
-    the inverse-matrix norm when the differential is invertible.
+    the inverse-matrix norm when the differential is invertible.  Raises
+    DegenerateDifferential at the first step whose d_x f is at most 1e-300
+    in size.
+
+    The orbit is stepped in chunks on scalars, theta_j by `skew.base` and
+    x_j by `skew.fiber`; the differential and its co-norm are then
+    evaluated on the whole chunk as arrays, and the math.log terms are added
+    left to right, so the result is that of a per-step loop bit for bit.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     theta, x = float(z[0]) % 1.0, float(z[1])
     s = 0.0
-    for _ in range(n):
-        gp = float(skew.base_derivative(theta))
-        ft = float(skew.fiber_dtheta(theta, x))
-        fx = float(skew.fiber_dx(theta, x))
-        if abs(fx) <= 1e-300:
+    for start in range(0, n, _ORBIT_CHUNK):
+        k = min(_ORBIT_CHUNK, n - start)
+        thetas, theta = _orbit_chunk(skew.base, (), theta, k)
+        orbit, x = _orbit_chunk(skew.fiber, (thetas,), x, k)
+        T = np.array(thetas)
+        X = np.fromiter(orbit, float, k)
+        gp, ft, fx = (np.broadcast_to(np.asarray(v, dtype=float), T.shape)
+                      for v in (skew.base_derivative(T),
+                                skew.fiber_dtheta(T, X), skew.fiber_dx(T, X)))
+        hits = np.flatnonzero(np.abs(fx) <= 1e-300)
+        stop = int(hits[0]) if hits.size else k
+        sv = smallest_singular_value(gp[:stop], ft[:stop], fx[:stop])
+        # left to right onto the running sum, as a per-step loop adds; math.log
+        # because np.log is off by one ulp on a few tenths of a percent of terms
+        s = reduce(add, map(math.log, sv.tolist()), s)
+        if stop < k:
             # the x-column (0, d_x f) of the differential vanished
             raise DegenerateDifferential(
-                f"d_x f = 0 at (theta={theta}, x={x})")
-        s += math.log(smallest_singular_value(gp, ft, fx))
-        theta, x = skew.base(theta), float(skew.fiber(theta, x))
+                f"d_x f = 0 at (theta={thetas[stop]}, x={float(X[stop])})")
     return s / n
 
 

@@ -5,6 +5,7 @@ exit codes: 0 success, 1 experiment failure, 2 config error.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -16,7 +17,11 @@ from .runner import run_experiment
 _ALL_SYSTEM_KEYS = sorted({k for _, ks in FAMILIES.values() for k in ks})
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and the append action copies the shared --system default
+    before it appends."""
     parser = argparse.ArgumentParser(
         prog="fiberdyn",
         description="Seeded experiments for interval-map and skew-product "

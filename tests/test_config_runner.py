@@ -281,3 +281,16 @@ class TestCli:
                        "--n", "50", "--bins", "32",
                        "--out", str(tmp_path / "c5")])
         assert rc == 0
+
+    def test_system_override_does_not_leak_into_next_call(self, tmp_path):
+        # the parser is built once per process; a --system item of one call
+        # must not stay in the default list the next call starts from
+        rc = cli_main([*TINY_VIANA_FTLE, "--system", "a0=1.6",
+                       "--out", str(tmp_path / "a")])
+        assert rc == 0
+        first = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert "a0 = 1.6\n" in first["config"]
+        rc = cli_main([*TINY_VIANA_FTLE, "--out", str(tmp_path / "b")])
+        assert rc == 0
+        second = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert "a0" not in second["config"]

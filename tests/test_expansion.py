@@ -132,6 +132,19 @@ class TestSingularValue:
     def test_diagonal_case(self):
         assert smallest_singular_value(16.0, 0.0, 0.5) == pytest.approx(0.5)
 
+    def test_array_matches_float(self):
+        # the array form repeats the float operations elementwise, bit for
+        # bit, zero determinants and an all-zero matrix included
+        gp, ft, fx = make_generator(98).normal(0.0, 2.0, (3, 1000))
+        fx[::7] = 0.0
+        gp[:3] = ft[:3] = fx[:3] = 0.0
+        out = smallest_singular_value(gp, ft, fx)
+        assert isinstance(out, np.ndarray)
+        assert type(smallest_singular_value(16.0, 0.25, 0.5)) is float
+        assert out.tolist() == [
+            smallest_singular_value(a, b, c)
+            for a, b, c in zip(gp.tolist(), ft.tolist(), fx.tolist())]
+
 
 def _linear_fiber_skew():
     # f(theta, x) = x/2 + 0.1 sin(2 pi theta) on a domain absorbing the drive
@@ -193,6 +206,84 @@ class TestFtleFull:
     def test_degenerate_column(self, viana):
         with pytest.raises(DegenerateDifferential):
             ftle_full(viana, (0.25, 0.0), 1)
+
+    @pytest.mark.parametrize("make_skew", [viana_skew, _linear_fiber_skew])
+    def test_kernel_matches_per_step_loop(self, make_skew):
+        # the chunked kernel against the per-step loop it replaced, bit for
+        # bit, at chunk edges; the oracle's prefix sums give every n at once
+        skew = make_skew()
+        chunk = expansion._ORBIT_CHUNK
+        ns = (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7)
+        rng = make_generator(15)
+        dom = skew.fiber_domain
+        for theta, x in zip(rng.uniform(0.0, 1.0, 20),
+                            rng.uniform(dom.lo, dom.hi, 20)):
+            sums = _per_step_ftle_full(skew, (theta, x), max(ns))
+            for n in ns:
+                assert ftle_full(skew, (theta, x), n) == sums[n - 1] / n, n
+
+    def test_short_sums_match_per_step_loop(self, viana):
+        # a long sum absorbs a one-ulp change in one log term (np.log against
+        # math.log, say); sums of one to three terms show it
+        rng = make_generator(16)
+        dom = viana.fiber_domain
+        for theta, x in zip(rng.uniform(0.0, 1.0, 1000),
+                            rng.uniform(dom.lo, dom.hi, 1000)):
+            sums = _per_step_ftle_full(viana, (theta, x), 3)
+            for n in (1, 2, 3):
+                assert ftle_full(viana, (theta, x), n) == sums[n - 1] / n
+
+    @pytest.mark.parametrize("z, step", [((0.25, 0.0), 0),
+                                         # sqrt(1.7)**2 == 1.7, so x_1 = 0.0
+                                         ((0.0, math.sqrt(1.7)), 1)])
+    def test_degenerate_step_and_message(self, viana, z, step):
+        messages = []
+        for n in (step + 1, 5000):
+            for fn in (ftle_full, _per_step_ftle_full):
+                with pytest.raises(DegenerateDifferential) as exc:
+                    fn(viana, z, n)
+                messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+        assert "x=0.0)" in messages[0]
+
+    def test_degenerate_step_across_chunks(self):
+        # x -> x + h walks onto the zero 0.75 of the (fake) d_x f after
+        # exactly `steps` steps, in exact dyadic arithmetic
+        h = 2.0 ** -20
+        skew = SkewProduct(base_degree=2,
+                           fiber=lambda t, x: np.minimum(x + h, 1.0) + 0.0 * t,
+                           fiber_dx=lambda t, x: (x - 0.75) ** 2 + 0.0 * t,
+                           fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
+                           fiber_domain=IntervalDomain(0.0, 1.0),
+                           fiber_critical_points=(0.75,))
+        chunk = expansion._ORBIT_CHUNK
+        for steps in (chunk - 1, chunk, 2 * chunk + 5):
+            messages = []
+            for fn in (ftle_full, _per_step_ftle_full):
+                with pytest.raises(DegenerateDifferential) as exc:
+                    fn(skew, (0.3, 0.75 - steps * h), 3 * chunk)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+            assert "x=0.75)" in messages[0]
+
+
+def _per_step_ftle_full(skew, z, n):
+    """ftle_full as the per-step loop of scalar map calls it was, the
+    reference for its kernel; returns the n running sums, not the mean."""
+    theta, x = float(z[0]) % 1.0, float(z[1])
+    s = 0.0
+    sums = []
+    for _ in range(n):
+        gp = float(skew.base_derivative(theta))
+        ft = float(skew.fiber_dtheta(theta, x))
+        fx = float(skew.fiber_dx(theta, x))
+        if abs(fx) <= 1e-300:
+            raise DegenerateDifferential(
+                f"d_x f = 0 at (theta={theta}, x={x})")
+        s += math.log(smallest_singular_value(gp, ft, fx))
+        sums.append(s)
+        theta, x = skew.base(theta), float(skew.fiber(theta, x))
+    return sums
 
 
 class TestDecayTable:

@@ -11,7 +11,8 @@ bin-count arrays, invariance defects and component reports were taken from
 the cloud loops that binned one step per call, before iterates were binned
 in blocks.  The deep pliss and branch entries (depth 300-1000, where a
 branch domain has collapsed to one float) were taken from the pullback that
-still bisected one-float brackets.  Files that carry the generator metadata
+still bisected one-float brackets.  The logistic ftle entry was taken before
+ftle_fiber shared its orbit step with ftle_full.  Files that carry the generator metadata
 (measure_meta.json, components.json) also record the numpy version, so they
 pin it too.
 """
@@ -106,6 +107,10 @@ GOLDEN = {
         ["ftle", "--family", "viana", "--n", "10000", "--samples", "2"],
         {"ftle.csv": "ebba687874a5a0944801e4cff67812ac"
                      "7bed5805aeb6c1c154c3933383618afd"}),
+    "ftle logistic": (
+        ["ftle", "--family", "logistic", "--n", "50000", "--samples", "2"],
+        {"ftle.csv": "3d26d500f806099661d737eb0ef13d1e"
+                     "441af620fa4a5eaa52c1a02d9fa13805"}),
     "pliss viana": (
         ["pliss", "--family", "viana", "--n", "200", "--theta", "0.3", "--x",
          "0.2"],
