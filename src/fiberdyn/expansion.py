@@ -15,7 +15,8 @@ import numpy as np
 
 from .branches import image_step
 from .errors import (DegenerateDifferential, EmptySample, HitCritical)
-from .maps import IntervalMap, MapSequence, SkewProduct, wrap
+from .maps import (IntervalMap, MapSequence, SkewProduct, fiber_coefficients,
+                   wrap)
 from .rng import make_generator
 
 # Orbit steps per chunk of the ftle kernels: long enough to amortise the
@@ -91,20 +92,22 @@ def ftle_full(skew: SkewProduct, z, n):
     DegenerateDifferential at the first step whose d_x f is at most 1e-300
     in size.
 
-    The orbit is stepped in chunks on scalars, theta_j by `skew.base` and
-    x_j by `skew.fiber`; the differential and its co-norm are then
-    evaluated on the whole chunk as arrays, and the math.log terms are added
-    left to right, so the result is that of a per-step loop bit for bit.
+    The orbit is stepped in chunks: theta_j by `skew.base_orbit`, then
+    c(theta_j) on the chunk's theta array and x_j by `skew.fiber_step` on
+    floats.  The differential and its co-norm are then evaluated on the
+    whole chunk as arrays, and the math.log terms are added left to right,
+    so the result is that of a per-step loop bit for bit.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    theta, x = float(z[0]) % 1.0, float(z[1])
+    theta, x = float(z[0]), float(z[1])
     s = 0.0
     for start in range(0, n, _ORBIT_CHUNK):
         k = min(_ORBIT_CHUNK, n - start)
-        thetas, theta = _orbit_chunk(skew.base, (), theta, k)
-        orbit, x = _orbit_chunk(skew.fiber, (thetas,), x, k)
-        T = np.array(thetas)
+        T = skew.base_orbit(theta, k)
+        T, theta = T[:k], T[k]
+        orbit, x = _orbit_chunk(skew.fiber_step,
+                                (fiber_coefficients(skew, T),), x, k)
         X = np.fromiter(orbit, float, k)
         gp, ft, fx = (np.broadcast_to(np.asarray(v, dtype=float), T.shape)
                       for v in (skew.base_derivative(T),
@@ -118,7 +121,7 @@ def ftle_full(skew: SkewProduct, z, n):
         if stop < k:
             # the x-column (0, d_x f) of the differential vanished
             raise DegenerateDifferential(
-                f"d_x f = 0 at (theta={thetas[stop]}, x={float(X[stop])})")
+                f"d_x f = 0 at (theta={float(T[stop])}, x={float(X[stop])})")
     return s / n
 
 

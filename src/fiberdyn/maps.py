@@ -224,11 +224,16 @@ class MapSequence:
 
     def chunk(self, start, k):
         """Steps start .. start+k-1 as (f, args, df): step start+i sends x to
-        f(*(a[i] for a in args), x), and df(xs) is its derivative at xs[i]."""
+        f(*(a[i] for a in args), x), and df(xs) is its derivative at xs[i].
+
+        A fiber sequence steps by `skew.fiber_step` on the floats
+        c(theta_j), which `skew.fiber_coefficient` gives on an array."""
         if self.constant:
             return self._map.evaluator, (), self._map.derivative
-        ths, skew = self.thetas(start + k)[start:start + k], self._skew
-        return skew.fiber, (ths,), partial(skew.fiber_dx, np.array(ths))
+        T = np.array(self.thetas(start + k)[start:start + k])
+        skew = self._skew
+        return (skew.fiber_step, (fiber_coefficients(skew, T),),
+                partial(skew.fiber_dx, T))
 
     def compose(self, x, n):
         """Evaluate f_{n-1} o ... o f_0 at x (scalar or array)."""
@@ -305,6 +310,12 @@ class SkewProduct:
 
     The base map g(theta) = d*theta mod 1 is fixed by `base_degree`;
     `base` and `base_derivative` evaluate it on scalars and arrays.
+    The fiber is given split, f(theta, x) = fiber_step(c(theta), x): the
+    theta-coefficient c = `fiber_coefficient` takes an array of theta and
+    returns c shaped like it, and the x-step `fiber_step(c, x)` takes
+    floats or arrays.  `fiber(theta, x)` composes the two, so a one-orbit
+    kernel evaluates c once per chunk of theta_j on an array and steps x on
+    floats.  `fiber_dx` and `fiber_dtheta` take (theta, x).
     `fiber_critical_points` is the strictly increasing critical set of
     every fiber map x -> f(theta, x), the same x values for every theta.
     The domination constants are fitted on a test grid at construction.
@@ -314,7 +325,8 @@ class SkewProduct:
     out log2(d) bits of the float's 53-bit mantissa, so an orbit reaches
     exactly 0.0 after about 53 / log2(d) steps and stays there
     (viana_skew().base_orbit(pi/10, 20) is 0.0 from step 13 on); exact
-    digit-stream orbits are planned (see ROADMAP).
+    digit-stream orbits are planned (see ROADMAP).  `base_orbit` is the
+    only place that steps one orbit; clouds of theta are stepped by `base`.
 
     `base` wraps once, with `wrap`: on an array d*theta - floor(d*theta)
     gives the bits of `% 1.0` at a fraction of np.remainder's cost, and on a
@@ -323,7 +335,8 @@ class SkewProduct:
     """
 
     base_degree: int
-    fiber: callable              # f(theta, x)
+    fiber_coefficient: callable  # c(theta), on arrays
+    fiber_step: callable         # f(theta, x) = fiber_step(c(theta), x)
     fiber_dx: callable
     fiber_dtheta: callable
     fiber_domain: IntervalDomain
@@ -352,6 +365,10 @@ class SkewProduct:
         """g(theta) = d*theta mod 1 for a scalar or an array."""
         return wrap(self.base_degree * theta)
 
+    def fiber(self, theta, x):
+        """f(theta, x) for scalars or arrays that broadcast together."""
+        return self.fiber_step(self.fiber_coefficient(theta), x)
+
     def base_derivative(self, theta):
         """g'(theta) = d, shaped like theta."""
         return float(self.base_degree) + 0.0 * theta
@@ -372,14 +389,18 @@ class SkewProduct:
         return fiber_sequence(self, theta)
 
     def base_orbit(self, theta, n):
-        """theta, g(theta), ..., g^n(theta) with per-step wrapping."""
-        out = np.empty(n + 1)
+        """theta, g(theta), ..., g^n(theta) with per-step wrapping.
+
+        Each step is `base` on a float, d*t % 1.0, inlined.
+        """
+        d = self.base_degree
         t = float(theta) % 1.0
-        out[0] = t
-        for j in range(n):
-            t = self.base(t)
-            out[j + 1] = t
-        return out
+        return np.array([t] + [t := d * t % 1.0 for _ in range(n)])
+
+
+def fiber_coefficients(skew: SkewProduct, T):
+    """c(theta_j) for an array of theta_j, as a list of Python floats."""
+    return np.broadcast_to(skew.fiber_coefficient(T), T.shape).tolist()
 
 
 def fiber_sequence(skew: SkewProduct, theta):
@@ -630,7 +651,9 @@ def twowell_map():
 def viana_skew(a0=1.7, alpha=0.05, d=16):
     """Quadratic fibers a0 + alpha*sin(2 pi theta) - x^2 over theta -> d*theta.
 
-    The fiber domain is the invariant interval [-beta, beta] with beta the
+    The fiber is split as c(theta) = a0 + alpha*sin(2 pi theta) and the
+    x-step c - x^2, the operations of the unsplit formula in its order, so
+    both give the same bits.  The fiber domain is the invariant interval [-beta, beta] with beta the
     positive fixed point of x -> (a0 - alpha) - x^2; for the default
     parameters beta ~ 1.8784, strictly inside [-2, 2].  d must be integral.
     """
@@ -648,7 +671,8 @@ def viana_skew(a0=1.7, alpha=0.05, d=16):
     two_pi = 2.0 * math.pi
     return SkewProduct(
         base_degree=d,
-        fiber=lambda t, x: a0 + alpha * np.sin(two_pi * t) - x * x,
+        fiber_coefficient=lambda t: a0 + alpha * np.sin(two_pi * t),
+        fiber_step=lambda c, x: c - x * x,
         fiber_dx=lambda t, x: -2.0 * x + 0.0 * t,
         fiber_dtheta=lambda t, x: alpha * two_pi * np.cos(two_pi * t) + 0.0 * x,
         fiber_domain=dom,

@@ -74,7 +74,8 @@ class TestFtleFiber:
                         derivative=lambda x: (x - 0.75) ** 2,
                         critical_points=(0.75,))
         skew = SkewProduct(base_degree=2,
-                           fiber=lambda t, x: np.minimum(x + h, 1.0) + 0.0 * t,
+                           fiber_coefficient=lambda t: 0.0 * t,
+                           fiber_step=lambda c, x: np.minimum(x + h, 1.0) + c,
                            fiber_dx=lambda t, x: (x - 0.75) ** 2 + 0.0 * t,
                            fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
                            fiber_domain=IntervalDomain(0.0, 1.0),
@@ -151,7 +152,8 @@ def _linear_fiber_skew():
     dom = IntervalDomain(-0.5, 0.5)
     return SkewProduct(
         base_degree=16,
-        fiber=lambda t, x: 0.5 * x + 0.1 * np.sin(2 * np.pi * t),
+        fiber_coefficient=lambda t: 0.1 * np.sin(2 * np.pi * t),
+        fiber_step=lambda c, x: 0.5 * x + c,
         fiber_dx=lambda t, x: 0.5 + 0.0 * x + 0.0 * t,
         fiber_dtheta=lambda t, x: 0.2 * np.pi * np.cos(2 * np.pi * t)
                                   + 0.0 * x,
@@ -166,7 +168,8 @@ class TestFtleFull:
         dom = IntervalDomain(-0.5, 0.5)
         skew = SkewProduct(
             base_degree=16,
-            fiber=lambda t, x: 0.5 * x + 0.0 * t,
+            fiber_coefficient=lambda t: 0.0 * t,
+            fiber_step=lambda c, x: 0.5 * x + c,
             fiber_dx=lambda t, x: 0.5 + 0.0 * x + 0.0 * t,
             fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
             fiber_critical_points=(),
@@ -251,7 +254,8 @@ class TestFtleFull:
         # exactly `steps` steps, in exact dyadic arithmetic
         h = 2.0 ** -20
         skew = SkewProduct(base_degree=2,
-                           fiber=lambda t, x: np.minimum(x + h, 1.0) + 0.0 * t,
+                           fiber_coefficient=lambda t: 0.0 * t,
+                           fiber_step=lambda c, x: np.minimum(x + h, 1.0) + c,
                            fiber_dx=lambda t, x: (x - 0.75) ** 2 + 0.0 * t,
                            fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
                            fiber_domain=IntervalDomain(0.0, 1.0),
@@ -398,3 +402,59 @@ class TestBranchStatsShapes:
             assert r1.tobytes() == r[:, i].tobytes()
             assert logd1.tobytes() == logd[:, i].tobytes()
             assert bool(alive1) == alive[i]
+
+
+# float.hex of (ftle_full(skew, z, n), ftle_fiber(fiber_sequence(skew, theta),
+# x, n)) for skew = viana_skew(d=d), z = (theta, x), taken before the fiber
+# was split into a theta-coefficient and an x-step.  With d = 3 the base
+# orbit keeps its float digits (61 distinct theta in 60 steps, against 15 for
+# d = 16), so the pins hold the fiber arithmetic, not only the zero orbit.
+_PINNED_FTLE = {
+    (16, (0.3, 0.2)): (
+        ("-0x1.d526791522e40p-1", "-0x1.d5240f0e0e077p-1"),
+        ("0x1.bfc18a8160b19p-2", "0x1.bff4d3405cdcbp-2"),
+        ("0x1.bfd4f3eddbfe9p-2", "0x1.c0083caec9877p-2"),
+        ("0x1.bfc4a1b73a7eep-2", "0x1.bff7ea708b68fp-2"),
+        ("0x1.bdcb747a0adc8p-2", "0x1.bdfed833fb014p-2")),
+    (16, (0.7135, -1.1)): (
+        ("0x1.93af5a2cc7e15p-1", "0x1.93b0aee21c2c9p-1"),
+        ("0x1.bc8e4f8eedf2ep-2", "0x1.bcc1ace2245c3p-2"),
+        ("0x1.bcc0087b3b16dp-2", "0x1.bcf365e630660p-2"),
+        ("0x1.bcd7bf27dbf4bp-2", "0x1.bd0b1c957284ap-2"),
+        ("0x1.bc10227a4e0a3p-2", "0x1.bc438df12c4aap-2")),
+    (16, (0.05123, 1.4)): (
+        ("0x1.07896995d33e8p+0", "0x1.0795235c1ea1bp+0"),
+        ("0x1.b9cf6c1e1c097p-2", "0x1.ba02cecb3c931p-2"),
+        ("0x1.b990504d26c2dp-2", "0x1.b9c3b2ed84185p-2"),
+        ("0x1.b9bfd477297e9p-2", "0x1.b9f3372c27347p-2"),
+        ("0x1.bc8ecb64bd18bp-2", "0x1.bcc2393a3fa63p-2")),
+    (3, (0.3, 0.2)): (
+        ("-0x1.d569e3f5bbfebp-1", "-0x1.d5240f0e0e077p-1"),
+        ("0x1.8c85dd244247bp-2", "0x1.a540dbb2bb30cp-2"),
+        ("0x1.8c921df8a52b4p-2", "0x1.a54beac4d01fbp-2"),
+        ("0x1.8c9c73088e316p-2", "0x1.a554c21e90216p-2"),
+        ("0x1.879d2972808f7p-2", "0x1.a04717d4b8634p-2")),
+    (3, (0.7135, -1.1)): (
+        ("0x1.93607e30f940ap-1", "0x1.93b0aee21c2c9p-1"),
+        ("0x1.857d5557d5159p-2", "0x1.9e50de80a37dbp-2"),
+        ("0x1.85aa5dd360f7fp-2", "0x1.9e8630bbaff09p-2"),
+        ("0x1.85cc8484f9122p-2", "0x1.9ea7701aa0efbp-2"),
+        ("0x1.84d3dc6eb5bdap-2", "0x1.9d62a88d56e9ep-2")),
+    (3, (0.05123, 1.4)): (
+        ("0x1.00929b14acff8p+0", "0x1.0795235c1ea1bp+0"),
+        ("0x1.84e2d7eb1bc01p-2", "0x1.9dd01fad6fdcfp-2"),
+        ("0x1.850a3d046ecf3p-2", "0x1.9df740f2cb8a4p-2"),
+        ("0x1.84c102995231fp-2", "0x1.9dac7a3712cfep-2"),
+        ("0x1.82cbca56dee64p-2", "0x1.9b7c347096e59p-2")),
+}
+
+
+@pytest.mark.parametrize("d, z", list(_PINNED_FTLE))
+def test_ftle_bits_pinned(d, z):
+    # n on both sides of the orbit chunk, and past two of them
+    skew = viana_skew(d=d)
+    assert expansion._ORBIT_CHUNK == 4096
+    for n, want in zip((1, 4095, 4096, 4097, 12305), _PINNED_FTLE[d, z]):
+        got = (ftle_full(skew, z, n).hex(),
+               ftle_fiber(fiber_sequence(skew, z[0]), z[1], n).hex())
+        assert got == want, n

@@ -112,7 +112,8 @@ class TestCurves:
         from fiberdyn import IntervalDomain, SkewProduct
         skew = SkewProduct(
             base_degree=16,
-            fiber=lambda t, x: 0.5 * x + 0.0 * t,
+            fiber_coefficient=lambda t: 0.0 * t,
+            fiber_step=lambda c, x: 0.5 * x + c,
             fiber_dx=lambda t, x: 0.5 + 0.0 * x + 0.0 * t,
             fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
             fiber_critical_points=(),

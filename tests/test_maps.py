@@ -10,6 +10,7 @@ from fiberdyn import (DerivativeVanishes, IntervalDomain, IntervalMap,
                       make_system, maps, moebius_map, quadratic_map,
                       schwarzian, track_branch, twowell_map,
                       verify_partial_hyperbolicity, viana_skew)
+from fiberdyn import expansion
 from fiberdyn.expansion import ftle_fiber
 from fiberdyn.rng import make_generator
 
@@ -167,7 +168,8 @@ def _off_grid_skew():
     """
     return maps.SkewProduct(
         base_degree=2,
-        fiber=lambda t, x: 0.5 * x + 0.6 * np.sin(64 * np.pi * t) ** 2,
+        fiber_coefficient=lambda t: 0.6 * np.sin(64 * np.pi * t) ** 2,
+        fiber_step=lambda c, x: 0.5 * x + c,
         fiber_dx=lambda t, x: 0.5 + 0.0 * x + 0.0 * t,
         fiber_dtheta=lambda t, x: 38.4 * np.pi * np.sin(128 * np.pi * t)
         + 0.0 * x,
@@ -221,6 +223,58 @@ class TestFiberBlocks:
             ftle_fiber(fiber_sequence(skew, 1.0 / 256), 0.1, 5)
         # elsewhere the same skew-product runs
         assert math.isfinite(ftle_fiber(fiber_sequence(skew, 0.0), 0.1, 50))
+
+
+class TestFiberSplit:
+    """One theta source for one orbit, and the fiber split into its
+    theta-coefficient c(theta) and x-step, bit for bit."""
+
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_base_orbit_is_a_per_step_base_loop(self, d):
+        skew = viana_skew(d=d)
+        ns = sorted({0, 1, *(edge + i for edge in (maps._THETA_BLOCK,
+                                                   expansion._ORBIT_CHUNK)
+                             for i in (-1, 0, 1))})
+        for theta in (0.3, 0.987654, 1.0 / 3.0, 1.25):
+            want = [float(theta) % 1.0]
+            for _ in range(max(ns)):
+                want.append(skew.base(want[-1]))
+            for n in ns:
+                got = skew.base_orbit(theta, n)
+                assert got.dtype == np.float64 and got.shape == (n + 1,)
+                assert got.tobytes() == np.array(want[:n + 1]).tobytes(), n
+
+    def test_viana_fiber_is_its_split(self, viana):
+        two_pi = 2.0 * math.pi
+        unsplit = lambda t, x: 1.7 + 0.05 * np.sin(two_pi * t) - x * x
+        rng = make_generator(23)
+        dom = viana.fiber_domain
+        T = rng.uniform(0.0, 1.0, 10**5)
+        X = rng.uniform(dom.lo, dom.hi, 10**5)
+        T[:4] = (0.0, 0.25, 0.5, 0.75)
+        pairs = list(zip(T[:300].tolist(), X[:300].tolist()))
+        cases = ([(T, X)] + pairs
+                 + [(np.array(t), np.array(x)) for t, x in pairs[:50]])
+        for t, x in cases:
+            want = unsplit(t, x)
+            for got in (viana.fiber(t, x),
+                        viana.fiber_step(viana.fiber_coefficient(t), x)):
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_chunk_steps_reproduce_map_at(self, d):
+        seq = fiber_sequence(viana_skew(d=d), 0.3)
+        xs = make_generator(24).uniform(-1.5, 1.5, 700)
+        # the last chunk crosses the theta block boundary at 512
+        for start, k in ((0, 1), (0, 700), (300, 400)):
+            f, args, df = seq.chunk(start, k)
+            dfs = df(xs[:k])
+            for i, x in enumerate(xs[:k].tolist()):
+                m = seq.map_at(start + i)
+                assert (_bits(f(*(a[i] for a in args), x))
+                        == _bits(m.evaluator(x)))
+                assert _bits(dfs[i]) == _bits(m.derivative(x))
 
 
 class TestSystemProtocol:
@@ -309,7 +363,8 @@ class TestPartialHyperbolicity:
         with pytest.raises(ValueError, match="domination"):
             maps.SkewProduct(
                 base_degree=2,
-                fiber=lambda t, x: 4.0 * x * (1.0 - x) + 0.0 * t,
+                fiber_coefficient=lambda t: 0.0 * t,
+                fiber_step=lambda c, x: 4.0 * x * (1.0 - x) + c,
                 fiber_dx=lambda t, x: 4.0 - 8.0 * x + 0.0 * t,
                 fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
                 fiber_critical_points=(0.5,),
@@ -330,7 +385,9 @@ class TestPartialHyperbolicity:
 def _viana_fields(**overrides):
     """The construction arguments of viana_skew(), with overrides."""
     v = viana_skew()
-    kw = dict(base_degree=v.base_degree, fiber=v.fiber, fiber_dx=v.fiber_dx,
+    kw = dict(base_degree=v.base_degree,
+              fiber_coefficient=v.fiber_coefficient, fiber_step=v.fiber_step,
+              fiber_dx=v.fiber_dx,
               fiber_dtheta=v.fiber_dtheta, fiber_domain=v.fiber_domain,
               fiber_critical_points=v.fiber_critical_points)
     kw.update(overrides)
@@ -341,7 +398,8 @@ def _contracting_skew(d):
     """x -> x/2 over theta -> d*theta mod 1; dominated for every d >= 2."""
     return maps.SkewProduct(
         base_degree=d,
-        fiber=lambda t, x: 0.5 * x + 0.0 * t,
+        fiber_coefficient=lambda t: 0.0 * t,
+        fiber_step=lambda c, x: 0.5 * x + c,
         fiber_dx=lambda t, x: 0.5 + 0.0 * x + 0.0 * t,
         fiber_dtheta=lambda t, x: 0.0 * x + 0.0 * t,
         fiber_domain=IntervalDomain(-0.5, 0.5),
@@ -397,7 +455,8 @@ class TestSkewProductConstruction:
         assert type(skew.base_degree) is int and skew.base_degree == 16
 
     @pytest.mark.parametrize("name", ["base", "base_derivative", "domination",
-                                      "fiber_criticals", "base_affine"])
+                                      "fiber_criticals", "base_affine",
+                                      "fiber"])
     def test_removed_parameters_rejected(self, name):
         with pytest.raises(TypeError):
             maps.SkewProduct(**_viana_fields(**{name: None}))
