@@ -107,8 +107,11 @@ class CurveGraph:
             raise ValueError("theta samples must be strictly increasing")
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "x", xs)
-        if self.origin is None:
-            object.__setattr__(self, "origin", th.copy())
+        object.__setattr__(self, "origin", th.copy() if self.origin is None
+                           else np.asarray(self.origin, dtype=float))
+        if self.slopes is not None:
+            object.__setattr__(self, "slopes",
+                               np.asarray(self.slopes, dtype=float))
 
     @property
     def domain(self):
@@ -138,43 +141,32 @@ class CurveGraph:
 def _refine_for_step(skew, piece):
     """Insert midpoints until the image of each segment is short enough.
 
-    Works on the piecewise-linear representation: a segment is split while
-    its image is wider than 1e-3 or its theta extent times the base degree
-    exceeds 1/64.  Raises NotAGraph when a segment whose image is still too
-    wide cannot be split further (float exhaustion or split depth 42).
+    A segment is split while its image is wider than 1e-3 or its theta
+    extent times the base degree exceeds 1/64, in rounds that split every
+    such segment at once.  Raises NotAGraph when a segment whose image is
+    still too wide cannot be split (float exhaustion or split depth 42).
     """
-    th = list(piece.theta)
-    xs = list(piece.x)
-    sl = list(piece.slopes) if piece.slopes is not None else None
-    og = list(piece.origin)
-    depth = [0] * (len(th) - 1)
-    i = 0
-    while i < len(th) - 1:
-        ia = skew.fiber(th[i], xs[i])
-        ib = skew.fiber(th[i + 1], xs[i + 1])
-        wide_x = abs(ib - ia) > 1e-3
-        wide_t = (th[i + 1] - th[i]) * skew.base_degree > 1.0 / 64
-        if not (wide_x or wide_t):
-            i += 1
-            continue
-        mid = 0.5 * (th[i] + th[i + 1])
-        splittable = th[i] < mid < th[i + 1] and depth[i] < 42
-        if not splittable:
-            if wide_x:
-                raise NotAGraph(
-                    f"cannot refine segment at theta={th[i]!r} below float "
-                    "resolution")
-            i += 1
-            continue
-        frac = (mid - th[i]) / (th[i + 1] - th[i])
-        th.insert(i + 1, mid)
-        xs.insert(i + 1, xs[i] + frac * (xs[i + 1] - xs[i]))
-        if sl is not None:
-            sl.insert(i + 1, sl[i] + frac * (sl[i + 1] - sl[i]))
-        og.insert(i + 1, og[i] + frac * (og[i + 1] - og[i]))
-        depth[i:i + 1] = [depth[i] + 1, depth[i] + 1]
-    return CurveGraph(np.array(th), np.array(xs),
-                      np.array(sl) if sl is not None else None, np.array(og))
+    th, xs, sl, og = piece.theta, piece.x, piece.slopes, piece.origin
+    depth = np.zeros(th.size - 1, dtype=int)
+    while True:
+        wide_x = np.abs(np.diff(skew.fiber(th, xs))) > 1e-3
+        wide_t = np.diff(th) * skew.base_degree > 1.0 / 64
+        mid = 0.5 * (th[:-1] + th[1:])
+        splittable = (th[:-1] < mid) & (mid < th[1:]) & (depth < 42)
+        stuck = np.flatnonzero(wide_x & ~splittable)
+        if stuck.size:
+            raise NotAGraph(f"cannot refine segment at theta={th[stuck[0]]!r} "
+                            "below float resolution")
+        split = (wide_x | wide_t) & splittable
+        if not split.any():
+            return CurveGraph(th, xs, sl, og)
+        at = np.flatnonzero(split)
+        frac = (mid[at] - th[at]) / (th[at + 1] - th[at])
+        def lerp(v):
+            return np.insert(v, at + 1, v[at] + frac * (v[at + 1] - v[at]))
+        th, xs, og = np.insert(th, at + 1, mid[at]), lerp(xs), lerp(og)
+        sl = None if sl is None else lerp(sl)
+        depth = np.repeat(depth + split, 1 + split)
 
 
 def propagate_curve(skew: SkewProduct, curve: CurveGraph, n):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .expansion import _cloud_branch_stats
 from .maps import SkewProduct, wrap
@@ -228,6 +227,9 @@ def density_compare(measure: EmpiricalMeasure, oracle):
     """
     grid = measure.grid
     if isinstance(grid, BinGrid1D):
+        # imported here: scipy is this function's alone, and loading it
+        # costs the CLI most of its start-up time and memory
+        from scipy import integrate
         e = grid.edges
         masses = np.array([
             integrate.quad(oracle, e[i], e[i + 1], limit=100)[0]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fiberdyn import (CurveGraph, HitCritical, PlissQuery, assemble_markov,
-                      build_partition, component_census, constant_sequence,
+                      build_partition, component_census,
                       cross_ratio_operator, curve_growth_constants,
                       density_compare, empirical_measure, ergodic_components,
                       ftle_fiber, interval_images, measure_AY_decay,

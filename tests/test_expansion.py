@@ -390,6 +390,65 @@ class TestEstimateF2:
         with pytest.raises(ValueError):
             estimate_f2(viana, 10, 1)
 
+    @pytest.mark.parametrize("make_skew", [viana_skew, _linear_fiber_skew])
+    def test_matches_per_pair_loop(self, make_skew):
+        # the grid form against the double loop it replaced, bit for bit
+        skew = make_skew()
+        cases = [(seed, samples, pairs)
+                 for seed, samples in zip(range(12), (1000, 1500, 2000) * 4)
+                 for pairs in (1, 4)]
+        for seed, samples, pairs in cases:
+            assert (estimate_f2(skew, samples, seed, pairs)
+                    == _per_pair_estimate_f2(skew, samples, seed, pairs)), (
+                seed, samples, pairs)
+        for fn in (estimate_f2, _per_pair_estimate_f2):
+            with pytest.raises(EmptySample):
+                fn(skew, 1000, 1, pairs_per_sample=0)
+
+
+def _per_pair_estimate_f2(skew, samples, seed, pairs_per_sample=4):
+    """estimate_f2 as the double loop over samples and pairs it was, the
+    reference for its grid form."""
+    rng = make_generator(seed)
+    dom = skew.fiber_domain
+    cps = skew.fiber_critical_points
+    best = 0.0
+    admissible = 0
+    th = rng.uniform(0.0, 1.0, samples)
+    xs = rng.uniform(dom.lo, dom.hi, samples)
+    angles = rng.uniform(0.0, 2.0 * math.pi, (samples, pairs_per_sample))
+    radii = rng.uniform(0.0, 1.0, (samples, pairs_per_sample))
+    for i in range(samples):
+        t, x = float(th[i]), float(xs[i])
+        dv = min((abs(x - c) for c in cps), default=1.0)
+        if dv <= 0.0:
+            continue
+        fz = abs(float(skew.fiber_dx(t, x)))
+        if fz <= 1e-300:
+            continue
+        for q in range(pairs_per_sample):
+            rad = 0.999 * 0.5 * dv * float(radii[i, q])
+            if rad == 0.0:
+                continue
+            dt = rad * math.cos(float(angles[i, q]))
+            dx = rad * math.sin(float(angles[i, q]))
+            tw, xw = (t + dt) % 1.0, x + dx
+            if not dom.lo <= xw <= dom.hi:
+                continue
+            fw = abs(float(skew.fiber_dx(tw, xw)))
+            if fw <= 1e-300:
+                continue
+            dist = math.hypot(min(abs(dt), 1.0 - abs(dt)), dx)
+            if dist == 0.0 or dist >= 0.5 * dv:
+                continue
+            admissible += 1
+            ratio = abs(math.log(fz) - math.log(fw)) * dv / dist
+            if ratio > best:
+                best = ratio
+    if admissible == 0:
+        raise EmptySample("no admissible pairs were drawn")
+    return best
+
 
 class TestBranchStatsShapes:
     def test_one_anchor_is_a_column_of_a_batch(self, logistic):
@@ -458,3 +517,4 @@ def test_ftle_bits_pinned(d, z):
         got = (ftle_full(skew, z, n).hex(),
                ftle_fiber(fiber_sequence(skew, z[0]), z[1], n).hex())
         assert got == want, n
+

@@ -5,10 +5,10 @@ import pytest
 
 from fiberdyn import (CurveGraph, DomainCollapsed, HitCritical,
                       InvalidConstants, NotAGraph, NotHyperbolicLike,
-                      PlissQuery, constant_sequence, curve_growth_constants,
-                      fiber_branch_stats, hyperbolic_like_times, pliss_times,
-                      probe_neighborhood, propagate_curve, slope_envelope,
-                      symbol_sequence, track_branch)
+                      PlissQuery, curve_growth_constants, fiber_branch_stats,
+                      hyperbolic_like_times, pliss_times, probe_neighborhood,
+                      propagate_curve, slope_envelope, symbol_sequence,
+                      track_branch, viana_skew)
 from fiberdyn import hyptimes
 from fiberdyn.experiments.cli import main as cli_main
 from fiberdyn.rng import make_generator
@@ -179,6 +179,78 @@ class TestCurves:
     def test_theta_must_increase(self):
         with pytest.raises(ValueError):
             CurveGraph(np.array([0.0, 0.0, 0.1]), np.zeros(3))
+
+    @pytest.mark.parametrize("d", [16, 3])
+    def test_refinement_matches_per_segment_loop(self, monkeypatch, d):
+        # refinement in rounds against the per-segment loop it replaced,
+        # piece by piece and bit for bit, through three steps
+        skew = viana_skew(d=d)
+        sine = CurveGraph.from_function(
+            lambda t: 0.1 + 0.01 * np.sin(2 * np.pi * t),
+            dfn=lambda t: 0.02 * np.pi * np.cos(2 * np.pi * t),
+            lo=0.2, hi=0.25, samples=513)
+        th = np.linspace(0.61, 0.74, 40)
+        arc = CurveGraph(th, -0.4 + 0.3 * (th - 0.61))
+        # integer slopes and origin are interpolated as floats
+        ints = CurveGraph(th, 0.1 + 0.0 * th, slopes=np.zeros(40, dtype=int),
+                          origin=np.arange(40))
+        for cur in (CurveGraph.horizontal(0.1, 0.0, 1.0, 257), sine, arc,
+                    ints):
+            got = propagate_curve(skew, cur, 3)
+            with monkeypatch.context() as m:
+                m.setattr(hyptimes, "_refine_for_step", _per_segment_refine)
+                want = propagate_curve(skew, cur, 3)
+            assert len(got) == len(want) == 3
+            for stage, ref in zip(got, want):
+                assert len(stage) == len(ref)
+                for p, q in zip(stage, ref):
+                    for name in ("theta", "x", "slopes", "origin"):
+                        a, b = getattr(p, name), getattr(q, name)
+                        assert (a is None and b is None
+                                or np.array_equal(a, b)), name
+        steep = CurveGraph(np.array([0.3, 0.3 + 1e-13, 0.3 + 2e-13]),
+                           np.array([-1.0, 0.0, 1.0]))
+        for refine in (hyptimes._refine_for_step, _per_segment_refine):
+            with pytest.raises(NotAGraph):
+                refine(skew, steep)
+
+
+def _per_segment_refine(skew, piece):
+    """hyptimes._refine_for_step as the loop over segments it was, one
+    midpoint and two scalar fiber calls at a time; the reference for its
+    rounds."""
+    th = list(piece.theta)
+    xs = list(piece.x)
+    sl = list(piece.slopes) if piece.slopes is not None else None
+    og = list(piece.origin)
+    depth = [0] * (len(th) - 1)
+    i = 0
+    while i < len(th) - 1:
+        ia = skew.fiber(th[i], xs[i])
+        ib = skew.fiber(th[i + 1], xs[i + 1])
+        wide_x = abs(ib - ia) > 1e-3
+        wide_t = (th[i + 1] - th[i]) * skew.base_degree > 1.0 / 64
+        if not (wide_x or wide_t):
+            i += 1
+            continue
+        mid = 0.5 * (th[i] + th[i + 1])
+        splittable = th[i] < mid < th[i + 1] and depth[i] < 42
+        if not splittable:
+            if wide_x:
+                raise NotAGraph(
+                    f"cannot refine segment at theta={th[i]!r} below float "
+                    "resolution")
+            i += 1
+            continue
+        frac = (mid - th[i]) / (th[i + 1] - th[i])
+        th.insert(i + 1, mid)
+        xs.insert(i + 1, xs[i] + frac * (xs[i + 1] - xs[i]))
+        if sl is not None:
+            sl.insert(i + 1, sl[i] + frac * (sl[i + 1] - sl[i]))
+        og.insert(i + 1, og[i] + frac * (og[i + 1] - og[i]))
+        depth[i:i + 1] = [depth[i] + 1, depth[i] + 1]
+    return CurveGraph(np.array(th), np.array(xs),
+                      np.array(sl) if sl is not None else None, np.array(og))
 
 
 class TestProbe:

@@ -1,0 +1,67 @@
+"""Import hygiene: no unused module-level imports under src/ or tests/,
+and the CLI starts without loading scipy."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unused_imports(source):
+    """Names bound by module-level imports that the module never reads.
+
+    A name counts as read when it appears as a Name anywhere in the module,
+    the root of an attribute chain included.  `from __future__` imports are
+    skipped.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_checker_sees_unused_and_used_names():
+    src = ("import os\nimport numpy as np\nimport os.path as osp\n"
+           "from a import b, c as d\nnp.zeros(1)\nprint(d)\n")
+    assert unused_imports(src) == [(1, "os"), (3, "osp"), (4, "b")]
+
+
+def test_no_unused_module_imports():
+    # a package's __init__ imports names to re-export them
+    files = [path for top in ("src", "tests")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             if path.name != "__init__.py"]
+    assert files
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in files
+             for line, name in unused_imports(path.read_text())]
+    assert found == []
+
+
+def test_cli_start_up_leaves_scipy_integrate_unloaded():
+    # only density_compare integrates, and no experiment kind calls it
+    code = ("import sys\n"
+            "import fiberdyn.experiments.cli\n"
+            "from fiberdyn.maps import family_names, make_system\n"
+            "for family in family_names():\n"
+            "    make_system(family)\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -8,7 +8,7 @@ from fiberdyn import (DerivativeVanishes, IntervalDomain, IntervalMap,
                       MissingDerivative, constant_sequence, estimate_modulus,
                       fiber_sequence, find_critical_points, identity_map,
                       make_system, maps, moebius_map, quadratic_map,
-                      schwarzian, track_branch, twowell_map,
+                      schwarzian, track_branch,
                       verify_partial_hyperbolicity, viana_skew)
 from fiberdyn import expansion
 from fiberdyn.expansion import ftle_fiber
