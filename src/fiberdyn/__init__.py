@@ -23,7 +23,7 @@ from .maps import (Domination, IntervalDomain, IntervalMap, MapSequence,
                    twowell_map, verify_partial_hyperbolicity, viana_skew)
 from .branches import (BranchPartition, CensusRecord, EndpointCut,
                        MonotoneBranch, bisect_preimage, bisect_preimages,
-                       branch_domains, component_census, interval_images,
+                       component_census, interval_images,
                        monotonicity_partition, symbol_sequence, track_branch)
 from .expansion import (DecayTable, branch_stats, estimate_f2,
                         fiber_branch_stats, ftle_fiber, ftle_full,

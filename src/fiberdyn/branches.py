@@ -8,14 +8,14 @@ exhaustion (residual well below the 1e-12 pullback tolerance), so each
 endpoint carries a checkable certificate (step, critical value).
 
 Pullbacks with many independent solves (the cells of a partition level,
-the threshold crossings of a census depth, the branch domains of many
-anchors) go through `bisect_preimages`, the elementwise replica of
+the threshold crossings of a census depth, the branches behind Markov
+inducing times) go through `bisect_preimages`, the elementwise replica of
 `bisect_preimage`: every lane keeps the scalar stopping rule and
 best-residual choice, so its result is bit-identical to the scalar call,
 while each bisection step composes the maps once over all live lanes.
-The array loops that follow many branch images at once (`branch_domains`,
-the branch-size statistics and the Markov covering search) take their
-steps with one rule, `image_step`.
+The array loops that follow many branch images at once (the branch-size
+statistics and the Markov inducing walk) take their steps with one rule,
+`image_step`.
 """
 
 import itertools
@@ -260,54 +260,6 @@ def image_step(f, critical_points, a, b, y):
         hi = np.where((y < c) & (c < hi), c, hi)
     imgs = np.asarray(f(np.array((lo, hi, y))), dtype=float)
     return hit, lo, hi, imgs[0, ...], imgs[1, ...], imgs[2, ...]
-
-
-def branch_domains(seq, xs, n):
-    """Branch domains (t_lo, t_hi) of many anchors, tracked in lockstep.
-
-    `n` is one depth for every anchor or one depth per anchor.  Lane i
-    equals the t_lo and t_hi of ``track_branch(seq, xs[i], n)`` bit for
-    bit: step j maps the images of all lanes with one image_step and pulls
-    their cuts back in one bisect_preimages call.  Raises ValueError when
-    an anchor is not interior to the domain and HitCritical(j) when a lane
-    meets a critical point at step j.
-    """
-    dom = seq.domain
-    x = np.array(xs, dtype=float).ravel()
-    if not np.all((dom.lo < x) & (x < dom.hi)):
-        raise ValueError("anchor must be interior to the domain")
-    depth = np.broadcast_to(np.asarray(n, dtype=int), x.shape)
-    t_lo, t_hi = np.full(x.size, dom.lo), np.full(x.size, dom.hi)
-    a, b, y = t_lo.copy(), t_hi.copy(), x.copy()
-    lo_to_lo = np.ones(x.size, dtype=bool)
-    maps = []
-    live = np.arange(x.size)
-    for j in range(int(depth.max(initial=0))):
-        live = live[depth[live] > j]
-        m = seq.map_at(j)
-        al, bl = a[live], b[live]
-        hit, lo, hi, fa, fb, y[live] = image_step(
-            m.evaluator, m.critical_points, al, bl, y[live])
-        if hit.any():
-            raise HitCritical(j)
-        ltl = lo_to_lo[live]
-        # a cut below y moves the endpoint that maps to a (t_lo when
-        # lo_to_lo), a cut above y the one that maps to b
-        sets_lo = np.where(ltl, lo != al, hi != bl)
-        sets_hi = np.where(ltl, hi != bl, lo != al)
-        il, ih = live[sets_lo], live[sets_hi]
-        ts = bisect_preimages(maps,
-                              np.concatenate([np.where(ltl, lo, hi)[sets_lo],
-                                              np.where(ltl, hi, lo)[sets_hi]]),
-                              np.concatenate([t_lo[il], x[ih]]),
-                              np.concatenate([x[il], t_hi[ih]]))
-        t_lo[il], t_hi[ih] = ts[:il.size], ts[il.size:]
-        keep = fa <= fb
-        a[live] = np.where(keep, fa, fb)
-        b[live] = np.where(keep, fb, fa)
-        lo_to_lo[live] = ltl == keep
-        maps.append(m)
-    return t_lo, t_hi
 
 
 def symbol_sequence(branch: MonotoneBranch, delta):

@@ -427,11 +427,10 @@ def verify_partial_hyperbolicity(skew: SkewProduct, n_max=12, grid=32):
     X = X.ravel().copy()
     prod = np.ones_like(T)
     maxima = []
-    for _ in range(n_max):
+    for j in range(n_max):
         prod = prod * np.abs(skew.fiber_dx(T, X)) / np.abs(skew.base_derivative(T))
         maxima.append(float(prod.max()))
-        # fiber uses the pre-step theta; both updates read the old (T, X)
-        T, X = skew.base(T), skew.fiber(T, X)
+        T, X = skew.step((T, X), j)
     maxima = np.asarray(maxima)
     ns = np.arange(1, n_max + 1)
     if maxima.max() == 0.0:

@@ -8,8 +8,10 @@ with both neighbouring cells; the branch pullback of that cell is then a
 domain interval on which the induced map is a monotone surjection onto the
 cell.  Certification checks image exactness, minimum image length,
 constancy of (k, I) on each branch, and sampled distortion.  Discovery
-and constancy checks compute inducing times in lockstep batches
-(`inducing_times`), whose entries equal the one-point results.
+and constancy checks stream their points through `inducing_times`, which
+answers LANE_BATCH points at a time with one lockstep walk: each step maps
+the branch images, pulls the new cuts back, and pulls the cell back once
+a lane is covered, so every answer equals the one-point result.
 """
 
 import bisect as _bisect
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branches import (LANE_BATCH, _partition_levels, bisect_preimage,
-                       bisect_preimages, branch_domains, image_step, min_max,
+                       bisect_preimages, image_step, min_max,
                        monotonicity_partition, track_branch)
 from .errors import (ClosureDiverges, DegenerateGap, EscapedDomain,
                      HitCritical, InducingTimeNotFound, NotMonotone)
@@ -152,97 +154,95 @@ def monotone_scale(m: IntervalMap, part: MarkovPartition, n_cap=30):
                f"n_cap={n_cap}")
 
 
-def _covering_ks(m: IntervalMap, part: MarkovPartition, xs, N, k_max):
-    """Image-side search for the minimal covering iterate k >= N, per lane.
+def _induce(m: IntervalMap, part: MarkovPartition, xs, N, k_max):
+    """Inducing times of anchors interior to the domain, in one lockstep walk.
 
-    All lanes step in lockstep; returns arrays (k, ci) with k = 0 where the
-    search failed and the failure per lane (HitCritical or
-    InducingTimeNotFound, None on success).
+    Step j maps the branch image of every live lane with one image_step and
+    pulls the new cuts back through the first j maps with one
+    bisect_preimages call, so each lane's domain is the one track_branch
+    finds.  A lane stops at the first k >= N whose image covers its cell and
+    both neighbouring cells; the cells of all lanes stopping at k are pulled
+    back through k maps in one call.  Returns one result or exception per
+    anchor.
     """
     dom = m.domain
-    y = np.array(xs, dtype=float)
-    a, b = np.full(y.size, dom.lo), np.full(y.size, dom.hi)
     eps = np.asarray(part.endpoints)
-    ks, cis = np.zeros(y.size, dtype=int), np.zeros(y.size, dtype=int)
-    errors = [None] * y.size
-    live = np.arange(y.size)
+    out = [None] * len(xs)
+    lane = np.arange(len(xs))
+    x = np.array(xs, dtype=float)
+    t_lo, t_hi = np.full(x.size, dom.lo), np.full(x.size, dom.hi)
+    a, b, y = t_lo.copy(), t_hi.copy(), x.copy()
+    lo_to_lo = np.ones(x.size, dtype=bool)
     for j in range(k_max):
-        if not live.size:
+        if not lane.size:
             break
-        hit, _, _, fa, fb, yl = image_step(m.evaluator, m.critical_points,
-                                           a[live], b[live], y[live])
-        for i in live[hit].tolist():
-            errors[i] = HitCritical(j)
-        keep = ~hit
-        live = live[keep]
-        a[live], b[live] = min_max(fa[keep], fb[keep])
-        y[live] = yl = yl[keep]
+        hit, lo, hi, fa, fb, y = image_step(m.evaluator, m.critical_points,
+                                            a, b, y)
+        # a cut below y moves the endpoint that maps to a (t_lo when
+        # lo_to_lo), a cut above y the one that maps to b; a lane that hit a
+        # critical point pulls nothing back and is dropped below
+        sets_lo = ~hit & np.where(lo_to_lo, lo != a, hi != b)
+        sets_hi = ~hit & np.where(lo_to_lo, hi != b, lo != a)
+        ts = bisect_preimages(
+            [m] * j, np.concatenate([np.where(lo_to_lo, lo, hi)[sets_lo],
+                                     np.where(lo_to_lo, hi, lo)[sets_hi]]),
+            np.concatenate([t_lo[sets_lo], x[sets_hi]]),
+            np.concatenate([x[sets_lo], t_hi[sets_hi]]))
+        n_lo = np.count_nonzero(sets_lo)
+        t_lo[sets_lo], t_hi[sets_hi] = ts[:n_lo], ts[n_lo:]
+        keep = fa <= fb
+        a, b = np.where(keep, fa, fb), np.where(keep, fb, fa)
+        lo_to_lo = lo_to_lo == keep
         k = j + 1
-        if k >= N:
-            ci = np.clip(np.searchsorted(eps, yl, side="right") - 1,
-                         0, eps.size - 2)
-            lo_need = eps[np.maximum(ci - 1, 0)]
-            hi_need = eps[np.minimum(ci + 2, eps.size - 1)]
-            done = ((a[live] <= lo_need + ENDPOINT_TOL)
-                    & (b[live] >= hi_need - ENDPOINT_TOL))
-            ks[live[done]], cis[live[done]] = k, ci[done]
-            live = live[~done]
-    for i in live.tolist():
-        errors[i] = InducingTimeNotFound(k_max)
-    return ks, cis, errors
+        ci = np.clip(np.searchsorted(eps, y, side="right") - 1,
+                     0, eps.size - 2)
+        done = (~hit & (k >= N)
+                & (a <= eps[np.maximum(ci - 1, 0)] + ENDPOINT_TOL)
+                & (b >= eps[np.minimum(ci + 2, eps.size - 1)] - ENDPOINT_TOL))
+        ci = ci[done]
+        ends = bisect_preimages([m] * k,
+                                np.concatenate([eps[ci], eps[ci + 1]]),
+                                np.tile(t_lo[done], 2), np.tile(t_hi[done], 2))
+        cell_lo, cell_hi = min_max(*np.split(ends, 2))
+        for i, c, u, v in zip(lane[done].tolist(), ci.tolist(),
+                              cell_lo.tolist(), cell_hi.tolist()):
+            out[i] = (k, (u, v), c)
+        for i in lane[hit].tolist():
+            out[i] = HitCritical(j)
+        lane, x, t_lo, t_hi, a, b, y, lo_to_lo = (
+            v[~(hit | done)] for v in (lane, x, t_lo, t_hi, a, b, y, lo_to_lo))
+    for i in lane.tolist():
+        out[i] = InducingTimeNotFound(k_max)
+    return out
 
 
 def inducing_times(m: IntervalMap, part: MarkovPartition, xs, N=None,
                    k_max=200):
-    """inducing_time for many points; one result or exception per point.
+    """inducing_time for an iterable of points, yielding one answer a point.
 
-    Entry i is what ``inducing_time(m, part, xs[i], N, k_max)`` returns,
-    or the HitCritical, InducingTimeNotFound or ValueError it raises.
-    Points are processed LANE_BATCH at a time: each batch runs the covering
-    search in lockstep, tracks all branch domains with one branch_domains call
-    and pulls the image cells back with one bisect_preimages call per
-    inducing time.
+    Item i is what ``inducing_time(m, part, xs[i], N, k_max)`` returns, or
+    the HitCritical, InducingTimeNotFound or ValueError it raises.  Points
+    are read LANE_BATCH at a time, and a batch is answered before more are
+    read; its anchors off the partition endpoints and inside the domain go
+    through one lockstep walk.  N defaults to monotone_scale, computed once,
+    when the first point needs it.
     """
-    xs = [float(x) for x in xs]
-    out = [ValueError("x must be interior to a partition cell")
-           if part.near_endpoint(x) else None for x in xs]
-    todo = [i for i, r in enumerate(out) if r is None]
-    if todo and N is None:
-        N = monotone_scale(m, part)
     dom = m.domain
-    seq = constant_sequence(m)
-    eps = np.asarray(part.endpoints)
-    for s in range(0, len(todo), LANE_BATCH):
-        lanes = todo[s:s + LANE_BATCH]
-        ks, cis, errors = _covering_ks(m, part, [xs[i] for i in lanes], N,
-                                       k_max)
-        for pos, (i, err) in enumerate(zip(lanes, errors)):
-            if err is None and not dom.lo < xs[i] < dom.hi:
-                err = ValueError("anchor must be interior to the domain")
-                ks[pos] = 0
-            out[i] = err
-        ok = np.flatnonzero(ks > 0)
-        ks, cis = ks[ok], cis[ok]
-        t_lo, t_hi = branch_domains(seq, [xs[lanes[i]] for i in ok], ks)
-        for k in np.unique(ks).tolist():
-            sel = np.flatnonzero(ks == k)
-            ci = cis[sel]
-            ends = bisect_preimages([m] * k,
-                                    np.concatenate([eps[ci], eps[ci + 1]]),
-                                    np.tile(t_lo[sel], 2),
-                                    np.tile(t_hi[sel], 2))
-            lo, hi = min_max(ends[:sel.size], ends[sel.size:])
-            for i, c, u, v in zip(ok[sel].tolist(), ci.tolist(), lo.tolist(),
-                                  hi.tolist()):
-                out[lanes[i]] = (k, (u, v), c)
-    return out
-
-
-def _streamed_inducing_times(m, part, xs, N, k_max):
-    """inducing_times over an iterable, computed LANE_BATCH points at a time."""
     xs = iter(xs)
-    while chunk := list(itertools.islice(xs, LANE_BATCH)):
-        yield from inducing_times(m, part, chunk, N, k_max)
+    while batch := [float(x) for x in itertools.islice(xs, LANE_BATCH)]:
+        out = [ValueError("x must be interior to a partition cell")
+               if part.near_endpoint(x) else None for x in batch]
+        for i, x in enumerate(batch):
+            if out[i] is None and not dom.lo < x < dom.hi:
+                out[i] = ValueError("anchor must be interior to the domain")
+        lanes = [i for i, r in enumerate(out) if r is None]
+        if lanes:
+            if N is None:
+                N = monotone_scale(m, part)
+            for i, r in zip(lanes, _induce(m, part, [batch[i] for i in lanes],
+                                           N, k_max)):
+                out[i] = r
+        yield from out
 
 
 def inducing_time(m: IntervalMap, part: MarkovPartition, x, N=None,
@@ -253,7 +253,7 @@ def inducing_time(m: IntervalMap, part: MarkovPartition, x, N=None,
     of the partition cell, computed by monotone bisection inside the
     depth-k branch of x.
     """
-    (result,) = inducing_times(m, part, [x], N, k_max)
+    result = next(inducing_times(m, part, [x], N, k_max))
     if isinstance(result, Exception):
         raise result
     return result
@@ -322,27 +322,23 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
     los, his, branches = [], [], []
 
     def discover(xs):
-        # inducing times of a chunk are computed in one batch (skipping
-        # points already covered before the chunk), then the points are
-        # replayed in order; an inducing time depends on x alone, so the
-        # branch list is the same as for one point at a time
-        xs = [float(x) for x in xs]
-        for s in range(0, len(xs), LANE_BATCH):
-            chunk = xs[s:s + LANE_BATCH]
+        # a point is skipped when it is read if a branch found earlier
+        # covers it, and replayed in order once its batch is answered; an
+        # inducing time depends on x alone, so the branch list is the same
+        # as for one point at a time
+        read, todo = itertools.tee(x for x in xs
+                                   if _branch_at(los, his, x) < 0)
+        for x, found in zip(read, inducing_times(m, part, todo, N, k_max)):
             # inducing_times answers a point near an endpoint with ValueError
-            todo = [x for x in chunk if _branch_at(los, his, x) < 0]
-            found = dict(zip(todo, inducing_times(m, part, todo, N, k_max)))
-            for x in chunk:
-                if (_branch_at(los, his, x) >= 0
-                        or isinstance(found[x], Exception)):
-                    continue
-                k, (lo, hi), ci = found[x]
-                if _near(los, lo, ENDPOINT_TOL):
-                    continue
-                i = _bisect.bisect_left(los, lo)
-                los.insert(i, lo)
-                his.insert(i, hi)
-                branches.insert(i, (k, lo, hi, ci))
+            if _branch_at(los, his, x) >= 0 or isinstance(found, Exception):
+                continue
+            k, (lo, hi), ci = found
+            if _near(los, lo, ENDPOINT_TOL):
+                continue
+            i = _bisect.bisect_left(los, lo)
+            los.insert(i, lo)
+            his.insert(i, hi)
+            branches.insert(i, (k, lo, hi, ci))
 
     discover(points)
     for _ in range(4):
@@ -379,7 +375,7 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
 
     # inducing times at the constancy samples of all branches, computed
     # LANE_BATCH at a time as the loop below consumes them
-    found = _streamed_inducing_times(
+    found = inducing_times(
         m, part, (float(s) for (_, lo, hi, _) in branches
                   for s in constancy_points(lo, hi)), N, k_max)
     for (k, lo, hi, ci) in branches:

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from fiberdyn import (CapExceeded, HitCritical, MarkovPartition,
-                      bisect_preimage, bisect_preimages, branch_domains,
-                      branch_stats, component_census, constant_sequence,
-                      fiber_branch_stats, fiber_sequence, identity_map,
-                      inducing_times, interval_images, logistic_map,
-                      moebius_map, monotonicity_partition, quadratic_map,
-                      symbol_sequence, track_branch, twowell_map, viana_skew)
+                      bisect_preimage, bisect_preimages, branch_stats,
+                      component_census, constant_sequence, fiber_branch_stats,
+                      fiber_sequence, identity_map, inducing_times,
+                      interval_images, logistic_map, moebius_map,
+                      monotonicity_partition, quadratic_map, symbol_sequence,
+                      track_branch, twowell_map, viana_skew)
 from fiberdyn.branches import HIT_TOL, image_step
 from fiberdyn.rng import make_generator
 
@@ -176,16 +176,13 @@ class TestHitTolerance:
         steps = [0 if w else None for w in want]
         assert [_hit_step(lambda: track_branch(seq, float(x), 1))
                 for x in xs] == steps
-        assert [_hit_step(lambda: branch_domains(seq, [x], 1))
-                for x in xs] == steps
-        assert _hit_step(lambda: branch_domains(seq, xs, 1)) == 0
         _, _, alive = stats(xs)
         assert (~alive).tolist() == want
         if family == "logistic":
             # a partition without c as an endpoint, so no anchor is
             # rejected as lying on one
             part = MarkovPartition.from_endpoints(m, (0.0, 1.0))
-            got = inducing_times(m, part, xs, N=1, k_max=1)
+            got = list(inducing_times(m, part, xs, N=1, k_max=1))
             assert [g.step if isinstance(g, HitCritical) else None
                     for g in got] == steps
 
@@ -316,13 +313,6 @@ PULLBACK_SYSTEMS = {
 }
 
 
-def _scalar_domains(seq, xs, depths):
-    """(t_lo, t_hi) of track_branch per anchor, as two lists."""
-    branches = [track_branch(seq, float(x), int(n))
-                for x, n in zip(xs, np.broadcast_to(depths, np.shape(xs)))]
-    return [br.t_lo for br in branches], [br.t_hi for br in branches]
-
-
 class TestBatchedPullback:
     @pytest.mark.parametrize("name", sorted(PULLBACK_SYSTEMS))
     @pytest.mark.parametrize("depth", [0, 1, 3, 6])
@@ -365,51 +355,6 @@ class TestBatchedPullback:
         want = [bisect_preimage(maps, t, 0.0, 1.0, value_tol=0.125)
                 for t in targets]
         assert got.tolist() == want == [1.0, 0.5]
-
-    @pytest.mark.parametrize("n", [1, 6, 10])
-    def test_track_branches_matches_scalar(self, logistic_seq, n):
-        """branch_domains gives track_branch's domains bit for bit."""
-        xs = make_generator(n).uniform(0.0, 1.0, 150).tolist() + [0.25]
-        t_lo, t_hi = branch_domains(logistic_seq, xs, n)
-        assert (t_lo.tolist(), t_hi.tolist()) == _scalar_domains(
-            logistic_seq, xs, n)
-        # one lane on a critical orbit stops the batch at its step
-        for x, step in ((0.5, 0), (E1, 1), (1.0 - E1, 1)):
-            if step < n:
-                with pytest.raises(HitCritical) as exc:
-                    branch_domains(logistic_seq, xs + [x], n)
-                assert exc.value.step == step
-
-    @pytest.mark.parametrize("name", ["quadratic", "moebius", "viana fiber"])
-    def test_track_branches_matches_scalar_other_maps(self, name):
-        seq = PULLBACK_SYSTEMS[name]()
-        dom = seq.domain
-        xs = make_generator(7).uniform(dom.lo, dom.hi, 80)
-        for n in (1, 6, 10):
-            t_lo, t_hi = branch_domains(seq, xs, n)
-            assert (t_lo.tolist(), t_hi.tolist()) == _scalar_domains(
-                seq, xs, n)
-
-    def test_track_branches_twowell_pullback_fields(self, twowell):
-        seq = constant_sequence(twowell)
-        xs = make_generator(8).uniform(0.0, 1.0, 40)
-        for n in (1, 6, 10):
-            t_lo, t_hi = branch_domains(seq, xs, n)
-            assert (t_lo.tolist(), t_hi.tolist()) == _scalar_domains(
-                seq, xs, n)
-
-    def test_track_branches_per_lane_depths(self, logistic_seq):
-        # a depth-0 lane takes no step, so an anchor on c does not stop it
-        xs = [0.1, 0.3, 0.45, 0.5]
-        depths = [1, 7, 4, 0]
-        t_lo, t_hi = branch_domains(logistic_seq, xs, depths)
-        assert (t_lo.tolist(), t_hi.tolist()) == _scalar_domains(
-            logistic_seq, xs, depths)
-        assert (t_lo[3], t_hi[3]) == (0.0, 1.0)
-
-    def test_track_branches_rejects_boundary_anchor(self, logistic_seq):
-        with pytest.raises(ValueError):
-            branch_domains(logistic_seq, [0.3, 0.0], 3)
 
 
 class TestImageStep:

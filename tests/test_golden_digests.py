@@ -12,7 +12,10 @@ the cloud loops that binned one step per call, before iterates were binned
 in blocks.  The deep pliss and branch entries (depth 300-1000, where a
 branch domain has collapsed to one float) were taken from the pullback that
 still bisected one-float brackets.  The logistic ftle entry was taken before
-ftle_fiber shared its orbit step with ftle_full.  Files that carry the generator metadata
+ftle_fiber shared its orbit step with ftle_full.  The logistic depth-2 and
+quadratic markov entries, which draw random seeds past the stratified ones
+and reseed gaps, were taken while the covering search and the branch
+pullback were two walks.  Files that carry the generator metadata
 (measure_meta.json, components.json) also record the numpy version, so they
 pin it too.
 """
@@ -45,6 +48,23 @@ GOLDEN = {
                          "d598395f839f4bf49d370bb9b4245a83",
          "certificate.json": "f765aad04c2345cb8cfbee445c4245e2"
                              "3e0a30f1c7761a98192641138b435e23",
+         "summability.json": "9027be55410013511d34008aa5f1e49f"
+                             "6c778be6de60cbced97cd1e9864be9ff"}),
+    "markov logistic depth 2": (
+        ["markov", "--family", "logistic", "--depth", "2", "--seeds", "2000"],
+        {"branches.csv": "d7e1abe002e5f513d943027def5b01b5"
+                         "b74a30d382fc28bebddc6f1196960b11",
+         "certificate.json": "fd19771213a8f4219fefcaed981f26f6"
+                             "3fac4fb0fdc8f50bb21952fa6381c89a",
+         "summability.json": "8e4c51a21aaa25729eefbc47685e0634"
+                             "5f91d55fe5a0ea6bb04c569d276c0646"}),
+    "markov quadratic": (
+        ["markov", "--family", "quadratic", "--system", "a=2", "--depth", "1",
+         "--seeds", "300"],
+        {"branches.csv": "6091c0907d8d099119cbba0e98f7b61b"
+                         "6f432302524b89d626b6442a693d1107",
+         "certificate.json": "064bcd3508c4c71488f2143199b7d9c0"
+                             "4192174b247170e208671edb05c77b5e",
          "summability.json": "9027be55410013511d34008aa5f1e49f"
                              "6c778be6de60cbced97cd1e9864be9ff"}),
     "branch logistic": (

@@ -315,6 +315,8 @@ class TestSystemProtocol:
 class _BareSkew:
     """Duck-typed stand-in for domination checks on unconstructible systems."""
 
+    step = maps.SkewProduct.step
+
     def __init__(self, base_degree, base, base_derivative, fiber, fiber_dx,
                  fiber_domain):
         self.base_degree = base_degree
@@ -337,6 +339,14 @@ class TestPartialHyperbolicity:
         rep = verify_partial_hyperbolicity(viana, n_max=10, grid=24)
         for n, r in zip(rep.n_values, rep.max_ratio):
             assert r <= rep.C * rep.sigma_hat**n * (1 + 1e-9)
+
+    def test_fitted_domination_pinned(self):
+        """float.hex of the fitted constants, taken when the grid was
+        stepped with base and fiber in place of SkewProduct.step."""
+        got = [(s.domination.sigma_hat.hex(), s.domination.C.hex())
+               for s in (viana_skew(), viana_skew(d=3))]
+        assert got == [("0x1.fa0161d95d21fp-4", "0x1.67a6cd69b8e05p+3"),
+                       ("0x1.4db8b231c4b0bp-1", "0x1.64901654d0473p+3")]
 
     def test_constant_fiber_ratio_zero(self):
         bare = _BareSkew(16, lambda t: (16 * t) % 1.0,

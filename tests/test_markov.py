@@ -1,18 +1,21 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 
-from fiberdyn import (ClosureDiverges, DegenerateGap, HitCritical,
-                      InducedBranch, InducingTimeNotFound, MapSequence,
-                      MarkovPartition, NotMonotone, affine_map,
-                      assemble_markov, build_partition, constant_sequence,
-                      cross_ratio, cross_ratio_operator, doubling_map,
-                      fit_cross_ratio_constant, inducing_time, inducing_times,
-                      logistic_map, moebius_map, monotone_scale,
-                      monotonicity_partition, quadratic_map, summability_stat,
-                      track_branch)
+from fiberdyn import (ClosureDiverges, DegenerateGap, EscapedDomain,
+                      HitCritical, InducedBranch, InducingTimeNotFound,
+                      MapSequence, MarkovPartition, NotMonotone, affine_map,
+                      assemble_markov, bisect_preimage, build_partition,
+                      constant_sequence, cross_ratio, cross_ratio_operator,
+                      doubling_map, fit_cross_ratio_constant, inducing_time,
+                      inducing_times, logistic_map, moebius_map,
+                      monotone_scale, monotonicity_partition, quadratic_map,
+                      summability_stat, track_branch, twowell_map)
 from fiberdyn import markov
+from fiberdyn.branches import LANE_BATCH
+from fiberdyn.markov import ENDPOINT_TOL
 from fiberdyn.rng import make_generator
 
 E1 = (2.0 - math.sqrt(2.0)) / 4.0
@@ -87,7 +90,7 @@ class TestInducingTime:
         part = build_partition(logistic, 1)
         xs = make_generator(52).uniform(0.0, 1.0, 300).tolist()
         xs += [0.5, 0.0, E1, 0.25, 0.75]     # endpoint and critical anchors
-        batch = inducing_times(logistic, part, xs, 6)
+        batch = list(inducing_times(logistic, part, xs, 6))
         for x, got in zip(xs, batch):
             try:
                 want = inducing_time(logistic, part, x, 6)
@@ -98,6 +101,41 @@ class TestInducingTime:
         assert sum(isinstance(r, tuple) for r in batch) >= 250
         assert isinstance(batch[-5], ValueError)
 
+    def test_anchor_outside_domain_fails_first(self):
+        # the walk would give up at k_max = 1 for these anchors; the domain
+        # check answers them before any walk
+        m = doubling_map()
+        part = MarkovPartition.from_endpoints(m, (0.0, 0.5, 1.0), check=False)
+        got = list(inducing_times(m, part, [1.7, -0.3], N=1, k_max=1))
+        assert [(type(g), str(g)) for g in got] == [
+            (ValueError, "anchor must be interior to the domain")] * 2
+        for x in (1.7, -0.3):
+            with pytest.raises(ValueError, match="interior to the domain"):
+                inducing_time(m, part, x, N=1, k_max=1)
+
+    def test_reads_one_batch_at_a_time(self, logistic, monkeypatch):
+        part = build_partition(logistic, 1)
+        scales = []
+        monkeypatch.setattr(markov, "monotone_scale",
+                            lambda m, p: scales.append(1) or 6)
+        read = []
+
+        def points(n):
+            for x in make_generator(53).uniform(0.0, 1.0, n).tolist():
+                read.append(x)
+                yield x
+
+        found = inducing_times(logistic, part, points(2 * LANE_BATCH + 5),
+                               k_max=8)
+        next(found)
+        assert (len(read), len(scales)) == (LANE_BATCH, 1)
+        assert len(list(found)) == 2 * LANE_BATCH + 4
+        assert (len(read), len(scales)) == (2 * LANE_BATCH + 5, 1)
+        # no point needs N when every anchor is rejected before the walk
+        assert all(isinstance(r, ValueError) for r in
+                   inducing_times(logistic, part, [0.5, 1.5, 0.0]))
+        assert len(scales) == 1
+
     def test_partition_scale_failure_names_its_cap(self):
         # the doubling map has no critical point, so its monotone cells
         # never shrink; the failure is the depth cap n_cap, not k_max
@@ -106,6 +144,72 @@ class TestInducingTime:
         with pytest.raises(InducingTimeNotFound, match="n_cap=7") as info:
             monotone_scale(m, part, n_cap=7)
         assert "k_max" not in str(info.value)
+
+
+def _oracle_inducing_time(m, part, x, N, k_max):
+    """inducing_time for one point from the scalar primitives.
+
+    track_branch to each depth k >= N until its image covers the cell of
+    f^k(x) and both neighbouring cells within ENDPOINT_TOL, then the scalar
+    pullback of both cell ends inside the depth-k branch.
+    """
+    if part.near_endpoint(x):
+        raise ValueError("x must be interior to a partition cell")
+    seq = constant_sequence(m)
+    eps = part.endpoints
+    for k in range(N, k_max + 1):
+        br = track_branch(seq, x, k)
+        ci = min(max(bisect.bisect_right(eps, seq.compose(x, k)) - 1, 0),
+                 len(eps) - 2)
+        if (br.img_lo <= eps[max(ci - 1, 0)] + ENDPOINT_TOL
+                and br.img_hi >= eps[min(ci + 2, len(eps) - 1)]
+                - ENDPOINT_TOL):
+            lo, hi = sorted(bisect_preimage([m] * k, e, br.t_lo, br.t_hi)
+                            for e in eps[ci:ci + 2])
+            return k, (lo, hi), ci
+    raise InducingTimeNotFound(k_max)
+
+
+def _hand_set(m, inner):
+    """m with a partition of the domain ends and `inner`, not invariant."""
+    ends = (m.domain.lo, *inner, m.domain.hi)
+    return m, MarkovPartition.from_endpoints(m, ends, check=False)
+
+
+ORACLE_SYSTEMS = {
+    "logistic": lambda: (logistic_map(), build_partition(logistic_map(), 1)),
+    "quadratic 2.0": lambda: (quadratic_map(2.0),
+                              build_partition(quadratic_map(2.0), 1)),
+    "quadratic 1.7": lambda: _hand_set(quadratic_map(1.7),
+                                       (-0.5, 0.0, 0.5, 1.2)),
+    "twowell": lambda: _hand_set(twowell_map(), (0.2, 0.45, 0.55, 0.8)),
+    "moebius": lambda: _hand_set(moebius_map(2.0), (0.25, 0.5, 0.75)),
+}
+
+
+class TestInducingOracle:
+    """Every item of inducing_times equals the one-point scalar recipe."""
+
+    @pytest.mark.parametrize("N, k_max", [(1, 3), (4, 12), (6, 40)])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+    def test_matches_scalar_recipe(self, name, N, k_max):
+        m, part = ORACLE_SYSTEMS[name]()
+        dom = m.domain
+        xs = make_generator(54).uniform(dom.lo, dom.hi, 300).tolist()
+        xs += [E1, 1.0 - E1]        # critical orbit of the logistic map
+        # points at and onto the critical points: HitCritical at step 0
+        # and 1, unless the partition has them as endpoints
+        xs += [*m.critical_points, *(y for c in m.critical_points
+                                     for y in markov._preimages(m, c))]
+        got = list(inducing_times(m, part, xs, N, k_max))
+        assert len(got) == len(xs)
+        for x, g in zip(xs, got):
+            try:
+                want = _oracle_inducing_time(m, part, x, N, k_max)
+            except (HitCritical, InducingTimeNotFound, ValueError) as ex:
+                assert (type(g), str(g)) == (type(ex), str(ex)), x
+            else:
+                assert g == want, x
 
 
 def _monotone_scale_rebuilt(m, part, n_cap=30):
@@ -254,6 +358,13 @@ class TestSummability:
             means.append(st.mean_time)
         spread = (max(means) - min(means)) / np.mean(means)
         assert spread <= 0.10
+
+    def test_every_probe_escaping_raises(self, logistic):
+        # no branch covers (0.96, 1], and every 50-step orbit visits it
+        branches = (InducedBranch(0.0, 0.96, 1, 0),)
+        for seed in (1, 2, 3):
+            with pytest.raises(EscapedDomain, match="every probe escaped"):
+                summability_stat(branches, logistic, 50, 40, seed)
 
     def test_low_coverage_rejected(self, logistic):
         branches = (InducedBranch(0.0, 0.25, 6, 0),)
