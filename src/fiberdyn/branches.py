@@ -480,21 +480,15 @@ def interval_images(seq, lo, hi, depth, extra):
     """
     a, b = float(lo), float(hi)
     out = []
-    for m in range(depth):
-        mp = seq.map_at(m)
-        for c in mp.critical_points:
-            if a + CENSUS_GUARD < c < b - CENSUS_GUARD:
-                raise ValueError("interval is not inside a monotone cell")
-        fa, fb = float(mp.evaluator(a)), float(mp.evaluator(b))
-        a, b = min(fa, fb), max(fa, fb)
-    clean = 0
-    for m in range(depth, depth + extra):
+    for m in range(depth + extra):
         mp = seq.map_at(m)
         if any(a + CENSUS_GUARD < c < b - CENSUS_GUARD
                for c in mp.critical_points):
+            if m < depth:
+                raise ValueError("interval is not inside a monotone cell")
             break
         fa, fb = float(mp.evaluator(a)), float(mp.evaluator(b))
         a, b = min(fa, fb), max(fa, fb)
-        clean += 1
-        out.append((m + 1, a, b))
-    return out, clean
+        if m >= depth:
+            out.append((m + 1, a, b))
+    return out, len(out)

@@ -169,6 +169,13 @@ def _refine_for_step(skew, piece):
         depth = np.repeat(depth + split, 1 + split)
 
 
+def _transport_slopes(skew: SkewProduct, th, xs, s):
+    """Tangent slopes s at (th, xs) after one step: (d_th f + d_x f s) / g'."""
+    return (np.asarray(skew.fiber_dtheta(th, xs), float)
+            + np.asarray(skew.fiber_dx(th, xs), float) * s) \
+        / np.asarray(skew.base_derivative(th), float)
+
+
 def propagate_curve(skew: SkewProduct, curve: CurveGraph, n):
     """Iterate a curve, splitting at base fundamental-domain wraps.
 
@@ -185,13 +192,8 @@ def propagate_curve(skew: SkewProduct, curve: CurveGraph, n):
             th_old = piece.theta
             x_old = piece.x
             th_img, x_img = skew.step((th_old, x_old), 0)
-            if piece.slopes is not None:
-                s_img = (np.asarray(skew.fiber_dtheta(th_old, x_old), float)
-                         + np.asarray(skew.fiber_dx(th_old, x_old), float)
-                         * piece.slopes) \
-                    / np.asarray(skew.base_derivative(th_old), float)
-            else:
-                s_img = None
+            s_img = None if piece.slopes is None else \
+                _transport_slopes(skew, th_old, x_old, piece.slopes)
             drops = np.flatnonzero(np.diff(th_img) <= 0)
             starts = [0, *(int(d) + 1 for d in drops)]
             ends = [*(int(d) + 1 for d in drops), th_img.size]
@@ -228,9 +230,7 @@ def slope_envelope(skew: SkewProduct, curve: CurveGraph, n):
         s = np.concatenate([fd, fd[-1:]])
     env = np.empty(n)
     for m in range(n):
-        s = (np.asarray(skew.fiber_dtheta(th, xs), float)
-             + np.asarray(skew.fiber_dx(th, xs), float) * s) \
-            / np.asarray(skew.base_derivative(th), float)
+        s = _transport_slopes(skew, th, xs, s)
         th, xs = skew.step((th, xs), m)
         env[m] = np.abs(s).max()
     return env

@@ -11,7 +11,9 @@ constancy of (k, I) on each branch, and sampled distortion.  Discovery
 and constancy checks stream their points through `inducing_times`, which
 answers LANE_BATCH points at a time with one lockstep walk: each step maps
 the branch images, pulls the new cuts back, and pulls the cell back once
-a lane is covered, so every answer equals the one-point result.
+a lane is covered.  Certification and summability walk their orbits as
+lanes through `_walk`, LANE_BATCH at a time, adding the math.log terms one
+element at a time.  Every answer equals the one-point result.
 """
 
 import bisect as _bisect
@@ -47,6 +49,39 @@ def _branch_at(los, his, x):
     """
     i = _bisect.bisect_right(los, x) - 1
     return i if i >= 0 and x <= his[i] + 1e-12 else -1
+
+
+def _branches_at(los, his, xs):
+    """_branch_at for a float array xs, with los and his as float arrays."""
+    i = np.searchsorted(los, xs, side="right") - 1
+    inside = i >= 0
+    inside[inside] = xs[inside] <= his[i[inside]] + 1e-12
+    return np.where(inside, i, -1)
+
+
+def _walk(m: IntervalMap, xs, ks):
+    """(log|(f^k)'(x)|, f^k(x)) for every lane x = xs[i], k = ks[i].
+
+    A lane adds math.log|f'| at its orbit points one term at a time, left to
+    right, as a one-point loop does.  From the first step whose |f'| is at
+    most 1e-300 its log is -inf, and its point keeps moving.  Lanes are
+    walked LANE_BATCH at a time.
+    """
+    ys = np.array(xs, dtype=float).ravel()
+    ks = np.broadcast_to(ks, ys.shape)
+    logs = np.zeros(ys.size)
+    for s in range(0, ys.size, LANE_BATCH):
+        # views: writes to y and ld land in ys and logs
+        y, k, ld = (v[s:s + LANE_BATCH] for v in (ys, ks, logs))
+        for j in range(int(k.max(initial=0))):
+            live = np.flatnonzero(k > j)
+            d = np.abs(m.derivative(y[live]))
+            flat = d <= 1e-300
+            add = ~flat & (ld[live] != -math.inf)
+            ld[live[flat]] = -math.inf
+            ld[live[add]] += list(map(math.log, d[add].tolist()))
+            y[live] = m.evaluator(y[live])
+    return logs, ys
 
 
 def _endpoint_defects(m: IntervalMap, endpoints):
@@ -284,20 +319,6 @@ class MarkovCertificate:
     failures: tuple
 
 
-def _log_deriv_n(m, x, k):
-    """(log |(f^k)'(x)|, f^k(x)) from one walk of the orbit; (-inf, the
-    point reached) at the first step whose |f'| is at most 1e-300."""
-    s = 0.0
-    y = float(x)
-    for _ in range(k):
-        d = abs(float(m.derivative(y)))
-        if d <= 1e-300:
-            return -math.inf, y
-        s += math.log(d)
-        y = float(m.evaluator(y))
-    return s, y
-
-
 def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
                     k_max=200, seed=0, check_constancy=True):
     """Discover induced branches from stratified seeds and certify them.
@@ -312,8 +333,7 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
     """
     N = monotone_scale(m, part)
     dom = m.domain
-    seq = constant_sequence(m)
-    strat = monotonicity_partition(seq, 8, cap=10**6)
+    strat = monotonicity_partition(constant_sequence(m), 8, cap=10**6)
     points = [0.5 * (lo + hi) for lo, hi in strat.cells]
     rng = make_generator(seed)
     extra = max(0, seeds - len(points))
@@ -342,17 +362,11 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
 
     discover(points)
     for _ in range(4):
-        gaps = []
-        frontier = dom.lo
-        for lo, hi in zip(los, his):
-            if lo - frontier > 1e-7:
-                gaps.append((frontier, lo))
-            frontier = hi
-        if dom.hi - frontier > 1e-7:
-            gaps.append((frontier, dom.hi))
+        gaps = [(a, b) for a, b in zip([dom.lo, *his], [*los, dom.hi])
+                if b - a > 1e-7]
         if not gaps:
             break
-        discover(0.5 * (glo + ghi) for glo, ghi in gaps)
+        discover(0.5 * (a + b) for a, b in gaps)
 
     # certification; a cell image only stays cell-aligned along induced
     # iterates when the endpoint set is forward invariant, so that check is
@@ -370,28 +384,31 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
     min_img = math.inf
     rng2 = make_generator(seed + 1)
 
-    def constancy_points(lo, hi):
-        return np.linspace(lo, hi, 12)[1:-1]
-
     # inducing times at the constancy samples of all branches, computed
     # LANE_BATCH at a time as the loop below consumes them
-    found = inducing_times(
-        m, part, (float(s) for (_, lo, hi, _) in branches
-                  for s in constancy_points(lo, hi)), N, k_max)
-    for (k, lo, hi, ci) in branches:
+    samples = np.array([np.linspace(lo, hi, 12)[1:-1]
+                        for _, lo, hi, _ in branches])
+    found = inducing_times(m, part, (float(s) for ss in samples for s in ss),
+                           N, k_max)
+    # f^k at both ends and at 17 interior distortion samples of every
+    # branch, in one walk
+    times = np.array([k for k, *_ in branches], dtype=int)
+    lds, ends = (v.reshape(-1, 19) for v in _walk(
+        m, [np.linspace(lo, hi, 19) for _, lo, hi, _ in branches],
+        np.repeat(times, 19)))
+    for (k, lo, hi, ci), ld, end, ss in zip(branches, lds, ends, samples):
         cell_lo, cell_hi = part.endpoints[ci], part.endpoints[ci + 1]
-        img = sorted(float(seq.compose(e, k)) for e in (lo, hi))
+        img = sorted(end[[0, -1]].tolist())
         mismatch = max(abs(img[0] - cell_lo), abs(img[1] - cell_hi))
         worst_mismatch = max(worst_mismatch, mismatch)
         if mismatch > ENDPOINT_TOL:
             failures.append(f"branch@{lo!r}: image mismatch {mismatch:.3e}")
         min_img = min(min_img, img[1] - img[0])
-        samples = np.linspace(lo, hi, 19)[1:-1]
-        lds = [_log_deriv_n(m, s, k)[0] for s in samples]
-        dist = math.exp(max(lds) - min(lds)) if min(lds) > -math.inf else math.inf
+        ld = ld[1:-1].tolist()
+        dist = math.exp(max(ld) - min(ld)) if min(ld) > -math.inf else math.inf
         out.append(InducedBranch(lo, hi, k, ci, dist))
         if check_constancy:
-            for s in constancy_points(lo, hi):
+            for s in ss:
                 result = next(found)
                 if isinstance(result, Exception):
                     failures.append(
@@ -405,29 +422,26 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
                         f"{float(s)!r}")
     coverage = sum(b.length for b in out) / dom.length
 
-    # distortion along sampled compositions up to length 3
+    # distortion along sampled compositions up to length 3; the 200 starts
+    # walk as lanes, and a lane stops off the branches or at a flat point
     K_hat = max((b.distortion_sample for b in out), default=1.0)
+    lo_a, hi_a = np.array(los), np.array(his)
     for length in (2, 3):
+        x = rng2.uniform(dom.lo, dom.hi, 200)
+        logd = np.zeros(x.size)
+        path = np.empty((x.size, length), dtype=int)
+        live = np.arange(x.size)
+        for step in range(length):
+            i = _branches_at(lo_a, hi_a, x[live])
+            live, i = live[i >= 0], i[i >= 0]
+            ld, x[live] = _walk(m, x[live], times[i])
+            keep = ld != -math.inf
+            live, i = live[keep], i[keep]
+            logd[live] += ld[keep]
+            path[live, step] = i
         groups = {}
-        starts = rng2.uniform(dom.lo, dom.hi, 200)
-        for x0 in starts:
-            x = float(x0)
-            itinerary = []
-            logd = 0.0
-            ok = True
-            for _ in range(length):
-                i = _branch_at(los, his, x)
-                if i < 0:
-                    ok = False
-                    break
-                ld, x = _log_deriv_n(m, x, out[i].time)
-                if ld == -math.inf:
-                    ok = False
-                    break
-                logd += ld
-                itinerary.append(i)
-            if ok:
-                groups.setdefault(tuple(itinerary), []).append(logd)
+        for p, v in zip(map(tuple, path[live].tolist()), logd[live].tolist()):
+            groups.setdefault(p, []).append(v)
         for vals in groups.values():
             if len(vals) > 1:
                 K_hat = max(K_hat, math.exp(max(vals) - min(vals)))
@@ -500,13 +514,12 @@ def fit_cross_ratio_constant(m: IntervalMap, pairs, seed):
         if br.t_hi - br.t_lo < 1e-9:
             continue
         u = sorted(rng.uniform(br.t_lo, br.t_hi, 4))
-        T = (u[0], u[3])
-        J = (u[1], u[2])
+        T, J = (u[0], u[3]), (u[1], u[2])
         try:
             B = cross_ratio_operator(m, n, T, J)
         except (DegenerateGap, NotMonotone, ValueError):
             continue
-        img = sorted(float(seq.compose(e, n)) for e in T)
+        img = sorted(_walk(m, T, n)[1].tolist())
         width2 = (img[1] - img[0]) ** 2
         count += 1
         if B < 1.0 and width2 > 0:
@@ -537,27 +550,19 @@ def summability_stat(branches, m: IntervalMap, orbit_len, probes, seed):
     coverage = sum(b.length for b in branches) / m.domain.length
     if coverage < 0.95:
         raise ValueError(f"branches cover only {coverage:.3f} of the domain")
-    los = [b.lo for b in branches]
-    his = [b.hi for b in branches]
-    rng = make_generator(seed)
-    seq = constant_sequence(m)
-    means = []
-    escaped = 0
-    for _ in range(probes):
-        x = float(rng.uniform(m.domain.lo, m.domain.hi))
-        ks = []
-        try:
-            for _ in range(orbit_len):
-                i = _branch_at(los, his, x)
-                if i < 0:
-                    raise EscapedDomain(f"orbit left the branches at {x!r}")
-                ks.append(branches[i].time)
-                x = float(seq.compose(x, branches[i].time))
-        except EscapedDomain:
-            escaped += 1
-            continue
-        means.append(sum(ks) / len(ks))
-    if not means:
+    los, his, times = (np.array([getattr(b, f) for b in branches])
+                       for f in ("lo", "hi", "time"))
+    # every probe is a lane; a lane that leaves the branches escapes
+    x = make_generator(seed).uniform(m.domain.lo, m.domain.hi, probes)
+    total = np.zeros(probes, dtype=int)
+    live = np.arange(probes)
+    for _ in range(orbit_len):
+        i = _branches_at(los, his, x[live])
+        live, i = live[i >= 0], i[i >= 0]
+        total[live] += times[i]
+        x[live] = _walk(m, x[live], times[i])[1]
+    if not live.size:
         raise EscapedDomain("every probe escaped the branch domains")
-    arr = np.asarray(means)
-    return SummabilityStat(float(arr.mean()), float(arr.std()), escaped)
+    arr = total[live] / orbit_len
+    return SummabilityStat(float(arr.mean()), float(arr.std()),
+                           probes - live.size)

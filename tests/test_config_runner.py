@@ -253,6 +253,16 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"].startswith("ClosureDiverges")
 
+    def test_markov_without_branches_fails_on_coverage(self, tmp_path):
+        # k_max = 1 is below the partition scale, so no branch is found
+        out = tmp_path / "nb"
+        rc = cli_main(["markov", "--k-max", "1", "--seeds", "50",
+                       "--out", str(out)])
+        assert rc == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].endswith(
+            "branches cover only 0.000 of the domain")
+
     def test_experiment_failure_exit_code(self, tmp_path):
         rc = cli_main(["census", "--n", "16", "--cap", "4",
                        "--out", str(tmp_path / "c3")])

@@ -6,13 +6,14 @@ import pytest
 
 from fiberdyn import (ClosureDiverges, DegenerateGap, EscapedDomain,
                       HitCritical, InducedBranch, InducingTimeNotFound,
-                      MapSequence, MarkovPartition, NotMonotone, affine_map,
-                      assemble_markov, bisect_preimage, build_partition,
-                      constant_sequence, cross_ratio, cross_ratio_operator,
-                      doubling_map, fit_cross_ratio_constant, inducing_time,
-                      inducing_times, logistic_map, moebius_map,
-                      monotone_scale, monotonicity_partition, quadratic_map,
-                      summability_stat, track_branch, twowell_map)
+                      IntervalMap, MapSequence, MarkovPartition, NotMonotone,
+                      affine_map, assemble_markov, bisect_preimage,
+                      build_partition, constant_sequence, cross_ratio,
+                      cross_ratio_operator, doubling_map,
+                      fit_cross_ratio_constant, inducing_time, inducing_times,
+                      logistic_map, moebius_map, monotone_scale,
+                      monotonicity_partition, quadratic_map, summability_stat,
+                      track_branch, twowell_map)
 from fiberdyn import markov
 from fiberdyn.branches import LANE_BATCH
 from fiberdyn.markov import ENDPOINT_TOL
@@ -291,6 +292,14 @@ class TestAssemble:
                                check_constancy=False)
         assert not cert.failures
 
+    def test_no_branch_certificate(self, logistic):
+        # N > 1, so k_max = 1 finds no inducing time anywhere
+        cert = assemble_markov(logistic, build_partition(logistic, 1),
+                               seeds=50, k_max=1)
+        assert cert.branches == ()
+        assert cert.coverage == 0.0
+        assert cert.K_hat == 1.0
+
     def test_failure_messages_print_plain_floats(self, logistic):
         # depth 2 has constancy failures; their sample points come from
         # np.linspace and must not print as np.float64(...)
@@ -337,6 +346,12 @@ class TestCrossRatio:
         c2 = fit_cross_ratio_constant(logistic, 300, 4)
         assert c1 == 0.0 and c2 == 0.0
 
+    @pytest.mark.parametrize("make, want", [
+        (twowell_map, "1.211186076252971"),
+        (moebius_map, "1.246043204512762e-06")])
+    def test_fitted_drop_constant_pinned(self, make, want):
+        assert repr(fit_cross_ratio_constant(make(), 300, 3)) == want
+
 
 class TestSummability:
     def test_single_step_branches_give_mean_one(self):
@@ -365,6 +380,36 @@ class TestSummability:
         for seed in (1, 2, 3):
             with pytest.raises(EscapedDomain, match="every probe escaped"):
                 summability_stat(branches, logistic, 50, 40, seed)
+
+    def test_lanes_match_one_probe_at_a_time(self, logistic):
+        # any branch list will do; (0.40, 0.44] is left out so some escape
+        ends = np.linspace(0.0, 1.0, 26).tolist()
+        branches = [InducedBranch(lo, hi, 1 + j % 3, j)
+                    for j, (lo, hi) in enumerate(zip(ends, ends[1:]))
+                    if j != 10]
+        seq = constant_sequence(logistic)
+        for seed, orbit_len, probes in ((1, 50, 40), (4, 7, 13)):
+            rng = make_generator(seed)
+            means, escaped = [], 0
+            for _ in range(probes):
+                x = float(rng.uniform(0.0, 1.0))
+                ks = []
+                for _ in range(orbit_len):
+                    i = markov._branch_at([b.lo for b in branches],
+                                          [b.hi for b in branches], x)
+                    if i < 0:
+                        break
+                    ks.append(branches[i].time)
+                    x = float(seq.compose(x, branches[i].time))
+                else:
+                    means.append(sum(ks) / len(ks))
+                    continue
+                escaped += 1
+            assert 0 < escaped < probes
+            st = summability_stat(branches, logistic, orbit_len, probes, seed)
+            assert st.mean_time == float(np.mean(means))
+            assert st.dispersion == float(np.std(means))
+            assert st.escaped == escaped
 
     def test_low_coverage_rejected(self, logistic):
         branches = (InducedBranch(0.0, 0.25, 6, 0),)
@@ -402,8 +447,26 @@ class TestSortedLookups:
             assert markov._branch_at(los, his, x) == (hits[0] if hits else -1)
         assert markov._branch_at([], [], 0.3) == -1
 
+    def test_branches_at_matches_branch_at(self):
+        rng = make_generator(67)
+        ends = np.sort(rng.uniform(0.0, 1.0, 60)).tolist()
+        los, his = ends[0::2], ends[1::2]
+        queries = rng.uniform(-0.1, 1.1, 500).tolist()
+        for lo, hi in zip(los, his):
+            queries += [lo, hi, hi + 1e-12, hi + 3e-12,
+                        float(np.nextafter(lo, -1.0)), 0.5 * (lo + hi)]
+        got = markov._branches_at(np.array(los), np.array(his),
+                                  np.array(queries))
+        assert got.tolist() == [markov._branch_at(los, his, x)
+                                for x in queries]
+        empty = np.array([])
+        assert markov._branches_at(empty, empty, np.array([0.3])).tolist() \
+            == [-1]
+
 
 class TestLogDerivN:
+    """markov._walk against a scalar recipe of log |(f^k)'(x)| and f^k(x)."""
+
     @staticmethod
     def _two_walks(m, x, k):
         """The log-derivative sum, then f^k(x) by a second walk."""
@@ -418,19 +481,31 @@ class TestLogDerivN:
         return s, float(constant_sequence(m).compose(float(x), k))
 
     @pytest.mark.parametrize("make", [logistic_map, lambda: quadratic_map(1.8),
-                                      moebius_map])
+                                      moebius_map, twowell_map])
     def test_one_walk_matches_two(self, make):
         m = make()
         dom = m.domain
         xs = make_generator(71).uniform(dom.lo, dom.hi, 60).tolist()
         xs += [0.5 * (dom.lo + dom.hi), *m.critical_points]
-        for x in xs:
-            for k in (1, 2, 5, 13):
-                got, end = markov._log_deriv_n(m, x, k)
-                want, want_end = self._two_walks(m, x, k)
-                assert got == want
-                if want > -math.inf:
-                    assert end == want_end
+        lanes = [(x, k) for x in xs for k in (0, 1, 2, 5, 13)]
+        got, ends = markov._walk(m, *zip(*lanes))
+        for (x, k), g, end in zip(lanes, got.tolist(), ends.tolist()):
+            want, _ = self._two_walks(m, x, k)
+            assert g == want, (x, k)
+            assert end == float(constant_sequence(m).compose(x, k)), (x, k)
 
     def test_critical_orbit_gives_minus_infinity(self, logistic):
-        assert markov._log_deriv_n(logistic, 0.5, 1) == (-math.inf, 0.5)
+        got, ends = markov._walk(logistic, [0.5, 0.5, 0.3], [1, 2, 2])
+        assert got[:2].tolist() == [-math.inf, -math.inf]
+        assert ends.tolist() == [1.0, 0.0, float(
+            constant_sequence(logistic).compose(0.3, 2))]
+        # the log stays -inf after the flat step, also where |f'| = inf
+        m = IntervalMap(logistic.domain, lambda x: 0.5 * x + 0.5,
+                        lambda x: np.where(x < 0.5, 0.0, np.inf))
+        got, ends = markov._walk(m, [0.2, 0.6], [3, 1])
+        assert got.tolist() == [-math.inf, math.inf]
+        assert [self._two_walks(m, 0.2, 3)[0],
+                self._two_walks(m, 0.6, 1)[0]] == got.tolist()
+        assert ends.tolist() == [0.9, 0.8]
+        empty = markov._walk(logistic, [], [])
+        assert [v.shape for v in empty] == [(0,), (0,)]
