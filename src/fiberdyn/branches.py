@@ -8,11 +8,12 @@ exhaustion (residual well below the 1e-12 pullback tolerance), so each
 endpoint carries a checkable certificate (step, critical value).
 
 Pullbacks with many independent solves (the cells of a partition level,
-the threshold crossings of a census depth, the branches behind Markov
-inducing times) go through `bisect_preimages`, the elementwise replica of
-`bisect_preimage`: every lane keeps the scalar stopping rule and
-best-residual choice, so its result is bit-identical to the scalar call,
-while each bisection step composes the maps once over all live lanes.
+the threshold crossings of every depth of a census, the branches behind
+Markov inducing times) go through `bisect_preimages`, the elementwise
+replica of `bisect_preimage`: every lane keeps the scalar stopping rule
+and best-residual choice, so it equals the scalar call bit for bit.  Each
+lane has its own depth, and a bisection step applies map s once, to the
+live lanes deeper than s.
 The array loops that follow many branch images at once (the branch-size
 statistics and the Markov inducing walk) take their steps with one rule,
 `image_step`.
@@ -38,11 +39,28 @@ def compose_maps(maps, x):
     return x
 
 
-def compose_lanes(maps, xs):
-    """compose_maps over a float array, one evaluator call per map."""
-    xs = np.asarray(xs, dtype=float)
-    for m in maps:
-        xs = np.asarray(m.evaluator(xs), dtype=float)
+def compose_lanes(maps, xs, depths=None):
+    """compose_maps over a float array, one evaluator call per map; with
+    `depths`, lane i composes maps[:depths[i]], the lanes in depth order."""
+    if depths is None:
+        return _compose_ascending(maps, xs, None)
+    xs, order = np.array(xs, dtype=float), np.argsort(depths, kind="stable")
+    xs[order] = _compose_ascending(maps, xs[order], np.take(depths, order))
+    return xs
+
+
+def _compose_ascending(maps, xs, depths):
+    """A float copy of xs, lane i composed through maps[:depths[i]] (all
+    maps if None): depths ascend, so map s applies to one suffix of lanes."""
+    xs = np.array(xs, dtype=float)
+    starts = [0] * len(maps)
+    if depths is not None and depths.size and depths[0] < len(maps):
+        starts = np.searchsorted(depths, np.arange(len(maps)), "right")
+    for m, start in zip(maps, starts):
+        if start:
+            xs[..., start:] = m.evaluator(xs[..., start:])
+        else:                   # all lanes: a new array, no copy back
+            xs = np.asarray(m.evaluator(xs), dtype=float)
     return xs
 
 
@@ -89,54 +107,51 @@ def bisect_preimage(maps, target, lo, hi, value_tol=PULLBACK_VALUE_TOL):
     return best_t
 
 
-def bisect_preimages(maps, targets, los, his, value_tol=PULLBACK_VALUE_TOL):
+def bisect_preimages(maps, targets, los, his, value_tol=PULLBACK_VALUE_TOL,
+                     depths=None):
     """bisect_preimage lane by lane over broadcast 1-d arrays.
 
     Each lane follows the scalar rules exactly (the 200-step cap, the
     residual and float-exhaustion stops, the strict-< best-residual choice
-    and the bracket update), so lane i equals
-    ``bisect_preimage(maps, targets[i], los[i], his[i])`` bit for bit.  A
-    one-float lane (lo == hi) takes its lo and is never composed; a step
-    composes `maps` once over the open lanes still running, solved
-    LANE_BATCH at a time.
+    and the bracket update), so lane i equals ``bisect_preimage(
+    maps[:depths[i]], targets[i], los[i], his[i])`` bit for bit (depths
+    default to len(maps)).  A depth-0 lane returns its target, a one-float
+    lane (lo == hi) its lo.  The other lanes run in depth order, LANE_BATCH
+    at a time, and a step applies map s once, to the lanes deeper than s.
     """
-    targets, los, his = (np.array(v, dtype=float).ravel() for v in
-                         np.broadcast_arrays(targets, los, his))
-    if not maps:
-        return targets
-    out = los.copy()
-    open_lanes = np.flatnonzero(los != his)
+    targets, los, his, depths = (np.ravel(v) for v in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (targets, los, his)),
+        len(maps) if depths is None else depths))
+    out = np.where(depths > 0, los, targets)
+    open_lanes = np.flatnonzero((los != his) & (depths > 0))
+    open_lanes = open_lanes[np.argsort(depths[open_lanes], kind="stable")]
     for s in range(0, open_lanes.size, LANE_BATCH):
         part = open_lanes[s:s + LANE_BATCH]
         out[part] = _bisect_lanes(maps, targets[part], los[part], his[part],
-                                  value_tol)
+                                  depths[part], value_tol)
     return out
 
 
-def _bisect_lanes(maps, target, lo, hi, value_tol):
-    flo = compose_lanes(maps, lo)
-    fhi = compose_lanes(maps, hi)
+def _bisect_lanes(maps, target, lo, hi, depth, value_tol):
+    # lanes come in ascending depth and keep that order as they are dropped
+    flo, fhi = _compose_ascending(maps, np.array((lo, hi)), depth)
     increasing = fhi >= flo
-    best_t, best_r = lo.copy(), np.abs(flo - target)
-    r_hi = np.abs(fhi - target)
-    take = r_hi < best_r
-    best_t[take], best_r[take] = hi[take], r_hi[take]
-    # working arrays hold the running lanes only; a lane that stops writes
-    # its best point back and is dropped from them
-    lane = np.flatnonzero(~(best_r <= value_tol))
-    lo, hi, target, increasing, t, r_best = (
-        v[lane] for v in (lo, hi, target, increasing, best_t, best_r))
+    r_lo, r_hi = np.abs(flo - target), np.abs(fhi - target)
+    take = r_hi < r_lo
+    t, r_best = np.where(take, hi, lo), np.where(take, r_hi, r_lo)
+    # a lane that stops (residual or float exhaustion) writes out and drops
+    out, lane = np.empty_like(t), np.arange(t.size)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        split = (lo < mid) & (mid < hi)
-        if not split.all():
-            best_t[lane[~split]] = t[~split]
-            lane, lo, hi, target, increasing, t, r_best, mid = (
-                v[split] for v in (lane, lo, hi, target, increasing, t,
-                                   r_best, mid))
+        stop = (r_best <= value_tol) | ~((lo < mid) & (mid < hi))
+        if stop.any():
+            out[lane[stop]] = t[stop]
+            lane, lo, hi, mid, target, increasing, t, r_best, depth = (
+                v[~stop] for v in (lane, lo, hi, mid, target, increasing, t,
+                                   r_best, depth))
         if not lane.size:
             break
-        fm = compose_lanes(maps, mid)
+        fm = _compose_ascending(maps, mid, depth)
         r = np.abs(fm - target)
         better = r < r_best
         t = np.where(better, mid, t)
@@ -144,15 +159,8 @@ def _bisect_lanes(maps, target, lo, hi, value_tol):
         up = (fm < target) == increasing
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
-        done = r_best <= value_tol
-        if done.any():
-            best_t[lane[done]] = t[done]
-            keep = ~done
-            lane, lo, hi, target, increasing, t, r_best = (
-                v[keep] for v in (lane, lo, hi, target, increasing, t,
-                                  r_best))
-    best_t[lane] = t
-    return best_t
+    out[lane] = t
+    return out
 
 
 @dataclass(frozen=True)
@@ -410,24 +418,23 @@ def component_census(seq, n, delta, word=None, cap=10**5):
     clo, chi = np.array(part.cells).T
     imgs = np.array(part.branch_images).reshape(ncell, n, 2)
     A, B = imgs[:, :, 0], imgs[:, :, 1]
-    # crossings at depth i, all cells at once: F_i of both cell endpoints,
-    # then one pullback of every target strictly inside [F_i(lo), F_i(hi)]
-    cuts = [[] for _ in range(ncell)]
+    # crossings of every depth i and cell: F_i of both cell endpoints, then
+    # one pullback of every target strictly inside [F_i(lo), F_i(hi)]
+    lanes = []                     # (cells, targets, depths) per i and side
     ends = np.concatenate([clo, chi])
     for i in range(1, n + 1):
         ends = compose_lanes(maps[i - 1:i], ends)
         flo, fhi = min_max(ends[:ncell], ends[ncell:])
         Ai, Bi = A[:, i - 1], B[:, i - 1]
         wide = ~(Bi - Ai < 2 * delta)      # else r_i < delta on the cell
-        lanes = []
         for target in (Ai + delta, Bi - delta):
-            ok = wide & (flo < target) & (target < fhi)
-            lanes.append((np.flatnonzero(ok), target[ok]))
-        idx = np.concatenate([k for k, _ in lanes])
-        ts = bisect_preimages(maps[:i], np.concatenate([t for _, t in lanes]),
-                              clo[idx], chi[idx])
-        for k, t in zip(idx.tolist(), ts.tolist()):
-            cuts[k].append(t)
+            k = np.flatnonzero(wide & (flo < target) & (target < fhi))
+            lanes.append((k, target[k], np.full(k.size, i)))
+    idx, targets, depths = (np.concatenate(v) for v in zip(*lanes))
+    ts = bisect_preimages(maps, targets, clo[idx], chi[idx], depths=depths)
+    cuts = [[] for _ in range(ncell)]
+    for k, t in zip(idx.tolist(), ts.tolist()):
+        cuts[k].append(t)
     knots = []
     for (c_lo, c_hi), c_cuts in zip(part.cells, cuts):
         ks = [c_lo]

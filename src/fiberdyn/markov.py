@@ -7,13 +7,14 @@ branch image covers the partition cell of the k-th orbit point together
 with both neighbouring cells; the branch pullback of that cell is then a
 domain interval on which the induced map is a monotone surjection onto the
 cell.  Certification checks image exactness, minimum image length,
-constancy of (k, I) on each branch, and sampled distortion.  Discovery
+constancy of (k, I) on each branch, and sampled distortion.  N and the
+depth-8 seed cells come from one walk of the partition levels.  Discovery
 and constancy checks stream their points through `inducing_times`, which
 answers LANE_BATCH points at a time with one lockstep walk: each step maps
 the branch images, pulls the new cuts back, and pulls the cell back once
-a lane is covered.  Certification and summability walk their orbits as
-lanes through `_walk`, LANE_BATCH at a time, adding the math.log terms one
-element at a time.  Every answer equals the one-point result.
+a lane is covered.  Certification walks its orbits as lanes through
+`_walk`, adding each math.log term in order; summability moves its probes
+with `compose_lanes`.  Every answer equals the one-point result.
 """
 
 import bisect as _bisect
@@ -24,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branches import (LANE_BATCH, _partition_levels, bisect_preimage,
-                       bisect_preimages, image_step, min_max,
-                       monotonicity_partition, track_branch)
-from .errors import (ClosureDiverges, DegenerateGap, EscapedDomain,
-                     HitCritical, InducingTimeNotFound, NotMonotone)
+                       bisect_preimages, compose_lanes, image_step, min_max,
+                       track_branch)
+from .errors import (CapExceeded, ClosureDiverges, DegenerateGap,
+                     EscapedDomain, HitCritical, InducingTimeNotFound,
+                     NotMonotone)
 from .maps import IntervalMap, constant_sequence
 from .rng import make_generator
 
@@ -119,7 +121,11 @@ class MarkovPartition:
         return max(_endpoint_defects(m, self.endpoints))
 
     def near_endpoint(self, y, tol=1e-12):
-        return _near(self.endpoints, y, tol)
+        """_near of the endpoints, for a float or elementwise for an array."""
+        pts = np.asarray(self.endpoints)
+        i = np.searchsorted(pts, y)
+        return np.minimum(np.abs(pts[np.maximum(i - 1, 0)] - y),
+                          np.abs(pts[np.minimum(i, pts.size - 1)] - y)) <= tol
 
 
 def _forward_closure(m: IntervalMap, points):
@@ -178,15 +184,29 @@ def build_partition(m: IntervalMap, depth):
 
 def monotone_scale(m: IntervalMap, part: MarkovPartition, n_cap=30):
     """Smallest n whose depth-n monotone cells are shorter than min_len/4."""
+    return _scale_and_cells(m, part, n_cap, 1)[0]
+
+
+def _scale_and_cells(m, part, n_cap, depth):
+    """(monotone_scale, the depth-`depth` monotone cells) from one walk;
+    levels past N have a cap of 10**6 cells, not monotone_scale's 10**5."""
     target = part.min_len / 4.0
-    levels = _partition_levels(constant_sequence(m), cap=10**5)
-    for n, cells in zip(range(1, n_cap + 1), levels):
+    levels = enumerate(_partition_levels(constant_sequence(m), cap=10**6), 1)
+    for N, cells in itertools.islice(levels, n_cap):
+        if len(cells) > 10**5:
+            raise CapExceeded(f"{len(cells)} cells exceed cap {10**5}")
+        if N == depth:
+            at_depth = cells
         if max(c.hi - c.lo for c in cells) < target:
-            return n
-    raise InducingTimeNotFound(
-        n_cap, f"no partition scale N: depth-n monotone cells stay longer "
-               f"than min_len/4 = {target!r} up to the depth cap "
-               f"n_cap={n_cap}")
+            break
+    else:
+        raise InducingTimeNotFound(
+            n_cap, f"no partition scale N: depth-n monotone cells stay longer "
+                   f"than min_len/4 = {target!r} up to the depth cap "
+                   f"n_cap={n_cap}")
+    for _, at_depth in itertools.islice(levels, max(depth - N, 0)):
+        pass                    # the last level walked here is `depth`
+    return N, at_depth
 
 
 def _induce(m: IntervalMap, part: MarkovPartition, xs, N, k_max):
@@ -265,11 +285,12 @@ def inducing_times(m: IntervalMap, part: MarkovPartition, xs, N=None,
     dom = m.domain
     xs = iter(xs)
     while batch := [float(x) for x in itertools.islice(xs, LANE_BATCH)]:
-        out = [ValueError("x must be interior to a partition cell")
-               if part.near_endpoint(x) else None for x in batch]
-        for i, x in enumerate(batch):
-            if out[i] is None and not dom.lo < x < dom.hi:
-                out[i] = ValueError("anchor must be interior to the domain")
+        # the endpoint test for the whole batch, then the domain test
+        near = part.near_endpoint(np.array(batch))
+        out = [ValueError("x must be interior to a partition cell") if n
+               else None if dom.lo < x < dom.hi else
+               ValueError("anchor must be interior to the domain")
+               for x, n in zip(batch, near.tolist())]
         lanes = [i for i, r in enumerate(out) if r is None]
         if lanes:
             if N is None:
@@ -331,10 +352,9 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
     length, (k, I) constancy at 10 interior samples per branch, coverage,
     and a distortion bound sampled along compositions up to length 3.
     """
-    N = monotone_scale(m, part)
+    N, strata = _scale_and_cells(m, part, 30, 8)
     dom = m.domain
-    strat = monotonicity_partition(constant_sequence(m), 8, cap=10**6)
-    points = [0.5 * (lo + hi) for lo, hi in strat.cells]
+    points = [0.5 * (c.lo + c.hi) for c in strata]
     rng = make_generator(seed)
     extra = max(0, seeds - len(points))
     points.extend(rng.uniform(dom.lo, dom.hi, extra).tolist())
@@ -386,16 +406,15 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
 
     # inducing times at the constancy samples of all branches, computed
     # LANE_BATCH at a time as the loop below consumes them
-    samples = np.array([np.linspace(lo, hi, 12)[1:-1]
-                        for _, lo, hi, _ in branches])
+    lo_a, hi_a = np.array(los), np.array(his)
+    samples = np.linspace(lo_a, hi_a, 12, axis=-1)[:, 1:-1]
     found = inducing_times(m, part, (float(s) for ss in samples for s in ss),
                            N, k_max)
     # f^k at both ends and at 17 interior distortion samples of every
     # branch, in one walk
     times = np.array([k for k, *_ in branches], dtype=int)
     lds, ends = (v.reshape(-1, 19) for v in _walk(
-        m, [np.linspace(lo, hi, 19) for _, lo, hi, _ in branches],
-        np.repeat(times, 19)))
+        m, np.linspace(lo_a, hi_a, 19, axis=-1), np.repeat(times, 19)))
     for (k, lo, hi, ci), ld, end, ss in zip(branches, lds, ends, samples):
         cell_lo, cell_hi = part.endpoints[ci], part.endpoints[ci + 1]
         img = sorted(end[[0, -1]].tolist())
@@ -425,7 +444,6 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
     # distortion along sampled compositions up to length 3; the 200 starts
     # walk as lanes, and a lane stops off the branches or at a flat point
     K_hat = max((b.distortion_sample for b in out), default=1.0)
-    lo_a, hi_a = np.array(los), np.array(his)
     for length in (2, 3):
         x = rng2.uniform(dom.lo, dom.hi, 200)
         logd = np.zeros(x.size)
@@ -560,7 +578,7 @@ def summability_stat(branches, m: IntervalMap, orbit_len, probes, seed):
         i = _branches_at(los, his, x[live])
         live, i = live[i >= 0], i[i >= 0]
         total[live] += times[i]
-        x[live] = _walk(m, x[live], times[i])[1]
+        x[live] = compose_lanes([m] * times.max(), x[live], depths=times[i])
     if not live.size:
         raise EscapedDomain("every probe escaped the branch domains")
     arr = total[live] / orbit_len

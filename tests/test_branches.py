@@ -11,7 +11,8 @@ from fiberdyn import (CapExceeded, HitCritical, MarkovPartition,
                       interval_images, logistic_map, moebius_map,
                       monotonicity_partition, quadratic_map, symbol_sequence,
                       track_branch, twowell_map, viana_skew)
-from fiberdyn.branches import HIT_TOL, image_step
+from fiberdyn import branches
+from fiberdyn.branches import HIT_TOL, compose_lanes, compose_maps, image_step
 from fiberdyn.rng import make_generator
 
 E1 = (2.0 - math.sqrt(2.0)) / 4.0
@@ -355,6 +356,71 @@ class TestBatchedPullback:
         want = [bisect_preimage(maps, t, 0.0, 1.0, value_tol=0.125)
                 for t in targets]
         assert got.tolist() == want == [1.0, 0.5]
+
+
+class TestPerLaneDepths:
+    """Lane i of a ragged call equals the scalar call through maps[:d_i]."""
+
+    @pytest.mark.parametrize("name", sorted(PULLBACK_SYSTEMS))
+    def test_bisect_preimages_matches_scalar(self, name, monkeypatch):
+        # a batch of 7 lanes, so the depth-sorted lanes span many batches
+        monkeypatch.setattr(branches, "LANE_BATCH", 7)
+        seq = PULLBACK_SYSTEMS[name]()
+        dom = seq.domain
+        maps = [seq.map_at(j) for j in range(6)]
+        rng = make_generator(71)
+        size = 150
+        depths = rng.integers(0, 7, size)
+        depths[:4] = (0, 0, 3, 6)
+        los = rng.uniform(dom.lo, dom.hi, size)
+        his = np.minimum(los + rng.uniform(0.0, 0.3, size) * dom.length,
+                         dom.hi)
+        his[:12] = los[:12]                               # one float
+        his[12:20] = np.nextafter(los[12:20], np.inf)     # no float between
+        # targets past the domain stop by exhaustion; targets attained
+        # inside the bracket mostly stop by residual
+        targets = rng.uniform(dom.lo - 0.2 * dom.length,
+                              dom.hi + 0.2 * dom.length, size)
+        targets[20:100] = [compose_maps(maps[:d], 0.5 * (lo + hi)) for d, lo,
+                           hi in zip(depths[20:100].tolist(),
+                                     los[20:100].tolist(),
+                                     his[20:100].tolist())]
+        got = bisect_preimages(maps, targets, los, his, depths=depths)
+        want = np.array([bisect_preimage(maps[:d], t, lo, hi) for d, t, lo, hi
+                         in zip(depths.tolist(), targets.tolist(),
+                                los.tolist(), his.tolist())])
+        assert got.tobytes() == want.tobytes()
+        # both stopping rules are met, each at several depths
+        residual = np.array([abs(compose_maps(maps[:d], t) - v) for d, t, v
+                             in zip(depths.tolist(), got.tolist(),
+                                    targets.tolist())])
+        moved = (los != his) & (depths > 0)
+        by_residual = set(depths[moved & (residual <= 1e-13)].tolist())
+        by_exhaustion = set(depths[moved & (residual > 1e-13)].tolist())
+        assert len(by_residual) >= 3 and len(by_exhaustion) >= 3
+        assert got[:2].tolist() == targets[:2].tolist()   # depth 0
+        assert got[2:4].tolist() == los[2:4].tolist()     # one float
+
+    def test_compose_lanes_matches_scalar(self, twowell):
+        maps = [twowell] * 5
+        rng = make_generator(73)
+        xs = rng.uniform(0.0, 1.0, 60)
+        depths = rng.integers(0, 6, 60)
+        got = compose_lanes(maps, xs, depths=depths)
+        assert got.tolist() == [compose_maps(maps[:d], x) for d, x
+                                in zip(depths.tolist(), xs.tolist())]
+        assert compose_lanes(maps, xs).tolist() == \
+            compose_lanes(maps, xs, depths=np.full(60, 5)).tolist()
+
+    def test_census_pulls_back_once_a_level(self, logistic_seq, monkeypatch):
+        # partition levels 2-8 take one loop each (level 1 pulls back
+        # through no map), and the crossings of all 8 depths one more
+        runs = []
+        inner = branches._bisect_lanes
+        monkeypatch.setattr(branches, "_bisect_lanes",
+                            lambda *a: runs.append(a) or inner(*a))
+        component_census(logistic_seq, 8, 0.1)
+        assert len(runs) <= 8
 
 
 class TestImageStep:

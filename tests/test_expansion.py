@@ -26,6 +26,21 @@ class TestFtleFiber:
         assert ftle_fiber(seq, 0.1237, 1000) == pytest.approx(
             math.log(2.0), abs=1e-12)
 
+    def test_orbit_absorbed_at_zero_reads_log_4(self, logistic_seq):
+        # known defect, pinned: a float orbit within 1.5e-9 of 1/2 maps to
+        # exactly 1.0 and then to the fixed point 0.0, where |f'| = 4.  No
+        # step hits the critical point within 1e-300, so nothing is raised
+        # and the exponent reads about log 4 over the absorbed steps, not
+        # log 2.  The default 20-sample logistic ftle meets such an orbit
+        # now and then (two samples near 0.9 at one seed).
+        x = 0.5000000014530704
+        m = logistic_seq.map_at(0)
+        assert float(m.evaluator(x)) == 1.0
+        assert float(m.evaluator(1.0)) == 0.0 == float(m.evaluator(0.0))
+        val = ftle_fiber(logistic_seq, x, 1000)
+        assert val == pytest.approx(1.37, abs=0.01)
+        assert abs(val - math.log(2.0)) > 0.6
+
     def test_critical_start_raises(self, logistic_seq):
         with pytest.raises(HitCritical):
             ftle_fiber(logistic_seq, 0.5, 10)

@@ -14,7 +14,7 @@ from fiberdyn import (ClosureDiverges, DegenerateGap, EscapedDomain,
                       logistic_map, moebius_map, monotone_scale,
                       monotonicity_partition, quadratic_map, summability_stat,
                       track_branch, twowell_map)
-from fiberdyn import markov
+from fiberdyn import branches, markov
 from fiberdyn.branches import LANE_BATCH
 from fiberdyn.markov import ENDPOINT_TOL
 from fiberdyn.rng import make_generator
@@ -136,6 +136,37 @@ class TestInducingTime:
         assert all(isinstance(r, ValueError) for r in
                    inducing_times(logistic, part, [0.5, 1.5, 0.0]))
         assert len(scales) == 1
+
+    def test_screen_matches_the_per_point_form(self, logistic):
+        # the endpoint and domain checks, on points where their tolerances
+        # and comparisons decide, answer as near_endpoint and then
+        # lo < x < hi do one point at a time
+        # the second set leaves the domain ends off the endpoints, so they
+        # reach the domain test
+        dom = logistic.domain
+        for part in (build_partition(logistic, 1),
+                     MarkovPartition.from_endpoints(
+                         logistic, (0.2, 0.5, 0.8), check=False)):
+            xs = [dom.lo, dom.hi, math.nan, math.inf, -math.inf, 0.3,
+                  float(np.nextafter(dom.lo, -1.0)),
+                  float(np.nextafter(dom.hi, 2.0))]
+            for e in (*part.endpoints, dom.lo, dom.hi):
+                for d in (1e-12, 2e-12):
+                    xs += [e + d, e - d, float(np.nextafter(e + d, 2.0)),
+                           float(np.nextafter(e - d, -1.0))]
+            got = list(inducing_times(logistic, part, xs, N=1, k_max=3))
+            screened = 0
+            for x, g in zip(xs, got):
+                if markov._near(part.endpoints, x, 1e-12):
+                    want = "x must be interior to a partition cell"
+                elif not dom.lo < x < dom.hi:
+                    want = "anchor must be interior to the domain"
+                else:
+                    assert not isinstance(g, ValueError), x
+                    continue
+                screened += 1
+                assert (type(g), str(g)) == (ValueError, want), x
+            assert 10 < screened < len(xs)
 
     def test_partition_scale_failure_names_its_cap(self):
         # the doubling map has no critical point, so its monotone cells
@@ -259,6 +290,33 @@ def certificate(logistic):
     part = build_partition(logistic, 1)
     return assemble_markov(logistic, part, seeds=2000, seed=1,
                            check_constancy=False)
+
+
+class TestOnePartitionWalk:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_scale_and_cells_match_two_walks(self, logistic, depth):
+        part = build_partition(logistic, depth)
+        seq = constant_sequence(logistic)
+        N, cells = markov._scale_and_cells(logistic, part, 30, 8)
+        assert N == monotone_scale(logistic, part)
+        assert [(c.lo, c.hi) for c in cells] == \
+            list(monotonicity_partition(seq, 8).cells)
+
+    def test_assembly_walks_the_levels_once(self, logistic, monkeypatch):
+        # counted wherever it is bound, so a monotonicity_partition call
+        # would count too
+        walks = []
+        inner = branches._partition_levels
+
+        def counted(*a, **k):
+            walks.append(a)
+            return inner(*a, **k)
+        for module in (branches, markov):
+            monkeypatch.setattr(module, "_partition_levels", counted)
+        part = build_partition(logistic, 1)
+        cert = assemble_markov(logistic, part, seeds=200)
+        assert len(walks) == 1
+        assert cert.N == monotone_scale(logistic, part)
 
 
 class TestAssemble:
@@ -462,6 +520,22 @@ class TestSortedLookups:
         empty = np.array([])
         assert markov._branches_at(empty, empty, np.array([0.3])).tolist() \
             == [-1]
+
+    def test_near_endpoint_matches_near(self, logistic):
+        # one float at a time and an array at once, as _near of the sorted
+        # endpoints with a 1e-12 tolerance
+        rng = make_generator(61)
+        pts = sorted(rng.uniform(0.0, 1.0, 40).tolist() + [0.0, 0.5, 1.0])
+        part = MarkovPartition.from_endpoints(logistic, pts, check=False)
+        queries = [-1.0, 2.0, math.nan, math.inf, -math.inf,
+                   *rng.uniform(0.0, 1.0, 200).tolist()]
+        for p in pts:
+            for d in (0.0, 1e-12, -1e-12, 2e-12, -2e-12):
+                queries += [p + d, float(np.nextafter(p + d, 2.0)),
+                            float(np.nextafter(p + d, -1.0))]
+        want = [markov._near(pts, v, 1e-12) for v in queries]
+        assert part.near_endpoint(np.array(queries)).tolist() == want
+        assert [bool(part.near_endpoint(v)) for v in queries] == want
 
 
 class TestLogDerivN:
