@@ -7,16 +7,15 @@ slow-branch-growth points with expanding points.
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import islice, repeat
-from operator import add
+from functools import partial
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
 from .branches import image_step
 from .errors import (DegenerateDifferential, EmptySample, HitCritical)
 from .maps import (IntervalMap, MapSequence, SkewProduct, fiber_coefficients,
-                   wrap)
+                   log_abs, wrap)
 from .rng import make_generator
 
 # Orbit steps per chunk of the ftle kernels: long enough to amortise the
@@ -25,26 +24,37 @@ _ORBIT_CHUNK = 4096
 
 
 def _orbit_chunk(f, args, x, k):
-    """x and its next k - 1 iterates, as a list, plus the k-th iterate.
+    """x and its next k - 1 iterates, as a float array, plus the k-th iterate.
 
     Step i sends x_i to f(*(a[i] for a in args), x_i), on whatever scalars
-    f returns; the points are not converted.
+    f returns; the k-th iterate is not converted.
     """
     orbit = [x]
     # map iterates over the list that extend is growing, so it reads each
     # point just appended: x, f(x), f(f(x)), ...
     orbit.extend(islice(map(f, *args, orbit), k))
-    return orbit, orbit.pop()
+    return np.fromiter(orbit, float, k), orbit[k]
+
+
+def _log_sum(s, d):
+    """(s plus the log_abs terms of d, added left to right as a per-step
+    loop adds them, None), or (s, i) if d_i is the first critical term."""
+    logs = log_abs(d)
+    hits = np.flatnonzero(logs == -np.inf)
+    if hits.size:
+        return s, int(hits[0])
+    logs[0] += s
+    # add.accumulate sums left to right, unlike np.sum's pairwise tree
+    return float(np.add.accumulate(logs, out=logs)[-1]), None
 
 
 def ftle_fiber(seq: MapSequence, x, n):
     """(1/n) sum of log |Df_j| along the orbit of x under the sequence.
 
-    Raises HitCritical(step) at the first step j with |Df_j(x_j)| <= 1e-300.
-    The orbit is built in chunks with the scalar step `seq.chunk` supplies,
-    whose derivative is then evaluated on the whole chunk as an array; the
-    np.log terms are added left to right, so a per-step math.log sum agrees
-    up to one ulp per term.
+    Raises HitCritical(step) at the first step j whose |Df_j(x_j)| is
+    critical (maps.log_abs).  The orbit is built in chunks with the scalar
+    step `seq.chunk` supplies, whose derivative is then evaluated on the
+    whole chunk as an array and summed by `_log_sum`.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -53,16 +63,10 @@ def ftle_fiber(seq: MapSequence, x, n):
     for start in range(0, n, _ORBIT_CHUNK):
         k = min(_ORBIT_CHUNK, n - start)
         f, args, df = seq.chunk(start, k)
-        orbit, x = _orbit_chunk(f, args, x, k)
-        xs = np.fromiter(orbit, float, k)
-        d = np.abs(np.broadcast_to(df(xs), xs.shape), dtype=float)
-        hits = np.flatnonzero(d <= 1e-300)
-        if hits.size:
-            raise HitCritical(start + int(hits[0]))
-        np.log(d, out=d)
-        d[0] += s
-        # add.accumulate sums left to right, unlike np.sum's pairwise tree
-        s = float(np.add.accumulate(d, out=d)[-1])
+        xs, x = _orbit_chunk(f, args, x, k)
+        s, hit = _log_sum(s, np.broadcast_to(df(xs), xs.shape))
+        if hit is not None:
+            raise HitCritical(start + hit)
     return s / n
 
 
@@ -89,14 +93,14 @@ def ftle_full(skew: SkewProduct, z, n):
     The co-norm is the smallest singular value of the triangular
     differential [[d_theta g, 0], [d_theta f, d_x f]], the reciprocal of
     the inverse-matrix norm when the differential is invertible.  Raises
-    DegenerateDifferential at the first step whose d_x f is at most 1e-300
-    in size.
+    DegenerateDifferential at the first step whose co-norm is critical
+    (maps.log_abs), which with d_theta g = d != 0 is where d_x f = 0.
 
     The orbit is stepped in chunks: theta_j by `skew.base_orbit`, then
     c(theta_j) on the chunk's theta array and x_j by `skew.fiber_step` on
     floats.  The differential and its co-norm are then evaluated on the
-    whole chunk as arrays, and the math.log terms are added left to right,
-    so the result is that of a per-step loop bit for bit.
+    whole chunk as arrays and summed by `_log_sum`, so the result is that
+    of a per-step loop bit for bit.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -106,22 +110,14 @@ def ftle_full(skew: SkewProduct, z, n):
         k = min(_ORBIT_CHUNK, n - start)
         T = skew.base_orbit(theta, k)
         T, theta = T[:k], T[k]
-        orbit, x = _orbit_chunk(skew.fiber_step,
-                                (fiber_coefficients(skew, T),), x, k)
-        X = np.fromiter(orbit, float, k)
-        gp, ft, fx = (np.broadcast_to(np.asarray(v, dtype=float), T.shape)
-                      for v in (skew.base_derivative(T),
-                                skew.fiber_dtheta(T, X), skew.fiber_dx(T, X)))
-        hits = np.flatnonzero(np.abs(fx) <= 1e-300)
-        stop = int(hits[0]) if hits.size else k
-        sv = smallest_singular_value(gp[:stop], ft[:stop], fx[:stop])
-        # left to right onto the running sum, as a per-step loop adds; math.log
-        # because np.log is off by one ulp on a few tenths of a percent of terms
-        s = reduce(add, map(math.log, sv.tolist()), s)
-        if stop < k:
-            # the x-column (0, d_x f) of the differential vanished
+        X, x = _orbit_chunk(skew.fiber_step,
+                            (fiber_coefficients(skew, T),), x, k)
+        s, hit = _log_sum(s, smallest_singular_value(
+            skew.base_derivative(T), skew.fiber_dtheta(T, X),
+            skew.fiber_dx(T, X)))
+        if hit is not None:
             raise DegenerateDifferential(
-                f"d_x f = 0 at (theta={float(T[stop])}, x={float(X[stop])})")
+                f"d_x f = 0 at (theta={float(T[hit])}, x={float(X[hit])})")
     return s / n
 
 
@@ -144,12 +140,12 @@ def _branch_loop(steps, critical_points, domain, x0, n):
     r = np.zeros((n,) + x0.shape)
     logd = np.full((n,) + x0.shape, -np.inf)
     for j, (f, df) in zip(range(n), steps):
-        d = np.abs(np.asarray(df(y), dtype=float))
+        logs = log_abs(df(y))
         hit, _, _, fa, fb, y = image_step(f, critical_points, a, b, y)
         alive &= ~hit
         # dead lanes keep the -inf and 0 the rows start with; [j, ...] is a
         # view even for one anchor
-        np.log(np.maximum(d, 1e-300), out=logd[j, ...], where=alive)
+        np.copyto(logd[j, ...], logs, where=alive)
         a, b = np.minimum(fa, fb), np.maximum(fa, fb)
         np.minimum(y - a, b - y, out=r[j, ...], where=alive)
     return r, logd, alive
@@ -204,12 +200,8 @@ class DecayTable:
 
     def passing_deltas(self):
         """Deltas whose empirical fraction sits below the bound at every n."""
-        good = []
-        for d in self.deltas():
-            rows = [row for row in self.rows if row[4] == d]
-            if all(row[1] <= row[3] for row in rows):
-                good.append(d)
-        return good
+        return [d for d in self.deltas()
+                if all(row[1] <= row[3] for row in self.rows if row[4] == d)]
 
 
 def measure_AY_decay(system, n_list, delta, lam, samples, seed):
@@ -231,16 +223,9 @@ def measure_AY_decay(system, n_list, delta, lam, samples, seed):
         raise ValueError("delta must be positive")
     cloud = system.sample(make_generator(seed), samples)
     r, logd, _ = _cloud_branch_stats(system, cloud, max(n_list))
-    # running sums over the depths, added in np.cumsum's order but kept
-    # only at the listed n
-    sum_r, sum_l = r[0].copy(), logd[0].copy()
-    sums = {}
-    for j in range(max(n_list)):
-        if j:
-            sum_r += r[j]
-            sum_l += logd[j]
-        if j + 1 in n_list:
-            sums[j + 1] = sum_r / (j + 1), sum_l / (j + 1)
+    # running sums over the depths, added left to right, kept at the listed n
+    sums = {j: (sum_r / j, sum_l / j) for j, (sum_r, sum_l) in enumerate(
+        zip(accumulate(r), accumulate(logd)), 1) if j in n_list}
     rows = []
     length = system.sequence(0.0).domain.length
     for n in n_list:
@@ -265,8 +250,9 @@ def estimate_f2(skew: SkewProduct, samples, seed, pairs_per_sample=4):
     Pairs (z, w) are admissible when dist(z, w) < dist_vert(z, crit)/2 and
     w stays inside the phase space; the returned value estimates the
     regularity constant of the vertical log-derivative.  The pairs form one
-    (sample, pair) grid under one admissibility mask.  hypot and log are
-    math's, as numpy's differ by an ulp on a few tenths of a percent of inputs.
+    (sample, pair) grid under one admissibility mask, which drops the pairs
+    with a critical end (maps.log_abs).  hypot is math's, as numpy's differs
+    by an ulp on a few tenths of a percent of inputs.
     """
     if samples < 10**3:
         raise ValueError("need at least 1e3 samples")
@@ -281,14 +267,14 @@ def estimate_f2(skew: SkewProduct, samples, seed, pairs_per_sample=4):
     rad = 0.999 * 0.5 * dv * radii
     dt, dx = rad * np.cos(angles), rad * np.sin(angles)
     xw = xs + dx
-    hypot, log = np.frompyfunc(math.hypot, 2, 1), np.frompyfunc(math.log, 1, 1)
+    hypot = np.frompyfunc(math.hypot, 2, 1)
     dist = hypot(np.minimum(np.abs(dt), 1.0 - np.abs(dt)), dx).astype(float)
-    fz, fw = (np.abs(np.broadcast_to(skew.fiber_dx(t, x), x.shape), dtype=float)
+    lz, lw = (log_abs(np.broadcast_to(skew.fiber_dx(t, x), x.shape))
               for t, x in ((th, xs), ((th + dt) % 1.0, xw)))
-    ok = ((rad > 0.0) & (dom.lo <= xw) & (xw <= dom.hi) & (fz > 1e-300)
-          & (fw > 1e-300) & (dist > 0.0) & (dist < 0.5 * dv))
+    ok = ((rad > 0.0) & (dom.lo <= xw) & (xw <= dom.hi) & (lz > -np.inf)
+          & (lw > -np.inf) & (dist > 0.0) & (dist < 0.5 * dv))
     if not ok.any():
         raise EmptySample("no admissible pairs were drawn")
-    # the floor keeps math.log defined on the pairs the mask drops
-    lz, lw = (log(np.maximum(f, 1e-300)).astype(float) for f in (fz, fw))
-    return float(np.max((np.abs(lz - lw) * dv)[ok] / dist[ok]))
+    # the admissible pairs only: -inf - -inf would warn
+    lz, dv = (np.broadcast_to(v, ok.shape)[ok] for v in (lz, dv))
+    return float(np.max(np.abs(lz - lw[ok]) * dv / dist[ok]))

@@ -16,7 +16,7 @@ import numpy as np
 from .branches import MonotoneBranch, bisect_preimage, track_branch
 from .errors import (CapExceeded, DomainCollapsed, InvalidConstants,
                      NotAGraph, NotHyperbolicLike)
-from .maps import SkewProduct, fiber_sequence, wrap
+from .maps import SkewProduct, fiber_sequence, log_abs, wrap
 
 
 @dataclass(frozen=True)
@@ -367,8 +367,7 @@ def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
     for m in range(k):
         th_col = wrap(theta_orbit[m] + offsets * d ** (m - k))
         TH = np.tile(th_col[:, None], (1, grid))
-        dfx = np.abs(np.asarray(skew.fiber_dx(TH, X), float))
-        logdet += math.log(d) + np.log(np.maximum(dfx, 1e-300))
+        logdet += log_abs(d) + log_abs(skew.fiber_dx(TH, X))
         X = np.asarray(skew.fiber(TH, X), float)
 
     th_img_cols = theta_orbit[k] + offsets             # local, unwrapped

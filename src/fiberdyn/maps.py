@@ -47,6 +47,21 @@ def wrap(theta):
     return theta - floor
 
 
+CRITICAL_DERIVATIVE = 1e-300     # |f'| at or below it is a critical hit
+
+
+def log_abs(d):
+    """log |d| by np.log, as a new float array of d's shape (0-d included),
+    with -inf where |d| <= CRITICAL_DERIVATIVE and no numpy warning.  Every
+    orbit kernel takes its log |f'| terms here; a hit's meaning is its own.
+    """
+    a = np.array(d, dtype=float)    # a copy, and a 0-d input stays an array
+    hit = np.abs(a, out=a) <= CRITICAL_DERIVATIVE
+    np.log(np.maximum(a, CRITICAL_DERIVATIVE, out=a), out=a)
+    np.copyto(a, -np.inf, where=hit)
+    return a
+
+
 @dataclass(frozen=True)
 class IntervalDomain:
     """A nondegenerate finite interval [lo, hi]."""

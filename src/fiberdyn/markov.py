@@ -13,8 +13,8 @@ and constancy checks stream their points through `inducing_times`, which
 answers LANE_BATCH points at a time with one lockstep walk: each step maps
 the branch images, pulls the new cuts back, and pulls the cell back once
 a lane is covered.  Certification walks its orbits as lanes through
-`_walk`, adding each math.log term in order; summability moves its probes
-with `compose_lanes`.  Every answer equals the one-point result.
+`_walk`, adding each `maps.log_abs` term in order; summability moves its
+probes with `compose_lanes`.  Every answer equals the one-point result.
 """
 
 import bisect as _bisect
@@ -30,7 +30,7 @@ from .branches import (LANE_BATCH, _partition_levels, bisect_preimage,
 from .errors import (CapExceeded, ClosureDiverges, DegenerateGap,
                      EscapedDomain, HitCritical, InducingTimeNotFound,
                      NotMonotone)
-from .maps import IntervalMap, constant_sequence
+from .maps import IntervalMap, constant_sequence, log_abs
 from .rng import make_generator
 
 ENDPOINT_TOL = 1e-9
@@ -64,10 +64,10 @@ def _branches_at(los, his, xs):
 def _walk(m: IntervalMap, xs, ks):
     """(log|(f^k)'(x)|, f^k(x)) for every lane x = xs[i], k = ks[i].
 
-    A lane adds math.log|f'| at its orbit points one term at a time, left to
-    right, as a one-point loop does.  From the first step whose |f'| is at
-    most 1e-300 its log is -inf, and its point keeps moving.  Lanes are
-    walked LANE_BATCH at a time.
+    A lane adds the log_abs terms of |f'| at its orbit points left to
+    right, as a one-point loop does.  From the first step whose |f'| is
+    critical its log is -inf for good, and its point keeps moving.  Lanes
+    are walked LANE_BATCH at a time.
     """
     ys = np.array(xs, dtype=float).ravel()
     ks = np.broadcast_to(ks, ys.shape)
@@ -77,11 +77,10 @@ def _walk(m: IntervalMap, xs, ks):
         y, k, ld = (v[s:s + LANE_BATCH] for v in (ys, ks, logs))
         for j in range(int(k.max(initial=0))):
             live = np.flatnonzero(k > j)
-            d = np.abs(m.derivative(y[live]))
-            flat = d <= 1e-300
-            add = ~flat & (ld[live] != -math.inf)
-            ld[live[flat]] = -math.inf
-            ld[live[add]] += list(map(math.log, d[add].tolist()))
+            terms = log_abs(m.derivative(y[live]))
+            # a -inf sum takes no later term, not even an inf one
+            sums = np.where(terms == -np.inf, terms, ld[live])
+            ld[live] = np.add(sums, terms, out=sums, where=sums != -np.inf)
             y[live] = m.evaluator(y[live])
     return logs, ys
 

@@ -8,8 +8,9 @@ from fiberdyn import (DegenerateDifferential, EmptySample, HitCritical,
                       constant_sequence, doubling_map, estimate_f2,
                       fiber_branch_stats, fiber_sequence, ftle_fiber,
                       ftle_full, logistic_map, make_system, measure_AY_decay,
-                      smallest_singular_value, viana_skew)
-from fiberdyn import expansion
+                      moebius_map, quadratic_map, smallest_singular_value,
+                      twowell_map, viana_skew)
+from fiberdyn import expansion, markov
 from fiberdyn.rng import make_generator
 
 
@@ -104,6 +105,52 @@ class TestFtleFiber:
                     assert exc.value.step == steps, fn
 
 
+class TestOneLogRule:
+    """Every orbit kernel gives one orbit the same log-sum, bit for bit.
+
+    markov._walk and the running sum of branch_stats' logd give the sum of
+    log |f'| over the first n steps, ftle_fiber its mean.  Sums of one to
+    three terms show a one-ulp change in a single term.
+    """
+
+    NS = (1, 2, 3, 50)
+
+    @staticmethod
+    def _branch_sums(logd):
+        # left to right along the steps; a lane's sum is -inf from the
+        # step on which it dies
+        return np.add.accumulate(logd, axis=0)
+
+    @pytest.mark.parametrize("make", [logistic_map, lambda: quadratic_map(1.8),
+                                      moebius_map, twowell_map])
+    def test_interval_kernels_agree(self, make):
+        m = make()
+        xs = make_generator(24).uniform(m.domain.lo, m.domain.hi, 1000)
+        _, logd, _ = branch_stats(m, xs, max(self.NS))
+        sums = self._branch_sums(logd)
+        seq = constant_sequence(m)
+        for n in self.NS:
+            walked, _ = markov._walk(m, xs, n)
+            alive = logd[n - 1] > -np.inf
+            assert alive.mean() > 0.5, n
+            assert walked[alive].tobytes() == sums[n - 1][alive].tobytes(), n
+            assert [ftle_fiber(seq, x, n) for x in xs.tolist()] == (
+                walked / n).tolist(), n
+
+    def test_viana_fiber_kernels_agree(self, viana):
+        rng = make_generator(25)
+        dom = viana.fiber_domain
+        thetas = rng.uniform(0.0, 1.0, 200)
+        xs = rng.uniform(dom.lo, dom.hi, 200)
+        _, logd, _ = fiber_branch_stats(viana, thetas, xs, max(self.NS))
+        sums = self._branch_sums(logd)
+        for i, (theta, x) in enumerate(zip(thetas.tolist(), xs.tolist())):
+            seq = fiber_sequence(viana, theta)
+            for n in self.NS:
+                if logd[n - 1, i] > -np.inf:
+                    assert ftle_fiber(seq, x, n) == sums[n - 1, i] / n, (i, n)
+
+
 def _per_step_ftle(seq, x, n):
     """ftle_fiber as a per-step loop of map_at, the reference for its kernel."""
     x = float(x)
@@ -113,7 +160,7 @@ def _per_step_ftle(seq, x, n):
         d = abs(float(m.derivative(x)))
         if d <= 1e-300:
             raise HitCritical(j)
-        s += math.log(d)
+        s += float(np.log(d))
         x = float(m.evaluator(x))
     return s / n
 
@@ -299,7 +346,7 @@ def _per_step_ftle_full(skew, z, n):
         if abs(fx) <= 1e-300:
             raise DegenerateDifferential(
                 f"d_x f = 0 at (theta={theta}, x={x})")
-        s += math.log(smallest_singular_value(gp, ft, fx))
+        s += float(np.log(smallest_singular_value(gp, ft, fx)))
         sums.append(s)
         theta, x = skew.base(theta), float(skew.fiber(theta, x))
     return sums

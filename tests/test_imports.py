@@ -1,5 +1,6 @@
-"""Import hygiene: no unused module-level imports under src/ or tests/,
-and the CLI starts without loading scipy."""
+"""Source hygiene: no unused module-level imports under src/ or tests/,
+one literal for the critical derivative size and no per-element math.log
+under src/, and the CLI starts without loading scipy."""
 
 import ast
 import os
@@ -48,6 +49,16 @@ def test_no_unused_module_imports():
              for path in files
              for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+def test_one_log_rule_in_src():
+    # every orbit kernel takes log |f'| from maps.log_abs, which holds the
+    # one critical size
+    texts = [path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))]
+    assert texts
+    assert sum(text.count("1e-300") for text in texts) == 1
+    for pattern in ("map(math.log", "frompyfunc(math.log"):
+        assert not any(pattern in text for text in texts), pattern
 
 
 def test_cli_start_up_leaves_scipy_integrate_unloaded():

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -612,6 +613,41 @@ class TestWrap:
         once = viana.base(th)
         assert once.min() >= 0.0 and once.max() < 1.0
         assert np.remainder(once, 1.0).tobytes() == once.tobytes()
+
+
+class TestLogAbs:
+    """maps.log_abs: np.log of |d|, -inf at critical sizes, no warning."""
+
+    TINY = float(np.nextafter(1e-300, 1.0))
+    CASES = [(0.0, -math.inf), (-0.0, -math.inf), (1e-300, -math.inf),
+             (-1e-300, -math.inf), (1e-301, -math.inf), (5e-324, -math.inf),
+             (math.inf, math.inf), (-math.inf, math.inf),
+             (TINY, float(np.log(TINY))), (-2.5, float(np.log(2.5))),
+             (4.0, float(np.log(4.0))), (0.3, float(np.log(0.3)))]
+
+    def test_values_in_every_shape(self):
+        ins, want = (np.array(v) for v in zip(*self.CASES))
+        assert maps.CRITICAL_DERIVATIVE == 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, w in zip(ins.tolist(), want.tolist()):
+                got = maps.log_abs(x)
+                assert type(got) is np.ndarray and got.shape == ()
+                assert _bits(float(got)) == _bits(w), x
+            got = maps.log_abs(ins)
+            assert got.tobytes() == want.tobytes()
+            got = maps.log_abs(np.tile(ins, (3, 1)))
+            assert got.tobytes() == np.tile(want, (3, 1)).tobytes()
+            assert np.isnan(maps.log_abs(math.nan))
+            assert np.isnan(maps.log_abs([1.0, math.nan])).tolist() == [
+                False, True]
+
+    def test_input_untouched_and_ints_taken(self):
+        d = np.array([0.0, -2.0, 3.0])
+        out = maps.log_abs(d)
+        assert out is not d and d.tolist() == [0.0, -2.0, 3.0]
+        assert maps.log_abs(np.array([2, 0])).tolist() == [
+            float(np.log(2.0)), -math.inf]
 
 
 def _polyval_twowell():

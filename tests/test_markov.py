@@ -550,7 +550,7 @@ class TestLogDerivN:
             d = abs(float(m.derivative(y)))
             if d <= 1e-300:
                 return -math.inf, None
-            s += math.log(d)
+            s += float(np.log(d))
             y = float(m.evaluator(y))
         return s, float(constant_sequence(m).compose(float(x), k))
 
