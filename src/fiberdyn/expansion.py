@@ -8,14 +8,14 @@ slow-branch-growth points with expanding points.
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
 from .branches import image_step
 from .errors import (DegenerateDifferential, EmptySample, HitCritical)
 from .maps import (IntervalMap, MapSequence, SkewProduct, fiber_coefficients,
-                   log_abs, wrap)
+                   log_abs, rows_per_block)
 from .rng import make_generator
 
 # Orbit steps per chunk of the ftle kernels: long enough to amortise the
@@ -131,24 +131,59 @@ def _branch_loop(steps, critical_points, domain, x0, n):
     `steps` yields one (f, Df) pair of array callables per step; the
     critical set is the same at every step.  An anchor dies once it comes
     within HIT_TOL of that set, as in track_branch (branches.image_step).
+    Yields (r_j, logd_j, alive) for j < n: new arrays of r and log |Df| at
+    step j, 0 and -inf on the lanes dead by then, and the alive mask, one
+    array updated in place.
     """
     x0 = np.asarray(x0, dtype=float)
     a = np.full(x0.shape, domain.lo)
     b = np.full(x0.shape, domain.hi)
     y = x0.copy()
     alive = np.ones(x0.shape, dtype=bool)
-    r = np.zeros((n,) + x0.shape)
-    logd = np.full((n,) + x0.shape, -np.inf)
-    for j, (f, df) in zip(range(n), steps):
+    for f, df in islice(steps, n):
         logs = log_abs(df(y))
         hit, _, _, fa, fb, y = image_step(f, critical_points, a, b, y)
         alive &= ~hit
-        # dead lanes keep the -inf and 0 the rows start with; [j, ...] is a
-        # view even for one anchor
-        np.copyto(logd[j, ...], logs, where=alive)
+        logd = np.full(x0.shape, -np.inf)
+        np.copyto(logd, logs, where=alive)
         a, b = np.minimum(fa, fb), np.maximum(fa, fb)
-        np.minimum(y - a, b - y, out=r[j, ...], where=alive)
+        r = np.zeros(x0.shape)
+        np.minimum(y - a, b - y, out=r, where=alive)
+        yield r, logd, alive
+
+
+def _stacked(rows, x0, n):
+    """(r, logd, alive) of branch_stats from the rows of _branch_loop."""
+    r = np.zeros((n,) + np.shape(x0))
+    logd = np.full(r.shape, -np.inf)
+    alive = np.ones(np.shape(x0), dtype=bool)
+    for j, (r_j, logd_j, alive) in enumerate(rows):
+        # [j, ...] is a view even for one anchor
+        r[j, ...], logd[j, ...] = r_j, logd_j
     return r, logd, alive
+
+
+def _cloud_branch_rows(system, cloud, n):
+    """The _branch_loop rows of a cloud drawn by `system.sample`: an interval
+    map applies itself, and a skew-product follows each point's fiber
+    sequence, with theta_j from `base_orbit` and c(theta_j) from one
+    `fiber_coefficient` call a block."""
+    if not isinstance(system, SkewProduct):
+        return _branch_loop(repeat((system.evaluator, system.derivative)),
+                            system.critical_points, system.domain, cloud, n)
+    skew, (thetas, x0) = system, cloud
+
+    def steps(t):
+        rows = rows_per_block(np.size(t))
+        for j in range(0, n, rows):
+            T = skew.base_orbit(t, min(rows, n - 1 - j))
+            t = T[-1]
+            C = skew.fiber_coefficient(T[:rows])
+            for th, c in zip(T[:rows], C):
+                yield partial(skew.fiber_step, c), partial(skew.fiber_dx, th)
+
+    return _branch_loop(steps(np.asarray(thetas, dtype=float)),
+                        skew.fiber_critical_points, skew.fiber_domain, x0, n)
 
 
 def branch_stats(m: IntervalMap, x0, n):
@@ -159,8 +194,7 @@ def branch_stats(m: IntervalMap, x0, n):
     and logd at -inf from that step on.  Matches track_branch image-side
     arithmetic exactly.
     """
-    return _branch_loop(repeat((m.evaluator, m.derivative)),
-                        m.critical_points, m.domain, x0, n)
+    return _stacked(_cloud_branch_rows(m, x0, n), x0, n)
 
 
 def fiber_branch_stats(skew: SkewProduct, thetas, x0, n):
@@ -168,22 +202,7 @@ def fiber_branch_stats(skew: SkewProduct, thetas, x0, n):
 
     Every fiber map has the critical set `skew.fiber_critical_points`.
     """
-    def steps(th):
-        while True:
-            yield partial(skew.fiber, th), partial(skew.fiber_dx, th)
-            th = skew.base(th)
-
-    th = wrap(np.asarray(thetas, dtype=float))
-    return _branch_loop(steps(th), skew.fiber_critical_points,
-                        skew.fiber_domain, x0, n)
-
-
-def _cloud_branch_stats(system, cloud, n):
-    """branch_stats of a cloud drawn by `system.sample`: a skew-product
-    follows each point's fiber sequence, an interval map applies itself."""
-    if isinstance(system, SkewProduct):
-        return fiber_branch_stats(system, *cloud, n)
-    return branch_stats(system, cloud, n)
+    return _stacked(_cloud_branch_rows(skew, (thetas, x0), n), x0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +241,25 @@ def measure_AY_decay(system, n_list, delta, lam, samples, seed):
     if any(d <= 0 for d in deltas):
         raise ValueError("delta must be positive")
     cloud = system.sample(make_generator(seed), samples)
-    r, logd, _ = _cloud_branch_stats(system, cloud, max(n_list))
-    # running sums over the depths, added left to right, kept at the listed n
-    sums = {j: (sum_r / j, sum_l / j) for j, (sum_r, sum_l) in enumerate(
-        zip(accumulate(r), accumulate(logd)), 1) if j in n_list}
+    # running sums over the depths, added left to right; the fractions of
+    # each delta are taken at the listed n
+    sum_r, sum_l = np.zeros(samples), np.zeros(samples)
+    fracs = {}
+    for n, (r, logd, _) in enumerate(
+            _cloud_branch_rows(system, cloud, n_list[-1]), 1):
+        sum_r += r
+        sum_l += logd
+        if n in n_list:
+            in_y = sum_l / n > lam
+            mean_r = sum_r / n
+            fracs[n] = [float(((mean_r < d * d) & (r > 0) & in_y).mean())
+                        for d in deltas]
     rows = []
     length = system.sequence(0.0).domain.length
     for n in n_list:
-        mean_r, mean_l = sums[n]
-        in_y = mean_l > lam
         bound = length * math.exp(-n * lam / 2.0)
-        for d in deltas:
-            in_a = (mean_r < d * d) & (r[n - 1] > 0)
-            frac = float((in_a & in_y).mean())
-            rows.append((n, frac, frac * length, bound, d, lam,
-                         samples, int(seed)))
+        rows.extend((n, frac, frac * length, bound, d, lam, samples,
+                     int(seed)) for d, frac in zip(deltas, fracs[n]))
     return DecayTable(tuple(rows), length)
 
 

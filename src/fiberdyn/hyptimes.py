@@ -16,7 +16,8 @@ import numpy as np
 from .branches import MonotoneBranch, bisect_preimage, track_branch
 from .errors import (CapExceeded, DomainCollapsed, InvalidConstants,
                      NotAGraph, NotHyperbolicLike)
-from .maps import SkewProduct, fiber_sequence, log_abs, wrap
+from .maps import (SkewProduct, fiber_sequence, log_abs, rows_per_block,
+                   wrap)
 
 
 @dataclass(frozen=True)
@@ -221,18 +222,19 @@ def slope_envelope(skew: SkewProduct, curve: CurveGraph, n):
     pointwise along every sample orbit; unlike piece splitting this scales
     to large n because wraps do not affect pointwise slopes.
     """
-    th = curve.theta.copy()
-    xs = curve.x.copy()
     if curve.slopes is not None:
         s = curve.slopes.copy()
     else:
         fd = np.diff(curve.x) / np.diff(curve.theta)
         s = np.concatenate([fd, fd[-1:]])
     env = np.empty(n)
-    for m in range(n):
-        s = _transport_slopes(skew, th, xs, s)
-        th, xs = skew.step((th, xs), m)
-        env[m] = np.abs(s).max()
+    state = curve.theta, curve.x
+    rows = rows_per_block(curve.theta.size)
+    for j in range(0, n, rows):
+        (T, X), state = skew.iterates(state, j, min(rows, n - j))
+        for m, (th, xs) in enumerate(zip(T, X), j):
+            s = _transport_slopes(skew, th, xs, s)
+            env[m] = np.abs(s).max()
     return env
 
 

@@ -8,7 +8,8 @@ sampled sanity checks (domain invariance, critical-point consistency,
 domination) so that downstream modules can assume a well-posed system.
 
 A system is an IntervalMap or a SkewProduct; both draw and step clouds
-(`sample`, `step`) and give the MapSequence one point sees (`sequence`).
+(`sample`, `iterates`, `step`) and give the MapSequence one point sees
+(`sequence`).
 
 Map families form a closed catalogue, `FAMILIES`, extended in source;
 experiment configs refer to them by name via :func:`make_system`.
@@ -48,6 +49,16 @@ def wrap(theta):
 
 
 CRITICAL_DERIVATIVE = 1e-300     # |f'| at or below it is a critical hit
+
+# Points per block of the cloud kernels: a cloud of `lanes` points is
+# streamed over its steps in blocks of rows_per_block(lanes) rows.
+_BLOCK_POINTS = 2**14
+
+
+def rows_per_block(lanes):
+    """Steps per block for a cloud of `lanes` points: a block holds about
+    _BLOCK_POINTS points, and at least one step."""
+    return max(1, _BLOCK_POINTS // max(1, lanes))
 
 
 def log_abs(d):
@@ -171,9 +182,19 @@ class IntervalMap:
         """k points drawn uniformly from the domain."""
         return rng.uniform(self.domain.lo, self.domain.hi, k)
 
+    def iterates(self, state, j, k):
+        """Iterates j .. j+k-1 of a cloud at iterate j, stacked in k rows
+        (row 0 is the cloud), and iterate j+k: exactly k >= 1 steps, one
+        `evaluator` call each."""
+        X = np.empty((k,) + np.shape(state))
+        X[0] = state
+        for i in range(1, k):
+            X[i] = self.evaluator(X[i - 1])
+        return X, np.asarray(self.evaluator(X[k - 1]), float)
+
     def step(self, state, j):
         """The image of a cloud of points."""
-        return np.asarray(self.evaluator(state), float)
+        return self.iterates(state, j, 1)[1]
 
     def sequence(self, theta):
         """The constant sequence every point sees."""
@@ -330,7 +351,8 @@ class SkewProduct:
     returns c shaped like it, and the x-step `fiber_step(c, x)` takes
     floats or arrays.  `fiber(theta, x)` composes the two, so a one-orbit
     kernel evaluates c once per chunk of theta_j on an array and steps x on
-    floats.  `fiber_dx` and `fiber_dtheta` take (theta, x).
+    floats, and a cloud kernel evaluates c once per block of steps.
+    `fiber_dx` and `fiber_dtheta` take (theta, x).
     `fiber_critical_points` is the strictly increasing critical set of
     every fiber map x -> f(theta, x), the same x values for every theta.
     The domination constants are fitted on a test grid at construction.
@@ -341,7 +363,9 @@ class SkewProduct:
     exactly 0.0 after about 53 / log2(d) steps and stays there
     (viana_skew().base_orbit(pi/10, 20) is 0.0 from step 13 on); exact
     digit-stream orbits are planned (see ROADMAP).  `base_orbit` is the
-    only place that steps one orbit; clouds of theta are stepped by `base`.
+    one theta source: it steps one orbit, and on an array it steps a cloud
+    of theta lane by lane, which `iterates` (and so `step`) reads its rows
+    from.
 
     `base` wraps once, with `wrap`: on an array d*theta - floor(d*theta)
     gives the bits of `% 1.0` at a fraction of np.remainder's cost, and on a
@@ -393,11 +417,27 @@ class SkewProduct:
         dom = self.fiber_domain
         return rng.uniform(0.0, 1.0, k), rng.uniform(dom.lo, dom.hi, k)
 
+    def iterates(self, state, j, k):
+        """Iterates j .. j+k-1 of a cloud (theta, x) at iterate j, stacked
+        in k rows (row 0 is the cloud, its theta taken mod 1), and iterate
+        j+k: exactly k >= 1 steps.
+
+        theta comes from `base_orbit`, c(theta) from one `fiber_coefficient`
+        call on the block, and x from one `fiber_step` call per row.
+        """
+        theta, x = state
+        T = self.base_orbit(theta, k)
+        C = self.fiber_coefficient(T[:k])
+        X = np.empty((k,) + np.shape(x))
+        X[0] = x
+        for i in range(1, k):
+            X[i] = self.fiber_step(C[i - 1], X[i - 1])
+        return ((T[:k], X),
+                (T[k], np.asarray(self.fiber_step(C[k - 1], X[k - 1]), float)))
+
     def step(self, state, j):
         """The image (g(theta), f(theta, x)) of a cloud of points."""
-        theta, x = state
-        return (np.asarray(self.base(theta), float),
-                np.asarray(self.fiber(theta, x), float))
+        return self.iterates(state, j, 1)[1]
 
     def sequence(self, theta):
         """The fiber maps along the base orbit of theta."""
@@ -406,11 +446,21 @@ class SkewProduct:
     def base_orbit(self, theta, n):
         """theta, g(theta), ..., g^n(theta) with per-step wrapping.
 
-        Each step is `base` on a float, d*t % 1.0, inlined.
+        A float gives the (n+1,) orbit, each step `base` on a float,
+        d*t % 1.0, inlined.  An array of lanes gives rows of shape
+        (n+1,) + theta.shape: row 0 is `wrap(theta)` and each later row
+        `wrap` of d times the row before, bit for bit the float orbit of
+        every lane.
         """
         d = self.base_degree
-        t = float(theta) % 1.0
-        return np.array([t] + [t := d * t % 1.0 for _ in range(n)])
+        if np.ndim(theta) == 0:
+            t = float(theta) % 1.0
+            return np.array([t] + [t := d * t % 1.0 for _ in range(n)])
+        T = np.empty((n + 1,) + np.shape(theta))
+        T[0] = wrap(np.asarray(theta, dtype=float))
+        for i in range(n):
+            T[i + 1] = wrap(d * T[i])
+        return T
 
 
 def fiber_coefficients(skew: SkewProduct, T):
@@ -438,14 +488,16 @@ def verify_partial_hyperbolicity(skew: SkewProduct, n_max=12, grid=32):
     th = np.linspace(0.0, 1.0, grid, endpoint=False)
     xs = skew.fiber_domain.grid(grid)
     T, X = np.meshgrid(th, xs, indexing="ij")
-    T = T.ravel().copy()
-    X = X.ravel().copy()
-    prod = np.ones_like(T)
+    state = T.ravel(), X.ravel()
+    prod = np.ones(grid * grid)
     maxima = []
-    for j in range(n_max):
-        prod = prod * np.abs(skew.fiber_dx(T, X)) / np.abs(skew.base_derivative(T))
-        maxima.append(float(prod.max()))
-        T, X = skew.step((T, X), j)
+    rows = rows_per_block(prod.size)
+    for j in range(0, n_max, rows):
+        (T, X), state = skew.iterates(state, j, min(rows, n_max - j))
+        for t, x in zip(T, X):
+            prod = prod * np.abs(skew.fiber_dx(t, x)) / np.abs(
+                skew.base_derivative(t))
+            maxima.append(float(prod.max()))
     maxima = np.asarray(maxima)
     ns = np.arange(1, n_max + 1)
     if maxima.max() == 0.0:

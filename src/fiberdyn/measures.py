@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansion import _cloud_branch_stats
-from .maps import SkewProduct, wrap
+from .expansion import _cloud_branch_rows
+from .maps import SkewProduct, rows_per_block, wrap
 from .rng import make_generator, rng_metadata
 
 
@@ -127,32 +127,26 @@ class EmpiricalMeasure:
         object.__setattr__(self, "weights", w)
 
 
-# Iterates binned per grid.index call in the cloud loops: a block holds about
-# this many points, so a small cloud bins many steps per call and a large one
-# bins each step on its own, without stacking a copy.
-_BLOCK_POINTS = 2**14
-
-
 def _index_blocks(system, state, points, grid, n, first, last):
-    """Bin indices of iterates first..last of a cloud, a block at a time.
+    """Bin indices of iterates first..last (last is n - 1 or n) of a cloud.
 
-    The cloud makes exactly n steps, one `system.step` call each, whichever
-    iterates are binned.  Each block is an int array of shape (rows, points)
-    holding consecutive iterates in order.
+    The cloud makes exactly n steps, in `system.iterates` blocks of at most
+    `rows_per_block(points)` steps; the blocks before `first` are stepped
+    and not binned.  Each binned block is an int array of shape
+    (rows, points) holding consecutive iterates in order, one `grid.index`
+    call each; iterate n, the state after the last block, is binned alone.
     """
-    rows = max(1, _BLOCK_POINTS // points)
-    block = []
-    for j in range(n + 1):
-        if first <= j <= last:
-            block.append(state)
-            if len(block) == rows or j == last:
-                if len(block) == 1:
-                    yield grid.index(state)[None]
-                else:
-                    yield grid.index(np.stack(block, axis=-2))
-                block = []
-        if j < n:
-            state = system.step(state, j)
+    rows = rows_per_block(points)
+    j = 0
+    for stop, binned in ((first, False), (n, True)):
+        while j < stop:
+            k = min(rows, stop - j)
+            block, state = system.iterates(state, j, k)
+            if binned:
+                yield grid.index(block)
+            j += k
+    if last == n:
+        yield grid.index(state)[None]
 
 
 def orbit_bin_counts(system, samples, n, grid=None, seed=0):
@@ -355,9 +349,15 @@ def nu_like_mass(system, samples, n, delta_tilde, seed):
     a zeta fraction of hyperbolic-like indices, so the deposited mass must
     be at least zeta times the fraction of such anchors.
     """
+    if samples < 1 or n < 1:
+        raise ValueError("need samples >= 1 and n >= 1")
     cloud = system.sample(make_generator(seed), samples)
-    r, _, _ = _cloud_branch_stats(system, cloud, n)
-    mass = float((r >= delta_tilde).mean())
-    anchors = float((r.sum(axis=0) >= 2.0 * delta_tilde * n).mean())
+    # a running count and running sums over the steps, added left to right
+    count, sum_r = 0, np.zeros(samples)
+    for r, _, _ in _cloud_branch_rows(system, cloud, n):
+        count += np.count_nonzero(r >= delta_tilde)
+        sum_r += r
+    mass = count / (n * samples)
+    anchors = float((sum_r >= 2.0 * delta_tilde * n).mean())
     zeta = delta_tilde / (system.sequence(0.0).domain.length - delta_tilde)
     return NuLikeMass(mass, anchors, zeta, mass >= zeta * anchors - 1e-12)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from fiberdyn import (DegenerateDifferential, EmptySample, HitCritical,
                       ftle_full, logistic_map, make_system, measure_AY_decay,
                       moebius_map, quadratic_map, smallest_singular_value,
                       twowell_map, viana_skew)
-from fiberdyn import expansion, markov
+from fiberdyn import expansion, maps, markov
 from fiberdyn.rng import make_generator
 
 
@@ -352,6 +354,24 @@ def _per_step_ftle_full(skew, z, n):
     return sums
 
 
+# measure_AY_decay's n_list, deltas, lam, samples and seed
+DECAY_CASE = ([1, 7, 7, 30, 31], [0.05, 0.2, 0.6], 0.1, 1000, 8)
+
+
+def _cumsum_fractions(system, n_list, deltas, lam, samples, seed):
+    """measure_AY_decay's fractions from the full (n, samples) arrays of
+    branch_stats / fiber_branch_stats and np.cumsum."""
+    cloud = system.sample(make_generator(seed), samples)
+    n = max(n_list)
+    r, logd, _ = (fiber_branch_stats(system, *cloud, n)
+                  if isinstance(system, SkewProduct)
+                  else branch_stats(system, cloud, n))
+    csum_r, csum_l = np.cumsum(r, axis=0), np.cumsum(logd, axis=0)
+    return [float((((csum_r[n - 1] / n < d * d) & (r[n - 1] > 0))
+                   & (csum_l[n - 1] / n > lam)).mean())
+            for n in n_list for d in deltas]
+
+
 class TestDecayTable:
     def test_huge_delta_reduces_to_expansion_set(self, logistic):
         # delta^2 > |I0| makes the mean-size constraint vacuous
@@ -395,25 +415,66 @@ class TestDecayTable:
     def test_running_sums_match_cumsum(self, family):
         """Every row equals the one built from full np.cumsum arrays."""
         system = make_system(family)
-        n_list, deltas, lam = [1, 7, 7, 30, 31], [0.05, 0.2, 0.6], 0.1
-        table = measure_AY_decay(system, n_list, deltas, lam, 1000, 8)
-        cloud = system.sample(make_generator(8), 1000)
-        r, logd, _ = expansion._cloud_branch_stats(system, cloud, 31)
-        csum_r, csum_l = np.cumsum(r, axis=0), np.cumsum(logd, axis=0)
-        rows = [float((((csum_r[n - 1] / n < d * d) & (r[n - 1] > 0))
-                       & (csum_l[n - 1] / n > lam)).mean())
-                for n in n_list for d in deltas]
-        assert [row[1] for row in table.rows] == rows
+        table = measure_AY_decay(system, *DECAY_CASE)
+        assert [row[1] for row in table.rows] == _cumsum_fractions(
+            system, *DECAY_CASE)
+        n_list, deltas = DECAY_CASE[:2]
         assert [(row[0], row[4]) for row in table.rows] == [
             (n, d) for n in n_list for d in deltas]
+
+    @pytest.mark.parametrize("family", ["logistic", "viana"])
+    def test_rows_per_block_keep_the_fractions(self, monkeypatch, block_rows,
+                                               family):
+        # 1, 2 and the default rows per block of theta at 1,000 samples
+        monkeypatch.setattr(maps, "_BLOCK_POINTS", block_rows * 1000)
+        system = make_system(family)
+        table = measure_AY_decay(system, *DECAY_CASE)
+        assert [row[1] for row in table.rows] == _cumsum_fractions(
+            system, *DECAY_CASE)
 
     def test_skew_sampling_runs(self, viana):
         table = measure_AY_decay(viana, [10], 0.1, 0.1, 1000, 4)
         assert len(table.rows) == 1
         assert table.domain_length == viana.fiber_domain.length
 
+    def test_memory_bounded_by_the_cloud(self, logistic):
+        # running sums, not (n, samples) arrays: at n = 60 and 10^4 samples
+        # those were two 4.8 MB arrays, an 11-12 MB peak.  A cloud-sized
+        # array is 80 kB; the streamed loop peaks at 2-3 MB, and the bound
+        # stays below one of the old arrays.
+        tracemalloc.start()
+        try:
+            measure_AY_decay(logistic, [30, 60], [0.05, 0.2], 0.3, 10**4, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
+
+
+def _per_step_fiber_branch_stats(skew, thetas, x0, n):
+    """fiber_branch_stats as first written: theta stepped by `base` and the
+    unsplit `fiber` called at every step."""
+    def steps(th):
+        while True:
+            yield partial(skew.fiber, th), partial(skew.fiber_dx, th)
+            th = skew.base(th)
+
+    th = maps.wrap(np.asarray(thetas, dtype=float))
+    return expansion._stacked(
+        expansion._branch_loop(steps(th), skew.fiber_critical_points,
+                               skew.fiber_domain, x0, n), x0, n)
+
 
 class TestFiberBranchStats:
+    def test_matches_per_step_loop(self, block_rows, viana):
+        th, xs = viana.sample(make_generator(29), 100)
+        for n in sorted({1, max(1, block_rows - 1), block_rows,
+                         block_rows + 1, 2 * block_rows + 3}):
+            got = fiber_branch_stats(viana, th, xs, n)
+            want = _per_step_fiber_branch_stats(viana, th, xs, n)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), n
+
     def test_matches_scalar_tracking(self, viana):
         rng = make_generator(31)
         th = rng.uniform(0, 1, 40)

@@ -1,9 +1,10 @@
 """Source hygiene: no unused module-level imports under src/ or tests/,
 one literal for the critical derivative size and no per-element math.log
-under src/, and the CLI starts without loading scipy."""
+under src/, one theta source, and the CLI starts without loading scipy."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,35 @@ def test_one_log_rule_in_src():
     assert sum(text.count("1e-300") for text in texts) == 1
     for pattern in ("map(math.log", "frompyfunc(math.log"):
         assert not any(pattern in text for text in texts), pattern
+
+
+def theta_steps(source):
+    """Lines that step theta by the base map outside `base_orbit`: a
+    `.base(` call, or wrap(d * ...) / d * ... % 1.0 with d or base_degree."""
+    degree = r"\b(?:\w+\.)*(?:d|base_degree)\s*\*(?!\*)"
+    pattern = re.compile(r"\.base\(|wrap\(\s*" + degree
+                         + r"|" + degree + r"[^\n%]*%\s*1\.0")
+    return [line.strip() for line in source.splitlines()
+            if pattern.search(line)]
+
+
+def test_checker_sees_theta_steps():
+    src = ("th = skew.base(th)\nT = wrap(d * T)\nt = d * t % 1.0\n"
+           "u = wrap(skew.base_degree * u)\nv = wrap(v + w * d ** (m - k))\n"
+           "t = float(z[0]) % 1.0\nt = round * t % 1.0\n")
+    assert theta_steps(src) == ["th = skew.base(th)", "T = wrap(d * T)",
+                                "t = d * t % 1.0",
+                                "u = wrap(skew.base_degree * u)"]
+
+
+def test_one_theta_source():
+    # clouds and orbits take theta from SkewProduct.base_orbit; only maps.py
+    # applies the base map
+    found = [f"{path.relative_to(ROOT)}: {line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "maps.py"
+             for line in theta_steps(path.read_text())]
+    assert found == []
 
 
 def test_cli_start_up_leaves_scipy_integrate_unloaded():

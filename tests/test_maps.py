@@ -236,14 +236,28 @@ class TestFiberSplit:
         ns = sorted({0, 1, *(edge + i for edge in (maps._THETA_BLOCK,
                                                    expansion._ORBIT_CHUNK)
                              for i in (-1, 0, 1))})
-        for theta in (0.3, 0.987654, 1.0 / 3.0, 1.25):
+        thetas = (0.3, 0.987654, 1.0 / 3.0, 1.25, 0.0,
+                  float(np.nextafter(1.0, 0.0)))
+        orbits = []
+        for theta in thetas:
             want = [float(theta) % 1.0]
             for _ in range(max(ns)):
                 want.append(skew.base(want[-1]))
+            orbits.append(want)
             for n in ns:
                 got = skew.base_orbit(theta, n)
                 assert got.dtype == np.float64 and got.shape == (n + 1,)
                 assert got.tobytes() == np.array(want[:n + 1]).tobytes(), n
+        # a cloud of theta: one orbit per lane, in 1-d and 2-d arrays
+        lanes = np.array(thetas)
+        want = np.array(orbits).T
+        for n in ns:
+            got = skew.base_orbit(lanes, n)
+            assert got.dtype == np.float64 and got.shape == (n + 1, 6)
+            assert got.tobytes() == want[:n + 1].tobytes(), n
+            got = skew.base_orbit(lanes.reshape(2, 3), n)
+            assert got.shape == (n + 1, 2, 3)
+            assert got.tobytes() == want[:n + 1].tobytes(), n
 
     def test_viana_fiber_is_its_split(self, viana):
         two_pi = 2.0 * math.pi
@@ -316,14 +330,15 @@ class TestSystemProtocol:
 class _BareSkew:
     """Duck-typed stand-in for domination checks on unconstructible systems."""
 
-    step = maps.SkewProduct.step
+    base_orbit = maps.SkewProduct.base_orbit
+    iterates = maps.SkewProduct.iterates
 
-    def __init__(self, base_degree, base, base_derivative, fiber, fiber_dx,
-                 fiber_domain):
+    def __init__(self, base_degree, base_derivative, fiber_coefficient,
+                 fiber_step, fiber_dx, fiber_domain):
         self.base_degree = base_degree
-        self.base = base
         self.base_derivative = base_derivative
-        self.fiber = fiber
+        self.fiber_coefficient = fiber_coefficient
+        self.fiber_step = fiber_step
         self.fiber_dx = fiber_dx
         self.fiber_domain = fiber_domain
 
@@ -350,9 +365,9 @@ class TestPartialHyperbolicity:
                        ("0x1.4db8b231c4b0bp-1", "0x1.64901654d0473p+3")]
 
     def test_constant_fiber_ratio_zero(self):
-        bare = _BareSkew(16, lambda t: (16 * t) % 1.0,
-                         lambda t: 16.0 + 0.0 * t,
-                         lambda t, x: 0.3 + 0.0 * x + 0.0 * t,
+        bare = _BareSkew(16, lambda t: 16.0 + 0.0 * t,
+                         lambda t: 0.3 + 0.0 * t,
+                         lambda c, x: c + 0.0 * x,
                          lambda t, x: 0.0 * x + 0.0 * t,
                          IntervalDomain(0.0, 1.0))
         rep = verify_partial_hyperbolicity(bare, n_max=6, grid=16)
@@ -361,9 +376,9 @@ class TestPartialHyperbolicity:
 
     def test_tent_fiber_no_domination(self):
         # slope-2 tent fiber over a degree-2 base: ratio 1 at every n
-        bare = _BareSkew(2, lambda t: (2 * t) % 1.0,
-                         lambda t: 2.0 + 0.0 * t,
-                         lambda t, x: 1.0 - np.abs(2.0 * x - 1.0) + 0.0 * t,
+        bare = _BareSkew(2, lambda t: 2.0 + 0.0 * t,
+                         lambda t: 0.0 * t,
+                         lambda c, x: 1.0 - np.abs(2.0 * x - 1.0) + c,
                          lambda t, x: np.where(x < 0.5, 2.0, -2.0) + 0.0 * t,
                          IntervalDomain(0.0, 1.0))
         rep = verify_partial_hyperbolicity(bare, n_max=6, grid=17)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fiberdyn import (BinGrid1D, EmpiricalMeasure, density_compare,
-                      doubling_map, empirical_measure, ergodic_components,
-                      identity_map, invariance_defect, maps,
-                      measures, nu_like_mass, orbit_bin_counts)
+from fiberdyn import (BinGrid1D, EmpiricalMeasure, branch_stats,
+                      density_compare, doubling_map, empirical_measure,
+                      ergodic_components, fiber_branch_stats, identity_map,
+                      invariance_defect, maps, nu_like_mass,
+                      orbit_bin_counts)
 from fiberdyn.measures import (_cluster_count, _l1_distances,
                                _probe_histograms, resolve_grid)
 from fiberdyn.rng import make_generator
@@ -171,6 +172,28 @@ class TestNuLikeMass:
         rec = nu_like_mass(viana, 2000, 40, 0.2, 33)
         assert rec.bound_holds
 
+    def test_empty_orbit_or_cloud_rejected(self, logistic):
+        # no step to count: a mean over zero indices has no value
+        for samples, n in ((100, 0), (0, 10)):
+            with pytest.raises(ValueError, match="need samples"):
+                nu_like_mass(logistic, samples, n, 0.1, 1)
+
+    @pytest.mark.parametrize("family", ["logistic", "viana"])
+    def test_matches_stacked_arrays(self, block_rows, family):
+        """The streamed counts and sums equal the computation on the full
+        (n, samples) arrays of branch_stats / fiber_branch_stats."""
+        system = maps.make_system(family)
+        cloud = system.sample(make_generator(37), 100)
+        for n in sorted({1, block_rows, block_rows + 1, 2 * block_rows + 3}):
+            r, _, _ = (fiber_branch_stats(system, *cloud, n)
+                       if family == "viana"
+                       else branch_stats(system, cloud, n))
+            mass = float((r >= 0.2).mean())
+            anchors = float((r.sum(axis=0) >= 2.0 * 0.2 * n).mean())
+            got = nu_like_mass(system, 100, n, 0.2, 37)
+            assert (got.mass, got.anchor_fraction) == (mass, anchors), n
+            assert got.bound_holds == (mass >= got.zeta * anchors - 1e-12)
+
 
 # ---------------------------------------------------------------------------
 # block-binned cloud loops against the per-step loops they replaced
@@ -190,6 +213,15 @@ def _per_step_index(grid, state):
     return ti * grid.fiber_bins + xi
 
 
+def _per_step(system, state):
+    """One step of a cloud as first written: `base` and the unsplit `fiber`
+    on a skew-product, the evaluator on an interval map."""
+    if isinstance(system, maps.SkewProduct):
+        theta, x = state
+        return system.base(theta), system.fiber(theta, x)
+    return np.asarray(system.evaluator(state), float)
+
+
 def _per_step_bin_counts(system, samples, n, grid, seed):
     grid = resolve_grid(system, grid)
     state = system.sample(make_generator(seed), samples)
@@ -198,7 +230,7 @@ def _per_step_bin_counts(system, samples, n, grid, seed):
         counts[j] = np.bincount(_per_step_index(grid, state),
                                 minlength=grid.size)
         if j < n:
-            state = system.step(state, j)
+            state = _per_step(system, state)
     return counts
 
 
@@ -209,7 +241,7 @@ def _per_step_histograms(system, probes, n, grid, seed, burn):
     for j in range(n):
         if j >= burn:
             hists[rows, _per_step_index(grid, state)] += 1.0
-        state = system.step(state, j)
+        state = _per_step(system, state)
     hists /= hists.sum(axis=1, keepdims=True)
     return hists
 
@@ -242,19 +274,6 @@ def _union_find_clusters(hists, threshold):
         order.setdefault(r, len(order))
         assignment.append(order[r])
     return len(order), tuple(assignment)
-
-
-# 100 points per cloud: 1 and 2 rows per block, and the default's 163
-BLOCK_ROWS = [1, 2, measures._BLOCK_POINTS // 100]
-
-
-@pytest.fixture(params=BLOCK_ROWS, ids=lambda r: f"rows{r}")
-def block_rows(request, monkeypatch):
-    rows = request.param
-    if rows * 100 != measures._BLOCK_POINTS:
-        monkeypatch.setattr(measures, "_BLOCK_POINTS", rows * 100)
-    assert max(1, measures._BLOCK_POINTS // 100) == rows
-    return rows
 
 
 class TestBlockBinning:
@@ -344,30 +363,39 @@ class TestClusterCount:
 
 
 class TestCloudStepCount:
-    """The block loops make exactly n map steps, neither more nor fewer."""
+    """The block loops make exactly n map steps, neither more nor fewer:
+    their `iterates` blocks cover steps 0..n-1 in order, each block of at
+    most rows_per_block(points) steps, and no block follows the last."""
 
     @pytest.mark.parametrize("family", ["logistic", "twowell", "viana"])
     def test_n_steps(self, monkeypatch, family):
         system = maps.make_system(family)
         cls = type(system)
-        step = cls.step
+        iterates = cls.iterates
         calls = []
 
-        def counting_step(self, state, j):
-            calls.append(j)
-            return step(self, state, j)
+        def counting_iterates(self, state, j, k):
+            calls.append((j, k))
+            return iterates(self, state, j, k)
 
-        monkeypatch.setattr(cls, "step", counting_step)
+        def steps():
+            assert all(1 <= k <= maps.rows_per_block(points)
+                       for _, k in calls)
+            return [j + i for j, k in calls for i in range(k)]
+
+        monkeypatch.setattr(cls, "iterates", counting_iterates)
+        points = 100
         for n in (1, 163, 500):
             calls.clear()
-            orbit_bin_counts(system, 100, n, 64, 5)
-            assert calls == list(range(n))
+            orbit_bin_counts(system, points, n, 64, 5)
+            assert steps() == list(range(n))
             calls.clear()
-            ergodic_components(system, 100, n, 64, 5, burn_frac=0.137)
-            assert calls == list(range(n))
+            ergodic_components(system, points, n, 64, 5, burn_frac=0.137)
+            assert steps() == list(range(n))
+        points = 10**4
         calls.clear()
-        orbit_bin_counts(system, 10**4, 7, 64, 5)
-        assert calls == list(range(7))
+        orbit_bin_counts(system, points, 7, 64, 5)
+        assert steps() == list(range(7))
 
 
 class TestComponentInputs:
