@@ -16,7 +16,8 @@ lane has its own depth, and a bisection step applies map s once, to the
 live lanes deeper than s.
 The array loops that follow many branch images at once (the branch-size
 statistics and the Markov inducing walk) take their steps with one rule,
-`image_step`.
+`image_step`, which maps the cut ends and the orbit points by separate
+lane-shaped calls.
 """
 
 import itertools
@@ -256,9 +257,9 @@ def image_step(f, critical_points, a, b, y):
     within HIT_TOL of a critical point, and [lo, hi] is [a, b] cut at the
     nearest critical point strictly inside on each side of y, the rule of
     track_branch.  The images are left unordered; a hit lane is still cut
-    and mapped, and its caller drops or masks it.  `f` is called once, on
-    lo, hi and y stacked, so a step map with a costly lane-wise part (the
-    theta term of a skew-product fiber) computes that part once a step.
+    and mapped, and its caller drops or masks it.  `f` is called on lo, hi
+    and y separately, each of y's shape, so no temporary is larger than a
+    lane array.
     """
     hit = np.zeros(np.shape(y), dtype=bool)
     lo, hi = a, b
@@ -266,8 +267,8 @@ def image_step(f, critical_points, a, b, y):
         hit |= np.abs(y - c) <= HIT_TOL
         lo = np.where((lo < c) & (c < y), c, lo)
         hi = np.where((y < c) & (c < hi), c, hi)
-    imgs = np.asarray(f(np.array((lo, hi, y))), dtype=float)
-    return hit, lo, hi, imgs[0, ...], imgs[1, ...], imgs[2, ...]
+    fa, fb, fy = (np.asarray(f(v), dtype=float) for v in (lo, hi, y))
+    return hit, lo, hi, fa, fb, fy
 
 
 def symbol_sequence(branch: MonotoneBranch, delta):

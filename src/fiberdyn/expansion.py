@@ -14,8 +14,8 @@ import numpy as np
 
 from .branches import image_step
 from .errors import (DegenerateDifferential, EmptySample, HitCritical)
-from .maps import (IntervalMap, MapSequence, SkewProduct, fiber_coefficients,
-                   log_abs, rows_per_block)
+from .maps import (IntervalMap, MapSequence, SkewProduct, _base_rows,
+                   fiber_coefficients, log_abs, rows_per_block)
 from .rng import make_generator
 
 # Orbit steps per chunk of the ftle kernels: long enough to amortise the
@@ -144,8 +144,7 @@ def _branch_loop(steps, critical_points, domain, x0, n):
         logs = log_abs(df(y))
         hit, _, _, fa, fb, y = image_step(f, critical_points, a, b, y)
         alive &= ~hit
-        logd = np.full(x0.shape, -np.inf)
-        np.copyto(logd, logs, where=alive)
+        logd = np.where(alive, logs, -np.inf)
         a, b = np.minimum(fa, fb), np.maximum(fa, fb)
         r = np.zeros(x0.shape)
         np.minimum(y - a, b - y, out=r, where=alive)
@@ -166,7 +165,8 @@ def _stacked(rows, x0, n):
 def _cloud_branch_rows(system, cloud, n):
     """The _branch_loop rows of a cloud drawn by `system.sample`: an interval
     map applies itself, and a skew-product follows each point's fiber
-    sequence, with theta_j from `base_orbit` and c(theta_j) from one
+    sequence, with theta_j from `base_orbit` (taken mod 1 once, each block
+    continuing from the last row of the one before) and c(theta_j) from one
     `fiber_coefficient` call a block."""
     if not isinstance(system, SkewProduct):
         return _branch_loop(repeat((system.evaluator, system.derivative)),
@@ -176,13 +176,13 @@ def _cloud_branch_rows(system, cloud, n):
     def steps(t):
         rows = rows_per_block(np.size(t))
         for j in range(0, n, rows):
-            T = skew.base_orbit(t, min(rows, n - 1 - j))
+            T = _base_rows(skew.base_degree, t, min(rows, n - 1 - j))
             t = T[-1]
             C = skew.fiber_coefficient(T[:rows])
             for th, c in zip(T[:rows], C):
                 yield partial(skew.fiber_step, c), partial(skew.fiber_dx, th)
 
-    return _branch_loop(steps(np.asarray(thetas, dtype=float)),
+    return _branch_loop(steps(skew.base_orbit(thetas, 0)[0]),
                         skew.fiber_critical_points, skew.fiber_domain, x0, n)
 
 

@@ -185,11 +185,17 @@ class IntervalMap:
     def iterates(self, state, j, k):
         """Iterates j .. j+k-1 of a cloud at iterate j, stacked in k rows
         (row 0 is the cloud), and iterate j+k: exactly k >= 1 steps, one
-        `evaluator` call each."""
-        X = np.empty((k,) + np.shape(state))
-        X[0] = state
-        for i in range(1, k):
-            X[i] = self.evaluator(X[i - 1])
+        `evaluator` call each.  A one-row block (k = 1) is a read-only view
+        of the cloud, not a copy."""
+        x = np.asarray(state, dtype=float)
+        if k == 1:
+            X = x[None]
+            X.flags.writeable = False
+        else:
+            X = np.empty((k,) + x.shape)
+            X[0] = x
+            for i in range(1, k):
+                X[i] = self.evaluator(X[i - 1])
         return X, np.asarray(self.evaluator(X[k - 1]), float)
 
     def step(self, state, j):
@@ -365,7 +371,8 @@ class SkewProduct:
     digit-stream orbits are planned (see ROADMAP).  `base_orbit` is the
     one theta source: it steps one orbit, and on an array it steps a cloud
     of theta lane by lane, which `iterates` (and so `step`) reads its rows
-    from.
+    from; a later block continues from the wrapped last row through
+    `_base_rows`, the array body of `base_orbit`.
 
     `base` wraps once, with `wrap`: on an array d*theta - floor(d*theta)
     gives the bits of `% 1.0` at a fraction of np.remainder's cost, and on a
@@ -419,14 +426,16 @@ class SkewProduct:
 
     def iterates(self, state, j, k):
         """Iterates j .. j+k-1 of a cloud (theta, x) at iterate j, stacked
-        in k rows (row 0 is the cloud, its theta taken mod 1), and iterate
-        j+k: exactly k >= 1 steps.
+        in k rows (row 0 is the cloud, its theta taken mod 1 at j = 0; at
+        j > 0 it is an earlier block's output, already in [0, 1), and is not
+        wrapped again), and iterate j+k: exactly k >= 1 steps.
 
         theta comes from `base_orbit`, c(theta) from one `fiber_coefficient`
         call on the block, and x from one `fiber_step` call per row.
         """
         theta, x = state
-        T = self.base_orbit(theta, k)
+        T = (_base_rows(self.base_degree, theta, k) if j
+             else self.base_orbit(theta, k))
         C = self.fiber_coefficient(T[:k])
         X = np.empty((k,) + np.shape(x))
         X[0] = x
@@ -456,11 +465,18 @@ class SkewProduct:
         if np.ndim(theta) == 0:
             t = float(theta) % 1.0
             return np.array([t] + [t := d * t % 1.0 for _ in range(n)])
-        T = np.empty((n + 1,) + np.shape(theta))
-        T[0] = wrap(np.asarray(theta, dtype=float))
-        for i in range(n):
-            T[i + 1] = wrap(d * T[i])
-        return T
+        return _base_rows(d, wrap(np.asarray(theta, dtype=float)), n)
+
+
+def _base_rows(d, t, n):
+    """The array base_orbit of lanes t already in [0, 1), such as the last
+    row of an earlier block: row 0 is t as given (`wrap` of a wrapped row is
+    the identity), and each later row `wrap` of d times the row before."""
+    T = np.empty((n + 1,) + np.shape(t))
+    T[0] = t
+    for i in range(n):
+        T[i + 1] = wrap(d * T[i])
+    return T
 
 
 def fiber_coefficients(skew: SkewProduct, T):

@@ -18,12 +18,11 @@ from .maps import SkewProduct, rows_per_block, wrap
 from .rng import make_generator, rng_metadata
 
 
-def _clamp(idx, top):
-    """Clip integer bin indices to 0..top, in place for arrays."""
-    if np.ndim(idx) == 0:
-        return min(max(idx, 0), top)
-    np.maximum(idx, 0, out=idx)
-    return np.minimum(idx, top, out=idx)
+def _bins(scaled, count):
+    """Bins 0..count-1 of floats scaled to [0, count): clipped on the float,
+    in place for arrays, then truncated to int."""
+    return scaled.clip(0.0, count - 1.0,
+                       out=scaled if scaled.ndim else None).astype(int)
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,12 @@ class BinGrid1D:
         return np.linspace(self.lo, self.hi, self.bins + 1)
 
     def index(self, x):
+        """Bin of each finite point of x (a float or an array), points out
+        of range clamped to the end bins."""
         scaled = np.subtract(x, self.lo, dtype=float)
         scaled /= self.hi - self.lo
         scaled *= self.bins
-        return _clamp(scaled.astype(int), self.bins - 1)
+        return _bins(scaled, self.bins)
 
     def describe(self):
         return {"kind": "1d", "lo": self.lo, "hi": self.hi, "bins": self.bins}
@@ -74,15 +75,17 @@ class BinGrid2D:
         return self.base_bins * self.fiber_bins
 
     def index(self, state):
+        """Row-major bin of each finite point (theta, x), floats or arrays:
+        theta taken mod 1, x out of range clamped to the end fiber bins."""
         theta, x = state
         t = wrap(np.asarray(theta, dtype=float))
         t *= self.base_bins
-        idx = _clamp(t.astype(int), self.base_bins - 1)
+        idx = _bins(t, self.base_bins)
         idx *= self.fiber_bins
         u = np.subtract(x, self.fiber_lo, dtype=float)
         u /= self.fiber_hi - self.fiber_lo
         u *= self.fiber_bins
-        idx += _clamp(u.astype(int), self.fiber_bins - 1)
+        idx += _bins(u, self.fiber_bins)
         return idx
 
     def describe(self):
@@ -127,8 +130,9 @@ class EmpiricalMeasure:
         object.__setattr__(self, "weights", w)
 
 
-def _index_blocks(system, state, points, grid, n, first, last):
-    """Bin indices of iterates first..last (last is n - 1 or n) of a cloud.
+def _index_blocks(system, points, seed, grid, n, first, last):
+    """Bin indices of iterates first..last (last is n - 1 or n) of a cloud
+    of `points` points drawn by `system.sample` from `seed`.
 
     The cloud makes exactly n steps, in `system.iterates` blocks of at most
     `rows_per_block(points)` steps; the blocks before `first` are stepped
@@ -136,6 +140,7 @@ def _index_blocks(system, state, points, grid, n, first, last):
     (rows, points) holding consecutive iterates in order, one `grid.index`
     call each; iterate n, the state after the last block, is binned alone.
     """
+    state = system.sample(make_generator(seed), points)
     rows = rows_per_block(points)
     j = 0
     for stop, binned in ((first, False), (n, True)):
@@ -157,10 +162,9 @@ def orbit_bin_counts(system, samples, n, grid=None, seed=0):
     orbit data.
     """
     grid = resolve_grid(system, grid)
-    state = system.sample(make_generator(seed), samples)
     counts = np.zeros((n + 1, grid.size), dtype=np.int64)
     j = 0
-    for idx in _index_blocks(system, state, samples, grid, n, 0, n):
+    for idx in _index_blocks(system, samples, seed, grid, n, 0, n):
         for step_idx in idx:
             counts[j] = np.bincount(step_idx, minlength=grid.size)
             j += 1
@@ -173,11 +177,16 @@ def empirical_measure(system, samples, n, grid=None, seed=0):
     Deposits iterates 0..n-1 of each of `samples` points with weight
     1/(samples*n); deterministic for a fixed seed.  Orbit points that land
     exactly on critical points simply continue (the image is defined).
+    One bincount per `_index_blocks` block adds to a running tally, so
+    memory stays at one block of the cloud, whatever n is.
     """
     if samples < 1 or n < 1:
         raise ValueError("need samples >= 1 and n >= 1")
-    counts, grid = orbit_bin_counts(system, samples, n, grid, seed)
-    weights = counts[:n].sum(axis=0) / float(samples * n)
+    grid = resolve_grid(system, grid)
+    tally = np.zeros(grid.size, dtype=np.int64)
+    for idx in _index_blocks(system, samples, seed, grid, n, 0, n - 1):
+        tally += np.bincount(idx.ravel(), minlength=grid.size)
+    weights = tally / float(samples * n)
     meta = {"samples": int(samples), "iterations": int(n),
             "system": system.label, **rng_metadata(seed)}
     return EmpiricalMeasure(grid, weights, meta)
@@ -257,10 +266,9 @@ class ComponentReport:
 
 def _probe_histograms(system, probes, n, grid, seed, burn):
     """Visit frequencies of iterates burn..n-1 of each probe; one row each."""
-    state = system.sample(make_generator(seed), probes)
     tally = np.zeros(probes * grid.size, dtype=np.int64)
     offsets = np.arange(probes) * grid.size
-    for idx in _index_blocks(system, state, probes, grid, n, burn, n - 1):
+    for idx in _index_blocks(system, probes, seed, grid, n, burn, n - 1):
         idx += offsets
         tally += np.bincount(idx.ravel(), minlength=tally.size)
     hists = tally.reshape(probes, grid.size).astype(float)

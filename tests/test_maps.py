@@ -259,6 +259,30 @@ class TestFiberSplit:
             assert got.shape == (n + 1, 2, 3)
             assert got.tobytes() == want[:n + 1].tobytes(), n
 
+    def test_chained_blocks_wrap_each_row_once(self, viana, block_rows,
+                                               monkeypatch):
+        # a block after the first continues from the wrapped last row of
+        # the block before: one wrap a row, and the rows of one base_orbit
+        theta, x = viana.sample(make_generator(31), 100)
+        n = 2 * block_rows + 3
+        want = viana.base_orbit(theta, n)
+        wrapped = []
+        real = maps.wrap
+        monkeypatch.setattr(maps, "wrap",
+                            lambda t: wrapped.append(np.shape(t)) or real(t))
+        state, rows = (theta, x), []
+        for j in range(0, n, block_rows):
+            (T, _), state = viana.iterates(state, j, min(block_rows, n - j))
+            rows.append(T)
+        got = np.concatenate(rows + [state[0][None]])
+        assert got.tobytes() == want.tobytes()
+        assert wrapped == [(100,)] * (n + 1)
+        # the branch statistics' theta rows 0..n-1
+        wrapped.clear()
+        for _ in expansion._cloud_branch_rows(viana, (theta, x), n):
+            pass
+        assert wrapped == [(100,)] * n
+
     def test_viana_fiber_is_its_split(self, viana):
         two_pi = 2.0 * math.pi
         unsplit = lambda t, x: 1.7 + 0.05 * np.sin(two_pi * t) - x * x

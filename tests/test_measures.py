@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,30 @@ class TestEmpiricalMeasure:
         mu = empirical_measure(viana, 2000, 20, 64 * 64, 7)
         assert mu.weights.size == 64 * 64
         assert mu.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("family", ["logistic", "twowell", "viana"])
+    def test_weights_are_the_summed_bin_counts(self, block_rows, family):
+        # one running tally over the blocks, against the (n + 1, bins)
+        # counts of orbit_bin_counts summed over their first n rows
+        system = maps.make_system(family)
+        for n in sorted({1, block_rows, block_rows + 1, 2 * block_rows + 3}):
+            got = empirical_measure(system, 100, n, 64, 29).weights
+            counts, _ = orbit_bin_counts(system, 100, n, 64, 29)
+            want = counts[:n].sum(0) / float(100 * n)
+            assert got.tobytes() == want.tobytes(), n
+
+    def test_memory_bounded_by_a_block(self):
+        # one histogram per block, not the (n + 1, bins) counts: at the
+        # default 128 x 128 grid and n = 1000 those were 131 MB, a 132 MB
+        # tracemalloc peak; a block of the cloud is 16,384 points
+        system = maps.viana_skew()
+        tracemalloc.start()
+        try:
+            empirical_measure(system, 100, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
 
     def test_skew_bins_must_be_square(self, viana):
         grid = resolve_grid(viana, 64)
@@ -301,14 +326,36 @@ class TestBlockBinning:
     def test_index_matches_clip_formula(self, viana):
         rng = make_generator(17)
         grid1 = BinGrid1D(-0.5, 1.5, 37)
-        xs = np.concatenate([rng.uniform(-1.0, 2.0, 5000),
-                             [-0.5, 1.5, np.nextafter(1.5, 0.0)]])
+        ends = [-0.5, 1.5, np.nextafter(-0.5, -np.inf),
+                np.nextafter(1.5, np.inf), np.nextafter(1.5, 0.0), -0.0]
+        xs = np.concatenate([rng.uniform(-1.0, 2.0, 5000), ends])
         assert np.array_equal(grid1.index(xs), _per_step_index(grid1, xs))
         grid2 = resolve_grid(viana, 24 * 24)
+        lo, hi = grid2.fiber_lo, grid2.fiber_hi
+        fiber_ends = [lo, hi, np.nextafter(lo, -np.inf),
+                      np.nextafter(hi, np.inf), -0.0]
         state = (rng.uniform(-2.0, 3.0, (3, 5000)),
                  rng.uniform(-2.5, 2.5, (3, 5000)))
+        state[1][0, :len(fiber_ends)] = fiber_ends
         assert np.array_equal(grid2.index(state),
                               _per_step_index(grid2, state))
+        # float (0-d) input gives the bins of the array input
+        for x in ends:
+            assert grid1.index(float(x)) == _per_step_index(grid1, x)
+        for theta, x in zip(state[0][0, :50], state[1][0, :50]):
+            got = grid2.index((float(theta), float(x)))
+            assert got == _per_step_index(grid2, (theta, x))
+        # +-1e300 scale past the int64 range, where casting before the clip
+        # is undefined (x86 casts both signs to INT64_MIN, so bin 0); the
+        # clip on the float puts them in the end bins
+        row = 12 * grid2.fiber_bins        # theta = 0.5 of 24 base bins
+        for big, end1, end2 in ((-1e300, 0, 0),
+                                (1e300, grid1.bins - 1, grid2.fiber_bins - 1)):
+            assert grid1.index(big) == end1
+            assert grid1.index(np.array([big])).tolist() == [end1]
+            assert grid2.index((0.5, big)) == row + end2
+            assert grid2.index((np.array([0.5]), np.array([big]))).tolist() \
+                == [row + end2]
 
     def test_index_wraps_theta_like_remainder(self, viana):
         # theta outside [0, 1): negative values, 1.0 and the integers, where
