@@ -21,6 +21,7 @@ lane-shaped calls.
 """
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,16 +283,7 @@ def symbol_sequence(branch: MonotoneBranch, delta):
 # monotonicity partition
 # ---------------------------------------------------------------------------
 
-class _Cell:
-    __slots__ = ("lo", "hi", "img_lo", "img_hi", "lo_to_lo", "branch_imgs")
-
-    def __init__(self, lo, hi, img_lo, img_hi, lo_to_lo, branch_imgs):
-        self.lo = lo
-        self.hi = hi
-        self.img_lo = img_lo
-        self.img_hi = img_hi
-        self.lo_to_lo = lo_to_lo
-        self.branch_imgs = branch_imgs
+_Cell = namedtuple("_Cell", "lo hi img_lo img_hi lo_to_lo branch_imgs")
 
 
 @dataclass(frozen=True)
@@ -400,7 +392,7 @@ class CensusRecord:
         return sum(self.measure(w) for w in self.components)
 
 
-def component_census(seq, n, delta, word=None, cap=10**5):
+def component_census(seq, n, delta, cap=10**5):
     """Classify depth-n cells by their r-threshold word.
 
     Within each monotone cell every r_i is piecewise monotone with a single
@@ -411,8 +403,6 @@ def component_census(seq, n, delta, word=None, cap=10**5):
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if word is not None and len(word) != n:
-        raise ValueError(f"word length {len(word)} does not match depth {n}")
     part = monotonicity_partition(seq, n, cap)
     maps = [seq.map_at(j) for j in range(n)]
     ncell = len(part.cells)
@@ -468,13 +458,8 @@ def component_census(seq, n, delta, word=None, cap=10**5):
             else:
                 components.setdefault(w, []).append((klo, khi))
             prev_word = w
-    record = CensusRecord(n, delta,
-                          {w: tuple(v) for w, v in components.items()})
-    if word is not None:
-        word = tuple(word)
-        return CensusRecord(n, delta,
-                            {word: record.components.get(word, ())})
-    return record
+    return CensusRecord(n, delta,
+                        {w: tuple(v) for w, v in components.items()})
 
 
 def interval_images(seq, lo, hi, depth, extra):

@@ -13,7 +13,7 @@ Config files use a flat two-level grammar::
     dir = out/run1
     seed = 1
 
-Sections hold typed scalars only (int, float, bool, string); nesting
+Sections hold typed scalars only (int, float, string); nesting
 deeper than section.key is not representable.  Unknown sections, unknown
 keys, and out-of-range values are rejected with the offending field path.
 """
@@ -126,8 +126,6 @@ def _parse_scalar(raw, line_no, col):
         if len(raw) < 2 or not raw.endswith('"'):
             raise ParseError("unterminated string", line_no, col)
         return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
     if _INT_RE.match(raw):
         return int(raw)
     try:
@@ -257,8 +255,6 @@ def parse_config(text):
 
 
 def _format_scalar(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, (int, float)):
         return repr(v)
     if _BARE_RE.match(v or ""):

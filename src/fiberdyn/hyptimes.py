@@ -115,10 +115,6 @@ class CurveGraph:
                                np.asarray(self.slopes, dtype=float))
 
     @property
-    def domain(self):
-        return float(self.theta[0]), float(self.theta[-1])
-
-    @property
     def max_slope(self):
         """Largest finite-difference slope between adjacent samples."""
         return float(np.max(np.abs(np.diff(self.x) / np.diff(self.theta))))
@@ -192,7 +188,7 @@ def propagate_curve(skew: SkewProduct, curve: CurveGraph, n):
             piece = _refine_for_step(skew, piece)
             th_old = piece.theta
             x_old = piece.x
-            th_img, x_img = skew.step((th_old, x_old), 0)
+            th_img, x_img = skew.step((th_old, x_old))
             s_img = None if piece.slopes is None else \
                 _transport_slopes(skew, th_old, x_old, piece.slopes)
             drops = np.flatnonzero(np.diff(th_img) <= 0)

@@ -97,9 +97,9 @@ class IntervalDomain:
         return np.linspace(self.lo, self.hi, n)
 
 
-def find_critical_points(derivative, domain, grid=CRITICAL_GRID):
+def find_critical_points(derivative, domain):
     """Locate zeros of f' by sign-change bisection to width 1e-12."""
-    xs = domain.grid(grid)
+    xs = domain.grid(CRITICAL_GRID)
     ds = np.asarray(derivative(xs), dtype=float)
     found = []
     sign = np.sign(ds)
@@ -198,9 +198,9 @@ class IntervalMap:
                 X[i] = self.evaluator(X[i - 1])
         return X, np.asarray(self.evaluator(X[k - 1]), float)
 
-    def step(self, state, j):
+    def step(self, state):
         """The image of a cloud of points."""
-        return self.iterates(state, j, 1)[1]
+        return self.iterates(state, 0, 1)[1]
 
     def sequence(self, theta):
         """The constant sequence every point sees."""
@@ -289,23 +289,22 @@ def constant_sequence(m: IntervalMap):
     return MapSequence(m.domain, m=m)
 
 
-def estimate_modulus(seq: MapSequence, zeta, k_probe=8, grid=512,
-                     resolution=1024):
+def estimate_modulus(seq: MapSequence, zeta):
     """Largest tested separation below which f_k and Df_k move less than zeta.
 
-    Scans the lattice eps = m * |I0| / resolution downward and returns the
-    largest eps such that |f_k(x)-f_k(y)| < zeta and |Df_k(x)-Df_k(y)| < zeta
-    for every probed k <= k_probe and every grid pair with |x - y| < eps;
-    0.0 if even the smallest tested eps fails.
+    Scans the lattice eps = m * |I0| / 1024 downward and returns the largest
+    eps such that |f_k(x)-f_k(y)| < zeta and |Df_k(x)-Df_k(y)| < zeta for
+    every k < 8 and every pair of a 512-point grid with |x - y| < eps; 0.0
+    if even the smallest tested eps fails.
     """
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     dom = seq.domain
-    xs = dom.grid(grid)
+    xs = dom.grid(512)
     h = float(xs[1] - xs[0])
-    nshift = grid - 1
+    nshift = 511
     worst = np.zeros(nshift + 1)   # worst[s]: max move over pairs at shift <= s
-    for k in range(max(1, k_probe)):
+    for k in range(8):
         m = seq.map_at(k)
         for vals in (np.asarray(m.evaluator(xs), float),
                      np.asarray(m.derivative(xs), float)):
@@ -317,8 +316,8 @@ def estimate_modulus(seq: MapSequence, zeta, k_probe=8, grid=512,
         if seq.constant:
             break
     length = dom.length
-    for mstep in range(resolution, 0, -1):
-        eps = mstep * length / resolution
+    for mstep in range(1024, 0, -1):
+        eps = mstep * length / 1024
         smax = min(nshift, max(0, math.ceil(eps / h) - 1))
         if worst[smax] < zeta:
             return eps
@@ -444,9 +443,9 @@ class SkewProduct:
         return ((T[:k], X),
                 (T[k], np.asarray(self.fiber_step(C[k - 1], X[k - 1]), float)))
 
-    def step(self, state, j):
+    def step(self, state):
         """The image (g(theta), f(theta, x)) of a cloud of points."""
-        return self.iterates(state, j, 1)[1]
+        return self.iterates(state, 0, 1)[1]
 
     def sequence(self, theta):
         """The fiber maps along the base orbit of theta."""
@@ -566,13 +565,12 @@ def quadratic_map(a=1.7):
     )
 
 
-def affine_map(slope=1.0, intercept=0.0, domain=None):
-    """slope*x + intercept; the domain (default [0,1]) must be invariant."""
-    dom = domain or IntervalDomain(0.0, 1.0)
+def affine_map(slope=1.0, intercept=0.0):
+    """slope*x + intercept; [0,1] must be invariant."""
     if slope == 0.0:
         raise ValueError("affine family needs a nonzero slope")
     return IntervalMap(
-        dom,
+        IntervalDomain(0.0, 1.0),
         evaluator=lambda x: slope * x + intercept,
         derivative=lambda x: slope + 0.0 * x,
         second=lambda x: 0.0 * x,
@@ -582,8 +580,8 @@ def affine_map(slope=1.0, intercept=0.0, domain=None):
     )
 
 
-def identity_map(domain=None):
-    return affine_map(1.0, 0.0, domain)
+def identity_map():
+    return affine_map(1.0, 0.0)
 
 
 def doubling_map():

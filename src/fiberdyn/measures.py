@@ -217,7 +217,7 @@ def invariance_defect(measure: EmpiricalMeasure, system, transfer_samples,
             state = (rng.uniform(ti * bw, (ti + 1) * bw, n_b),
                      rng.uniform(grid.fiber_lo + xi * fw,
                                  grid.fiber_lo + (xi + 1) * fw, n_b))
-        idx = grid.index(system.step(state, 0))
+        idx = grid.index(system.step(state))
         push += np.bincount(idx, minlength=grid.size) * (w[b] / n_b)
     return float(np.abs(push - w).sum())
 

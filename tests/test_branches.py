@@ -250,10 +250,6 @@ class TestCensus:
         record = component_census(logistic_seq, 1, 0.1)
         assert record.count((1,)) == 2
 
-    def test_word_length_mismatch(self, logistic_seq):
-        with pytest.raises(ValueError):
-            component_census(logistic_seq, 2, 0.1, word=(1, 0, 1))
-
     def test_huge_delta_gives_all_zero_words(self, logistic_seq):
         record = component_census(logistic_seq, 3, 1.5)
         assert set(record.words()) == {(0, 0, 0)}

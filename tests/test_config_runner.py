@@ -100,6 +100,22 @@ class TestParsing:
                          "[experiment]\nkind = ftle\n"
                          "[output]\nseed = -3\n")
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("samples = 3", "samples = true", "experiment.samples"),
+        ("n = 1000", "n = false", "experiment.n"),
+    ])
+    def test_bool_literal_is_a_config_error(self, tmp_path, capsys, old, new,
+                                            field):
+        # no key takes a bool: true/false read as bare strings and are
+        # rejected by the key's type
+        assert old in MINIMAL
+        cfg_file = tmp_path / "bool.cfg"
+        cfg_file.write_text(MINIMAL.replace(old, new))
+        rc = cli_main(["ftle", "--config", str(cfg_file),
+                       "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
     def test_round_trip(self):
         for text in (
             MINIMAL,

@@ -323,7 +323,7 @@ class TestSystemProtocol:
         xs = logistic.sample(make_generator(4), 5)
         ref = make_generator(4).uniform(0.0, 1.0, 5)
         assert np.array_equal(xs, ref)
-        assert np.array_equal(logistic.step(xs, 7), 4.0 * xs * (1.0 - xs))
+        assert np.array_equal(logistic.step(xs), 4.0 * xs * (1.0 - xs))
         seq = logistic.sequence(0.3)
         assert seq.constant and seq.map_at(9) is logistic
 
@@ -333,7 +333,7 @@ class TestSystemProtocol:
         dom = viana.fiber_domain
         assert np.array_equal(th, rng.uniform(0.0, 1.0, 5))
         assert np.array_equal(xs, rng.uniform(dom.lo, dom.hi, 5))
-        th1, xs1 = viana.step((th, xs), 0)
+        th1, xs1 = viana.step((th, xs))
         assert np.array_equal(th1, (16.0 * th) % 1.0)
         assert np.array_equal(xs1, viana.fiber(th, xs))
         seq = viana.sequence(0.3)
