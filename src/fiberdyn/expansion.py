@@ -240,6 +240,8 @@ def measure_AY_decay(system, n_list, delta, lam, samples, seed):
     deltas = [float(delta)] if np.isscalar(delta) else [float(d) for d in delta]
     if any(d <= 0 for d in deltas):
         raise ValueError("delta must be positive")
+    if len(set(n_list)) < len(n_list) or len(set(deltas)) < len(deltas):
+        raise ValueError("repeated depths or deltas would repeat table rows")
     cloud = system.sample(make_generator(seed), samples)
     # running sums over the depths, added left to right; the fractions of
     # each delta are taken at the listed n

@@ -227,9 +227,18 @@ def validate_config(sections):
         params[key] = _coerce(key, value, schema[key])
     for key, entry in schema.items():
         params.setdefault(key, entry[1])
-    if kind == "ay_decay" and params["delta_min"] > params["delta_max"]:
-        raise ValidationError("experiment.delta_min",
-                              "must not exceed experiment.delta_max")
+    if kind == "ay_decay":
+        if params["delta_min"] > params["delta_max"]:
+            raise ValidationError("experiment.delta_min",
+                                  "must not exceed experiment.delta_max")
+        if params["delta_min"] == params["delta_max"] \
+                and params["delta_count"] > 1:
+            raise ValidationError("experiment.delta_count",
+                                  "must be 1 when experiment.delta_min "
+                                  "equals experiment.delta_max")
+        depths = [int(t) for t in params["n_values"].split()]
+        if len(set(depths)) < len(depths):
+            raise ValidationError("experiment.n_values", "repeated depth")
     if kind == "pliss" and params["c1"] >= params["c2"]:
         raise ValidationError("experiment.c1",
                               "must be below experiment.c2")

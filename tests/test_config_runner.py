@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from fiberdyn import CapExceeded, ParseError, ValidationError
+from fiberdyn import CapExceeded, HitCritical, ParseError, ValidationError
 from fiberdyn.experiments import (ExperimentConfig, parse_config,
                                   run_experiment, serialize_config)
+from fiberdyn.experiments import runner
 from fiberdyn.experiments.cli import main as cli_main
 
 MINIMAL = """
@@ -166,6 +167,26 @@ class TestRunner:
                             for o in manifest["outputs"]})
         assert digests[0] == digests[1]
 
+    def test_kernel_error_writes_nan_row(self, tmp_path, monkeypatch):
+        # a sample whose kernel raises a FiberdynError reads nan, and the
+        # run goes on
+        calls = []
+
+        def kernel(seq, x, n):
+            calls.append(x)
+            if len(calls) == 2:
+                raise HitCritical(17)
+            return real(seq, x, n)
+
+        real = runner.ftle_fiber
+        monkeypatch.setattr(runner, "ftle_fiber", kernel)
+        rc = cli_main(["ftle", "--n", "500", "--samples", "3",
+                       "--out", str(tmp_path / "f")])
+        assert rc == 0 and len(calls) == 3
+        rows = (tmp_path / "f" / "ftle.csv").read_text().splitlines()[1:]
+        ftle = [r.rsplit(",", 1)[1] for r in rows]
+        assert ftle[1] == "nan" and "nan" not in (ftle[0], ftle[2])
+
     def test_failure_recorded_in_manifest(self, tmp_path):
         cfg = ExperimentConfig(
             family="logistic", kind="census", seed=1,
@@ -242,6 +263,28 @@ class TestCli:
                        "--out", str(tmp_path / "p")])
         assert rc == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--n-values", "5 5"], "experiment.n_values"),
+        (["--n-values", "30 5 05"], "experiment.n_values"),
+        (["--delta-min", "0.1", "--delta-max", "0.1", "--delta-count", "3"],
+         "experiment.delta_count"),
+    ], ids=["repeated-depth", "repeated-depth-spelled-apart",
+            "one-threshold-counted-thrice"])
+    def test_ay_decay_duplicate_rows_are_config_errors(self, tmp_path, capsys,
+                                                       argv, field):
+        rc = cli_main(["ay_decay", "--samples", "1000", *argv,
+                       "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
+    def test_ay_decay_single_threshold_runs(self, tmp_path):
+        rc = cli_main(["ay_decay", "--samples", "1000", "--n-values", "5",
+                       "--delta-min", "0.1", "--delta-max", "0.1",
+                       "--delta-count", "1", "--out", str(tmp_path / "d")])
+        assert rc == 0
+        assert len((tmp_path / "d" / "decay.csv").read_text().splitlines()) \
+            == 2
 
     def test_integral_degree_keeps_int_label(self, tmp_path):
         rc = cli_main([*TINY_VIANA_FTLE, "--system", "d=16.0",

@@ -355,7 +355,7 @@ def _per_step_ftle_full(skew, z, n):
 
 
 # measure_AY_decay's n_list, deltas, lam, samples and seed
-DECAY_CASE = ([1, 7, 7, 30, 31], [0.05, 0.2, 0.6], 0.1, 1000, 8)
+DECAY_CASE = ([1, 7, 8, 30, 31], [0.05, 0.2, 0.6], 0.1, 1000, 8)
 
 
 def _cumsum_fractions(system, n_list, deltas, lam, samples, seed):
@@ -389,6 +389,14 @@ class TestDecayTable:
         # lambda = 10 exceeds log sup |Df| = log 4
         table = measure_AY_decay(logistic, [5, 15], 0.1, 10.0, 1500, 5)
         assert all(row[1] == 0.0 for row in table.rows)
+
+    @pytest.mark.parametrize("n_list, deltas", [
+        ([10, 20, 10], [0.05, 0.1]),
+        ([10, 20], [0.1, 0.05, 0.1]),
+    ], ids=["repeated-depth", "repeated-delta"])
+    def test_repeated_rows_rejected(self, logistic, n_list, deltas):
+        with pytest.raises(ValueError, match="repeat"):
+            measure_AY_decay(logistic, n_list, deltas, 0.3, 1000, 3)
 
     def test_seed_determinism(self, logistic):
         t1 = measure_AY_decay(logistic, [10], [0.05, 0.1], 0.3, 1200, 3)

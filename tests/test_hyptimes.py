@@ -151,6 +151,16 @@ class TestCurves:
             env = slope_envelope(viana, cur, 40)
             assert env.max() <= 1.1 * C1
 
+    def test_slopes_default_to_finite_differences(self, viana):
+        # on a straight line the finite-difference slopes are the exact ones
+        th = np.linspace(0.0, 1.0, 257)
+        xs = 0.3 + 0.004 * (th - 0.5)
+        given = slope_envelope(viana, CurveGraph(th, xs,
+                                                 slopes=np.full(257, 0.004)),
+                               20)
+        derived = slope_envelope(viana, CurveGraph(th, xs), 20)
+        np.testing.assert_allclose(derived, given, rtol=1e-12, atol=0)
+
     def test_steep_curve_detected(self, viana):
         th = np.array([0.3, 0.3 + 1e-13, 0.3 + 2e-13])
         xs = np.array([-1.0, 0.0, 1.0])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fiberdyn import (BinGrid1D, EmpiricalMeasure, branch_stats,
+from fiberdyn import (BinGrid1D, BinGrid2D, EmpiricalMeasure, branch_stats,
                       density_compare, doubling_map, empirical_measure,
                       ergodic_components, fiber_branch_stats, identity_map,
                       invariance_defect, maps, nu_like_mass,
@@ -153,6 +153,16 @@ class TestDensityCompare:
         got = density_compare(uniform, arcsine_density)
         assert got == pytest.approx(expected, abs=0.01)
         assert got == pytest.approx(0.4211, abs=0.005)
+
+    def test_skew_grid_midpoint_masses(self):
+        # 4 x 4 bins over [0, 1) x [-1, 1], uniform weights 4/64 a bin; the
+        # density 2(x - lo)/L^2 gives fiber bin i the mass (2i + 1)/64 in
+        # each theta row, so the distance is 4 (3 + 1 + 1 + 3)/64 = 1/2
+        grid = BinGrid2D(4, -1.0, 1.0, 4)
+        mu = EmpiricalMeasure(grid, np.full(16, 1.0 / 16), {})
+        assert density_compare(mu, lambda t, x: 0.5 + 0.0 * x) <= 1e-15
+        assert density_compare(mu, lambda t, x: 2.0 * (x + 1.0) / 4.0) \
+            == pytest.approx(0.5, abs=1e-15)
 
     def test_averaged_measure_close_to_oracle(self, logistic):
         mu = empirical_measure(logistic, 10**4, 10**3, 256, 29)
