@@ -18,7 +18,10 @@ and reseed gaps, were taken while the covering search and the branch
 pullback were two walks.  The logistic depth-2 branches.csv was taken
 again under the one log rule, np.log of |f'| with -inf at critical sizes
 (maps.log_abs); that moved the last digits of two of its distortion
-samples, which Markov certification had summed by math.log.  Files that carry the generator metadata
+samples, which Markov certification had summed by math.log.  The viana
+curve.json and probe.json entries were taken again when the domination fit
+moved from the dyadic theta grid k/32, which collapses to theta = 0, to
+frac(k phi); they carry the fitted constants.  Files that carry the generator metadata
 (measure_meta.json, components.json) also record the numpy version, so they
 pin it too.
 """
@@ -117,15 +120,15 @@ GOLDEN = {
     "curve viana": (
         ["curve", "--family", "viana", "--iterations", "50", "--curves", "5",
          "--samples", "256"],
-        {"curve.json": "51b529a43a0c8d442496f02585584a98"
-                       "da8a8722c7cfa22b2dac78d878ecbf02",
+        {"curve.json": "2ea7d112cf725dfb685cde994bc88f69"
+                       "3aa050d50b33b8f0f2b1c8b7e4a3c48b",
          "curve_slopes.csv": "31e49c9a81ca4d118ae04acd09aba2ae"
                              "87f6fb8383c05816034f48c177fba122"}),
     "probe viana": (
         ["probe", "--family", "viana", "--theta", "0.3", "--x", "0.5", "--k",
          "3", "--delta-tilde", "0.1"],
-        {"probe.json": "f55126eb5b352d428071d426a7e69ae5"
-                       "cca3f94d5c5a9dd1fdbb07886a284cc7"}),
+        {"probe.json": "b09803bc808df7c38bd018b400b403d3"
+                       "d7e662883b7512e52f4fc20a85464265"}),
     "ftle viana": (
         ["ftle", "--family", "viana", "--n", "10000", "--samples", "2"],
         {"ftle.csv": "ebba687874a5a0944801e4cff67812ac"

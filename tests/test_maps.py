@@ -381,12 +381,27 @@ class TestPartialHyperbolicity:
             assert r <= rep.C * rep.sigma_hat**n * (1 + 1e-9)
 
     def test_fitted_domination_pinned(self):
-        """float.hex of the fitted constants, taken when the grid was
-        stepped with base and fiber in place of SkewProduct.step."""
+        """float.hex of the fitted constants on the theta grid frac(k phi)."""
         got = [(s.domination.sigma_hat.hex(), s.domination.C.hex())
                for s in (viana_skew(), viana_skew(d=3))]
-        assert got == [("0x1.fa0161d95d21fp-4", "0x1.67a6cd69b8e05p+3"),
-                       ("0x1.4db8b231c4b0bp-1", "0x1.64901654d0473p+3")]
+        assert got == [("0x1.e40880b5c349ep-4", "0x1.4e974d09ea53bp+4"),
+                       ("0x1.526f68a3c2170p-1", "0x1.5405fc843fffdp+3")]
+
+    def test_fit_sees_more_than_one_theta(self, viana):
+        # the dyadic grid k/32 stepped twice at d = 16 is theta = 0 only;
+        # every step the default fit reads holds more than one theta, and
+        # steps 0 .. 10 hold all 32
+        seen = []
+
+        def base_derivative(t):
+            seen.append(np.unique(t).size)
+            return viana.base_derivative(t)
+
+        spy = _BareSkew(16, base_derivative, viana.fiber_coefficient,
+                        viana.fiber_step, viana.fiber_dx, viana.fiber_domain)
+        verify_partial_hyperbolicity(spy, n_max=12, grid=32)
+        assert len(seen) == 12 and seen[2] > 1 and min(seen) > 1
+        assert seen[:11] == [32] * 11
 
     def test_constant_fiber_ratio_zero(self):
         bare = _BareSkew(16, lambda t: 16.0 + 0.0 * t,
