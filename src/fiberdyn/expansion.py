@@ -14,8 +14,8 @@ import numpy as np
 
 from .branches import image_step
 from .errors import (DegenerateDifferential, EmptySample, HitCritical)
-from .maps import (IntervalMap, MapSequence, SkewProduct, _base_rows,
-                   fiber_coefficients, log_abs, rows_per_block)
+from .maps import (IntervalMap, MapSequence, SkewProduct, fiber_coefficients,
+                   log_abs)
 from .rng import make_generator
 
 # Orbit steps per chunk of the ftle kernels: long enough to amortise the
@@ -165,25 +165,15 @@ def _stacked(rows, x0, n):
 def _cloud_branch_rows(system, cloud, n):
     """The _branch_loop rows of a cloud drawn by `system.sample`: an interval
     map applies itself, and a skew-product follows each point's fiber
-    sequence, with theta_j from `base_orbit` (taken mod 1 once, each block
-    continuing from the last row of the one before) and c(theta_j) from one
-    `fiber_coefficient` call a block."""
+    sequence, with theta_j and c(theta_j) from `skew.theta_blocks`."""
     if not isinstance(system, SkewProduct):
         return _branch_loop(repeat((system.evaluator, system.derivative)),
                             system.critical_points, system.domain, cloud, n)
     skew, (thetas, x0) = system, cloud
-
-    def steps(t):
-        rows = rows_per_block(np.size(t))
-        for j in range(0, n, rows):
-            T = _base_rows(skew.base_degree, t, min(rows, n - 1 - j))
-            t = T[-1]
-            C = skew.fiber_coefficient(T[:rows])
-            for th, c in zip(T[:rows], C):
-                yield partial(skew.fiber_step, c), partial(skew.fiber_dx, th)
-
-    return _branch_loop(steps(skew.base_orbit(thetas, 0)[0]),
-                        skew.fiber_critical_points, skew.fiber_domain, x0, n)
+    steps = ((partial(skew.fiber_step, c), partial(skew.fiber_dx, th))
+             for T, C in skew.theta_blocks(thetas, n) for th, c in zip(T, C))
+    return _branch_loop(steps, skew.fiber_critical_points, skew.fiber_domain,
+                        x0, n)
 
 
 def branch_stats(m: IntervalMap, x0, n):

@@ -179,10 +179,8 @@ def _parse_sections(text):
 def _coerce(key, value, entry):
     want, _, check, _ = entry
     field_path = f"experiment.{key}"
-    if want is float and isinstance(value, int) and not isinstance(value, bool):
+    if want is float and isinstance(value, int):
         value = float(value)
-    if want is int and isinstance(value, bool):
-        raise ValidationError(field_path, "expected an integer")
     if not isinstance(value, want):
         raise ValidationError(field_path,
                               f"expected {want.__name__}, got {value!r}")
@@ -208,8 +206,7 @@ def validate_config(sections):
         if key not in allowed:
             raise ValidationError(f"system.{key}",
                                   f"not a parameter of family {family!r}")
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ValidationError(f"system.{key}", "expected a finite number")
     exp = dict(sections.get("experiment", {}))
     kind = exp.pop("kind", None)
@@ -244,7 +241,7 @@ def validate_config(sections):
                               "must be below experiment.c2")
     out = dict(sections.get("output", {}))
     seed = out.pop("seed", 1)
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if not isinstance(seed, int):
         raise ValidationError("output.seed", "expected an integer")
     if not 0 <= seed < 2**64:
         raise ValidationError("output.seed", "must fit in 64 bits")

@@ -16,8 +16,7 @@ import numpy as np
 from .branches import MonotoneBranch, bisect_preimage, track_branch
 from .errors import (CapExceeded, DomainCollapsed, InvalidConstants,
                      NotAGraph, NotHyperbolicLike)
-from .maps import (SkewProduct, fiber_sequence, log_abs, rows_per_block,
-                   wrap)
+from .maps import SkewProduct, fiber_sequence, log_abs, wrap
 
 
 @dataclass(frozen=True)
@@ -223,15 +222,12 @@ def slope_envelope(skew: SkewProduct, curve: CurveGraph, n):
     else:
         fd = np.diff(curve.x) / np.diff(curve.theta)
         s = np.concatenate([fd, fd[-1:]])
-    env = np.empty(n)
-    state = curve.theta, curve.x
-    rows = rows_per_block(curve.theta.size)
-    for j in range(0, n, rows):
-        (T, X), state = skew.iterates(state, j, min(rows, n - j))
-        for m, (th, xs) in enumerate(zip(T, X), j):
+    env = []
+    for T, X in skew.orbit((curve.theta, curve.x), n):
+        for th, xs in zip(T, X):
             s = _transport_slopes(skew, th, xs, s)
-            env[m] = np.abs(s).max()
-    return env
+            env.append(np.abs(s).max())
+    return np.array(env, dtype=float)
 
 
 def curve_growth_constants(skew: SkewProduct, alpha=0.0):

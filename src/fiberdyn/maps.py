@@ -7,9 +7,9 @@ expanding circle map driving a family of fiber maps.  Construction runs
 sampled sanity checks (domain invariance, critical-point consistency,
 domination) so that downstream modules can assume a well-posed system.
 
-A system is an IntervalMap or a SkewProduct; both draw and step clouds
-(`sample`, `iterates`, `step`) and give the MapSequence one point sees
-(`sequence`).
+A system is an IntervalMap or a SkewProduct; both draw clouds
+(`sample`), stream a cloud's iterates in stacked blocks (`orbit`), step
+it once (`step`) and give the MapSequence one point sees (`sequence`).
 
 Map families form a closed catalogue, `FAMILIES`, extended in source;
 experiment configs refer to them by name via :func:`make_system`.
@@ -182,25 +182,30 @@ class IntervalMap:
         """k points drawn uniformly from the domain."""
         return rng.uniform(self.domain.lo, self.domain.hi, k)
 
-    def iterates(self, state, j, k):
-        """Iterates j .. j+k-1 of a cloud at iterate j, stacked in k rows
-        (row 0 is the cloud), and iterate j+k: exactly k >= 1 steps, one
-        `evaluator` call each.  A one-row block (k = 1) is a read-only view
-        of the cloud, not a copy."""
+    def orbit(self, state, n):
+        """Iterates 0 .. n-1 of a cloud, stacked in blocks of
+        rows_per_block(points) rows (the last may be shorter): n - 1 steps,
+        one `evaluator` call each.  A one-row block is a read-only view of
+        its row (the cloud itself in the first block), not a copy."""
         x = np.asarray(state, dtype=float)
-        if k == 1:
-            X = x[None]
-            X.flags.writeable = False
-        else:
-            X = np.empty((k,) + x.shape)
-            X[0] = x
-            for i in range(1, k):
-                X[i] = self.evaluator(X[i - 1])
-        return X, np.asarray(self.evaluator(X[k - 1]), float)
+        rows = rows_per_block(x.size)
+        for j in range(0, n, rows):
+            if j:
+                x = np.asarray(self.evaluator(X[-1]), float)
+            k = min(rows, n - j)
+            if k == 1:
+                X = x[None]
+                X.flags.writeable = False
+            else:
+                X = np.empty((k,) + x.shape)
+                X[0] = x
+                for i in range(1, k):
+                    X[i] = self.evaluator(X[i - 1])
+            yield X
 
     def step(self, state):
         """The image of a cloud of points."""
-        return self.iterates(state, 0, 1)[1]
+        return np.asarray(self.evaluator(np.asarray(state, float)), float)
 
     def sequence(self, theta):
         """The constant sequence every point sees."""
@@ -369,9 +374,10 @@ class SkewProduct:
     (viana_skew().base_orbit(pi/10, 20) is 0.0 from step 13 on); exact
     digit-stream orbits are planned (see ROADMAP).  `base_orbit` is the
     one theta source: it steps one orbit, and on an array it steps a cloud
-    of theta lane by lane, which `iterates` (and so `step`) reads its rows
-    from; a later block continues from the wrapped last row through
-    `_base_rows`, the array body of `base_orbit`.
+    of theta lane by lane.  `theta_blocks` streams those rows block by
+    block, each block continuing from the wrapped last row of the one
+    before; it is the one place theta lanes are chained, and `orbit` and
+    the branch statistics' cloud loop read their theta rows from it.
 
     `base` wraps once, with `wrap`: on an array d*theta - floor(d*theta)
     gives the bits of `% 1.0` at a fraction of np.remainder's cost, and on a
@@ -423,29 +429,44 @@ class SkewProduct:
         dom = self.fiber_domain
         return rng.uniform(0.0, 1.0, k), rng.uniform(dom.lo, dom.hi, k)
 
-    def iterates(self, state, j, k):
-        """Iterates j .. j+k-1 of a cloud (theta, x) at iterate j, stacked
-        in k rows (row 0 is the cloud, its theta taken mod 1 at j = 0; at
-        j > 0 it is an earlier block's output, already in [0, 1), and is not
-        wrapped again), and iterate j+k: exactly k >= 1 steps.
+    def theta_blocks(self, theta, n):
+        """Rows 0 .. n-1 of the base orbits of a cloud of theta lanes, and
+        c(theta) of each, in blocks (T, C) of rows_per_block(lanes) rows
+        (the last may be shorter): the rows of one `base_orbit`, one wrap a
+        row, each block continuing from the last row of the one before.
+        This is the one place theta lanes cross a block."""
+        t = wrap(np.asarray(theta, dtype=float))
+        rows = rows_per_block(np.size(t))
+        for j in range(0, n, rows):
+            T = _base_rows(self.base_degree, t, min(rows, n - 1 - j))
+            t = T[-1]
+            T = T[:rows]
+            yield T, self.fiber_coefficient(T)
 
-        theta comes from `base_orbit`, c(theta) from one `fiber_coefficient`
-        call on the block, and x from one `fiber_step` call per row.
-        """
+    def orbit(self, state, n):
+        """Iterates 0 .. n-1 of a cloud (theta, x), stacked in blocks (T, X)
+        of rows_per_block(points) rows (the last may be shorter): n - 1
+        steps.  T and c(T) come from `theta_blocks`, x from one
+        `fiber_step` call a row."""
         theta, x = state
-        T = (_base_rows(self.base_degree, theta, k) if j
-             else self.base_orbit(theta, k))
-        C = self.fiber_coefficient(T[:k])
-        X = np.empty((k,) + np.shape(x))
-        X[0] = x
-        for i in range(1, k):
-            X[i] = self.fiber_step(C[i - 1], X[i - 1])
-        return ((T[:k], X),
-                (T[k], np.asarray(self.fiber_step(C[k - 1], X[k - 1]), float)))
+        c = None
+        for T, C in self.theta_blocks(theta, n):
+            X = np.empty(T.shape[:1] + np.shape(x))
+            X[0] = x if c is None else self.fiber_step(c, x)
+            for i in range(1, len(X)):
+                X[i] = self.fiber_step(C[i - 1], X[i - 1])
+            # the carry, with C freed before the caller reads the block
+            c, x = C[-1].copy(), X[-1]
+            del C
+            yield T, X
 
     def step(self, state):
-        """The image (g(theta), f(theta, x)) of a cloud of points."""
-        return self.iterates(state, 0, 1)[1]
+        """The image (g(theta), f(theta, x)) of a cloud of points, c taken
+        at theta mod 1."""
+        theta, x = state
+        T = self.base_orbit(theta, 1)
+        c = self.fiber_coefficient(T[:1])[0]
+        return T[1], np.asarray(self.fiber_step(c, x), float)
 
     def sequence(self, theta):
         """The fiber maps along the base orbit of theta."""
@@ -498,20 +519,22 @@ def verify_partial_hyperbolicity(skew: SkewProduct, n_max=12, grid=32):
     such that max_ratio(n) <= C * sigma_hat^n on the tested grid, and a
     flag for geometric decay.  The theta grid is frac(k * phi), phi the
     golden ratio: a dyadic grid k / grid reaches theta = 0 in a few float
-    steps of an even base degree, and then the fit sees one fiber.
+    steps of an even base degree, and then the fit sees one fiber.  Float
+    orbits of frac(k * phi) collapse later (to one theta from step 13 on at
+    d = 16); a fit that would read such a step raises ValueError naming it.
     """
     if grid < 2 or n_max < 1:
         raise ValueError("need grid >= 2 and n_max >= 1")
     th = np.arange(grid) * ((1.0 + math.sqrt(5.0)) / 2.0) % 1.0
     xs = skew.fiber_domain.grid(grid)
     T, X = np.meshgrid(th, xs, indexing="ij")
-    state = T.ravel(), X.ravel()
     prod = np.ones(grid * grid)
     maxima = []
-    rows = rows_per_block(prod.size)
-    for j in range(0, n_max, rows):
-        (T, X), state = skew.iterates(state, j, min(rows, n_max - j))
+    for T, X in skew.orbit((T.ravel(), X.ravel()), n_max):
         for t, x in zip(T, X):
+            if t.min() == t.max():
+                raise ValueError(f"the domination grid holds one theta at "
+                                 f"step {len(maxima)}; lower n_max")
             prod = prod * np.abs(skew.fiber_dx(t, x)) / np.abs(
                 skew.base_derivative(t))
             maxima.append(float(prod.max()))

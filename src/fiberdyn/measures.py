@@ -130,28 +130,21 @@ class EmpiricalMeasure:
         object.__setattr__(self, "weights", w)
 
 
-def _index_blocks(system, points, seed, grid, n, first, last):
-    """Bin indices of iterates first..last (last is n - 1 or n) of a cloud
-    of `points` points drawn by `system.sample` from `seed`.
+def _index_blocks(system, points, seed, grid, n, first=0):
+    """Bin indices of iterates first..n-1 of a cloud of `points` points
+    drawn by `system.sample` from `seed`.
 
-    The cloud makes exactly n steps, in `system.iterates` blocks of at most
-    `rows_per_block(points)` steps; the blocks before `first` are stepped
-    and not binned.  Each binned block is an int array of shape
-    (rows, points) holding consecutive iterates in order, one `grid.index`
-    call each; iterate n, the state after the last block, is binned alone.
+    The cloud makes exactly n - 1 steps, in the `system.orbit` blocks of
+    rows_per_block(points) rows; blocks that end before `first` are not
+    binned, and the block that holds iterate `first` is binned from it on.
+    Each binned block is an int array of shape (rows, points) holding
+    consecutive iterates in order, one `grid.index` call each.
     """
-    state = system.sample(make_generator(seed), points)
     rows = rows_per_block(points)
-    j = 0
-    for stop, binned in ((first, False), (n, True)):
-        while j < stop:
-            k = min(rows, stop - j)
-            block, state = system.iterates(state, j, k)
-            if binned:
-                yield grid.index(block)
-            j += k
-    if last == n:
-        yield grid.index(state)[None]
+    state = system.sample(make_generator(seed), points)
+    for j, block in zip(range(0, n, rows), system.orbit(state, n)):
+        if j + rows > first:
+            yield grid.index(block)[max(0, first - j):]
 
 
 def orbit_bin_counts(system, samples, n, grid=None, seed=0):
@@ -164,7 +157,7 @@ def orbit_bin_counts(system, samples, n, grid=None, seed=0):
     grid = resolve_grid(system, grid)
     counts = np.zeros((n + 1, grid.size), dtype=np.int64)
     j = 0
-    for idx in _index_blocks(system, samples, seed, grid, n, 0, n):
+    for idx in _index_blocks(system, samples, seed, grid, n + 1):
         for step_idx in idx:
             counts[j] = np.bincount(step_idx, minlength=grid.size)
             j += 1
@@ -184,7 +177,7 @@ def empirical_measure(system, samples, n, grid=None, seed=0):
         raise ValueError("need samples >= 1 and n >= 1")
     grid = resolve_grid(system, grid)
     tally = np.zeros(grid.size, dtype=np.int64)
-    for idx in _index_blocks(system, samples, seed, grid, n, 0, n - 1):
+    for idx in _index_blocks(system, samples, seed, grid, n):
         tally += np.bincount(idx.ravel(), minlength=grid.size)
     weights = tally / float(samples * n)
     meta = {"samples": int(samples), "iterations": int(n),
@@ -268,7 +261,7 @@ def _probe_histograms(system, probes, n, grid, seed, burn):
     """Visit frequencies of iterates burn..n-1 of each probe; one row each."""
     tally = np.zeros(probes * grid.size, dtype=np.int64)
     offsets = np.arange(probes) * grid.size
-    for idx in _index_blocks(system, probes, seed, grid, n, burn, n - 1):
+    for idx in _index_blocks(system, probes, seed, grid, n, burn):
         idx += offsets
         tally += np.bincount(idx.ravel(), minlength=tally.size)
     hists = tally.reshape(probes, grid.size).astype(float)

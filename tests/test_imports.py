@@ -1,6 +1,7 @@
 """Source hygiene: no unused module-level imports under src/ or tests/,
 one literal for the critical derivative size and no per-element math.log
-under src/, one theta source, and the CLI starts without loading scipy."""
+under src/, one theta source and one theta chain, and the CLI starts
+without loading scipy."""
 
 import ast
 import os
@@ -88,6 +89,18 @@ def test_one_theta_source():
              for path in sorted((ROOT / "src").rglob("*.py"))
              if path.name != "maps.py"
              for line in theta_steps(path.read_text())]
+    assert found == []
+
+
+def test_one_theta_chain():
+    # theta lanes cross a block in SkewProduct.theta_blocks alone: only
+    # maps.py names _base_rows, and no module steps a cloud by a block
+    # index (`.iterates(state, j, k)`)
+    found = [f"{path.relative_to(ROOT)}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for name in ("_base_rows", ".iterates(")
+             if name in path.read_text()
+             and not (name == "_base_rows" and path.name == "maps.py")]
     assert found == []
 
 

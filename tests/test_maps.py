@@ -262,22 +262,28 @@ class TestFiberSplit:
     def test_chained_blocks_wrap_each_row_once(self, viana, block_rows,
                                                monkeypatch):
         # a block after the first continues from the wrapped last row of
-        # the block before: one wrap a row, and the rows of one base_orbit
+        # the block before: one wrap a row, the rows of one base_orbit, and
+        # c(theta) of each row
         theta, x = viana.sample(make_generator(31), 100)
         n = 2 * block_rows + 3
-        want = viana.base_orbit(theta, n)
+        want = viana.base_orbit(theta, n - 1)
         wrapped = []
         real = maps.wrap
         monkeypatch.setattr(maps, "wrap",
                             lambda t: wrapped.append(np.shape(t)) or real(t))
-        state, rows = (theta, x), []
-        for j in range(0, n, block_rows):
-            (T, _), state = viana.iterates(state, j, min(block_rows, n - j))
-            rows.append(T)
-        got = np.concatenate(rows + [state[0][None]])
+        blocks = list(viana.theta_blocks(theta, n))
+        assert [len(T) for T, _ in blocks] == [
+            min(block_rows, n - j) for j in range(0, n, block_rows)]
+        assert wrapped == [(100,)] * n
+        got = np.concatenate([T for T, _ in blocks])
         assert got.tobytes() == want.tobytes()
-        assert wrapped == [(100,)] * (n + 1)
-        # the branch statistics' theta rows 0..n-1
+        for T, C in blocks:
+            assert C.tobytes() == viana.fiber_coefficient(T).tobytes()
+        # the orbit's theta rows, and the branch statistics' theta rows
+        wrapped.clear()
+        rows = [T for T, _ in viana.orbit((theta, x), n)]
+        assert np.concatenate(rows).tobytes() == want.tobytes()
+        assert wrapped == [(100,)] * n
         wrapped.clear()
         for _ in expansion._cloud_branch_rows(viana, (theta, x), n):
             pass
@@ -341,6 +347,34 @@ class TestSystemProtocol:
         assert seq.map_at(1).evaluator(0.0) == viana.fiber(
             viana.base(0.3), 0.0)
 
+    @pytest.mark.parametrize("family", ["logistic", "twowell", "viana"])
+    def test_orbit_is_repeated_step(self, family, block_rows):
+        # blocks of rows_per_block rows, the last shorter, holding
+        # iterates 0 .. n-1 bit for bit as `step` gives them; a one-row
+        # block of the cloud is a read-only view of it
+        system = maps.make_system(family)
+        state = system.sample(make_generator(8), 100)
+        skew = isinstance(system, maps.SkewProduct)
+        for n in (1, 2, 2 * block_rows + 3):
+            blocks = list(system.orbit(state, n))
+            assert [len(b[1] if skew else b) for b in blocks] == [
+                min(block_rows, n - j) for j in range(0, n, block_rows)]
+            want, z = [], state
+            for _ in range(n):
+                want.append(z)
+                z = system.step(z)
+            if skew:
+                for i in (0, 1):
+                    got = np.concatenate([b[i] for b in blocks])
+                    assert got.tobytes() == np.array(
+                        [w[i] for w in want]).tobytes()
+            else:
+                got = np.concatenate(blocks)
+                assert got.tobytes() == np.array(want).tobytes()
+                if len(blocks[0]) == 1:
+                    assert np.shares_memory(blocks[0], state)
+                    assert not blocks[0].flags.writeable
+
     def test_one_point_draws_equal_scalar_draws(self, logistic, viana):
         a, b = make_generator(11), make_generator(11)
         dom = viana.fiber_domain
@@ -354,8 +388,8 @@ class TestSystemProtocol:
 class _BareSkew:
     """Duck-typed stand-in for domination checks on unconstructible systems."""
 
-    base_orbit = maps.SkewProduct.base_orbit
-    iterates = maps.SkewProduct.iterates
+    theta_blocks = maps.SkewProduct.theta_blocks
+    orbit = maps.SkewProduct.orbit
 
     def __init__(self, base_degree, base_derivative, fiber_coefficient,
                  fiber_step, fiber_dx, fiber_domain):
@@ -402,6 +436,14 @@ class TestPartialHyperbolicity:
         verify_partial_hyperbolicity(spy, n_max=12, grid=32)
         assert len(seen) == 12 and seen[2] > 1 and min(seen) > 1
         assert seen[:11] == [32] * 11
+
+    def test_collapsed_grid_raises(self, viana):
+        # at d = 16 the grid holds 2 theta at step 12 and one from step 13
+        # on: a fit that reads step 13 would fit the theta = 0 fiber
+        rep = verify_partial_hyperbolicity(viana, n_max=13, grid=32)
+        assert rep.n_values[-1] == 13
+        with pytest.raises(ValueError, match="one theta at step 13"):
+            verify_partial_hyperbolicity(viana, n_max=14, grid=32)
 
     def test_constant_fiber_ratio_zero(self):
         bare = _BareSkew(16, lambda t: 16.0 + 0.0 * t,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -420,39 +421,48 @@ class TestClusterCount:
 
 
 class TestCloudStepCount:
-    """The block loops make exactly n map steps, neither more nor fewer:
-    their `iterates` blocks cover steps 0..n-1 in order, each block of at
-    most rows_per_block(points) steps, and no block follows the last."""
+    """The cloud loops make exactly the steps they bin, neither more nor
+    fewer: their `orbit` blocks hold rows_per_block(points) rows (the last
+    at most that), and one map call makes each row after row 0."""
 
     @pytest.mark.parametrize("family", ["logistic", "twowell", "viana"])
     def test_n_steps(self, monkeypatch, family):
         system = maps.make_system(family)
+        skew = isinstance(system, maps.SkewProduct)
+        name = "fiber_step" if skew else "evaluator"
+        real, calls, blocks = getattr(system, name), [], []
+        system = dataclasses.replace(
+            system, **{name: lambda *a: calls.append(a) or real(*a)})
         cls = type(system)
-        iterates = cls.iterates
-        calls = []
+        orbit = cls.orbit
 
-        def counting_iterates(self, state, j, k):
-            calls.append((j, k))
-            return iterates(self, state, j, k)
+        def counting_orbit(self, state, n):
+            for block in orbit(self, state, n):
+                blocks.append(len(block[1] if skew else block))
+                yield block
 
-        def steps():
-            assert all(1 <= k <= maps.rows_per_block(points)
-                       for _, k in calls)
-            return [j + i for j, k in calls for i in range(k)]
+        def rows_and_calls():
+            rows = maps.rows_per_block(points)
+            assert blocks[:-1] == [rows] * (len(blocks) - 1)
+            assert 1 <= blocks[-1] <= rows
+            counted = sum(blocks), len(calls)
+            blocks.clear()
+            calls.clear()
+            return counted
 
-        monkeypatch.setattr(cls, "iterates", counting_iterates)
+        monkeypatch.setattr(cls, "orbit", counting_orbit)
+        calls.clear()
         points = 100
         for n in (1, 163, 500):
-            calls.clear()
-            orbit_bin_counts(system, points, n, 64, 5)
-            assert steps() == list(range(n))
-            calls.clear()
+            empirical_measure(system, points, n, 64, 5)
+            assert rows_and_calls() == (n, n - 1)
             ergodic_components(system, points, n, 64, 5, burn_frac=0.137)
-            assert steps() == list(range(n))
+            assert rows_and_calls() == (n, n - 1)
+            orbit_bin_counts(system, points, n, 64, 5)
+            assert rows_and_calls() == (n + 1, n)
         points = 10**4
-        calls.clear()
         orbit_bin_counts(system, points, 7, 64, 5)
-        assert steps() == list(range(7))
+        assert rows_and_calls() == (8, 7)
 
 
 class TestComponentInputs:

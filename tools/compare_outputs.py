@@ -11,12 +11,13 @@ seed, the CLI runs once per tree, each time in a fresh interpreter with
 one native thread.  Every data file (each output file but
 ``manifest.json``, whose timings differ from run to run) whose sha256
 differs, or that only one tree writes, is printed, and so is every
-invocation whose exit code differs; then the count.  The exit status is 1
-on any difference.
+invocation whose exit code or manifest ``status`` or ``error`` differs;
+then the count.  The exit status is 1 on any difference.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -33,7 +34,8 @@ def source_dir(path):
 
 
 def run_cli(src, argv):
-    """Exit code and {file name: sha256} of the data files of one run."""
+    """Exit code, {file name: sha256} of the data files and the manifest's
+    {"status", "error"} (None where absent) of one run."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.update((var, "1") for var in ("OMP_NUM_THREADS",
                                       "OPENBLAS_NUM_THREADS",
@@ -43,25 +45,32 @@ def run_cli(src, argv):
     out = Path(argv[argv.index("--out") + 1])
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(out.glob("*")) if p.name != "manifest.json"}
-    return proc.returncode, files
+    manifest = out / "manifest.json"
+    record = json.loads(manifest.read_text()) if manifest.exists() else {}
+    return proc.returncode, files, {key: record.get(key)
+                                    for key in ("status", "error")}
 
 
 def compare(parent, change, seeds):
-    """Print each differing exit code or data file; return the number of
-    differences, of runs and of data files compared."""
+    """Print each differing exit code, manifest status or error, or data
+    file; return the number of differences, of runs and of data files
+    compared."""
     diffs = runs = files = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, invocations in WORKLOADS.items():
             for wseed in seeds:
                 pseeds = invocation_seeds(wseed, len(invocations))
                 for i, (inv, pseed) in enumerate(zip(invocations, pseeds)):
-                    (code_a, files_a), (code_b, files_b) = (
+                    (code_a, files_a, rec_a), (code_b, files_b, rec_b) = (
                         run_cli(src, argv_for(inv, pseed, Path(tmp) /
                                               f"{name}-{wseed}-{i}-{side}"))
                         for side, src in enumerate((parent, change)))
                     where = f"{name} seed {wseed} [{' '.join(inv.argv)}]"
                     lines = [f"{where}: exit code {code_a} -> {code_b}"
                              ] if code_a != code_b else []
+                    lines += [f"{where}: manifest {key} {rec_a[key]!r} -> "
+                              f"{rec_b[key]!r}" for key in rec_a
+                              if rec_a[key] != rec_b[key]]
                     names = sorted(files_a.keys() | files_b.keys())
                     lines += [f"{where}: {f} differs" for f in names
                               if files_a.get(f) != files_b.get(f)]
