@@ -533,8 +533,8 @@ def verify_partial_hyperbolicity(skew: SkewProduct, n_max=12, grid=32):
     for T, X in skew.orbit((T.ravel(), X.ravel()), n_max):
         for t, x in zip(T, X):
             if t.min() == t.max():
-                raise ValueError(f"the domination grid holds one theta at "
-                                 f"step {len(maxima)}; lower n_max")
+                raise ValueError("the domination grid holds one theta at "
+                                 f"step {len(maxima)}")
             prod = prod * np.abs(skew.fiber_dx(t, x)) / np.abs(
                 skew.base_derivative(t))
             maxima.append(float(prod.max()))

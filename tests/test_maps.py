@@ -444,6 +444,9 @@ class TestPartialHyperbolicity:
         assert rep.n_values[-1] == 13
         with pytest.raises(ValueError, match="one theta at step 13"):
             verify_partial_hyperbolicity(viana, n_max=14, grid=32)
+        # d = 32 collapses within the 12 steps construction fits
+        with pytest.raises(ValueError, match="one theta at step 10"):
+            viana_skew(d=32)
 
     def test_constant_fiber_ratio_zero(self):
         bare = _BareSkew(16, lambda t: 16.0 + 0.0 * t,
