@@ -1,7 +1,8 @@
 """Command line entry point: one subcommand per experiment.
 
-Flags mirror config keys and override values loaded with --config;
-exit codes: 0 success, 1 experiment failure, 2 config error.
+Flags mirror config keys and lay over the raw sections of a --config
+file, and the result is validated once; exit codes: 0 success,
+1 experiment failure, 2 config error.
 """
 
 import argparse
@@ -11,7 +12,7 @@ from pathlib import Path
 
 from ..errors import FiberdynError, ParseError, ValidationError
 from ..maps import FAMILIES
-from .config import EXPERIMENT_PARAMS, parse_config, validate_config
+from .config import EXPERIMENT_PARAMS, _parse_sections, validate_config
 from .runner import run_experiment
 
 _ALL_SYSTEM_KEYS = sorted({k for _, ks in FAMILIES.values() for k in ks})
@@ -50,44 +51,36 @@ def build_parser():
 
 
 def _assemble_sections(args):
-    sections = {"system": {}, "experiment": {}, "output": {}}
-    if args.config:
-        text = Path(args.config).read_text()
-        parsed = parse_config(text)
-        sections["system"] = {"family": parsed.family,
-                              **parsed.system_params}
-        if parsed.kind != args.kind:
-            raise ValidationError(
-                "experiment.kind",
-                f"config file runs {parsed.kind!r}, subcommand is "
-                f"{args.kind!r}")
-        sections["experiment"] = {"kind": parsed.kind, **parsed.params}
-        sections["output"] = {"seed": parsed.seed, "dir": parsed.out_dir}
-    sections["experiment"]["kind"] = args.kind
+    """The --config file's raw sections with the flags laid over them."""
+    sections = (_parse_sections(Path(args.config).read_text())
+                if args.config else {})
+    exp = sections.setdefault("experiment", {})
+    if exp.setdefault("kind", args.kind) != args.kind:
+        raise ValidationError(
+            "experiment.kind",
+            f"config file runs {exp['kind']!r}, subcommand is {args.kind!r}")
     if args.family is not None:
         sections["system"] = {"family": args.family}
-    sections["system"].setdefault("family", "logistic")
+    system = sections.setdefault("system", {})
+    system.setdefault("family", "logistic")
     for item in args.system:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ValidationError(f"system.{item}", "expected KEY=VALUE")
         try:
-            value = float(raw)
+            system[key] = float(raw)
         except ValueError:
             raise ValidationError(f"system.{key}",
                                   "expected a number") from None
-        # an integral degree keeps its int form, as in a config file
-        sections["system"][key] = (int(value) if key == "d"
-                                   and value.is_integer() else value)
     for key in EXPERIMENT_PARAMS[args.kind]:
-        value = getattr(args, f"param_{key}", None)
+        value = getattr(args, f"param_{key}")
         if value is not None:
-            sections["experiment"][key] = value
+            exp[key] = value
+    out = sections.setdefault("output", {})
     if args.seed is not None:
-        sections["output"]["seed"] = args.seed
+        out["seed"] = args.seed
     if args.out is not None:
-        sections["output"]["dir"] = args.out
-    sections["output"].setdefault("dir", "out")
+        out["dir"] = args.out
     return sections
 
 

@@ -16,6 +16,7 @@ Config files use a flat two-level grammar::
 Sections hold typed scalars only (int, float, string); nesting
 deeper than section.key is not representable.  Unknown sections, unknown
 keys, and out-of-range values are rejected with the offending field path.
+Family values are floats, except that an integral degree d is an int.
 """
 
 import math
@@ -208,6 +209,9 @@ def validate_config(sections):
                                   f"not a parameter of family {family!r}")
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ValidationError(f"system.{key}", "expected a finite number")
+        value = float(value)
+        system[key] = int(value) if key == "d" and value.is_integer() \
+            else value
     exp = dict(sections.get("experiment", {}))
     kind = exp.pop("kind", None)
     if kind is None:

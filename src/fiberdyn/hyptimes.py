@@ -315,6 +315,8 @@ def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if delta_tilde <= 0:
         raise ValueError("delta_tilde must be positive")
     theta, x = float(z[0]) % 1.0, float(z[1])

@@ -75,12 +75,15 @@ def log_abs(d):
 
 @dataclass(frozen=True)
 class IntervalDomain:
-    """A nondegenerate finite interval [lo, hi]."""
+    """A nondegenerate finite interval [lo, hi] with float endpoints."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
+        # int endpoints would make int brackets, which truncate pullbacks
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("domain endpoints must be finite")
         if not self.lo < self.hi:

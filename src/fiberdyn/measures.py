@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidConstants
 from .expansion import _cloud_branch_rows
 from .maps import SkewProduct, rows_per_block, wrap
 from .rng import make_generator, rng_metadata
@@ -348,10 +349,15 @@ def nu_like_mass(system, samples, n, delta_tilde, seed):
 
     Anchors whose branch sizes satisfy sum r_i >= 2*delta*n carry at least
     a zeta fraction of hyperbolic-like indices, so the deposited mass must
-    be at least zeta times the fraction of such anchors.
+    be at least zeta times the fraction of such anchors.  The Pliss
+    constants c1 = delta, c2 = 2*delta, A = |I0| must have c1 < c2 <= A.
     """
     if samples < 1 or n < 1:
         raise ValueError("need samples >= 1 and n >= 1")
+    A = system.sequence(0.0).domain.length
+    if not delta_tilde < 2.0 * delta_tilde <= A:
+        raise InvalidConstants(f"need c1 < c2 <= A, got {delta_tilde}, "
+                               f"{2.0 * delta_tilde}, {A}")
     cloud = system.sample(make_generator(seed), samples)
     # a running count and running sums over the steps, added left to right
     count, sum_r = 0, np.zeros(samples)
@@ -360,5 +366,5 @@ def nu_like_mass(system, samples, n, delta_tilde, seed):
         sum_r += r
     mass = count / (n * samples)
     anchors = float((sum_r >= 2.0 * delta_tilde * n).mean())
-    zeta = delta_tilde / (system.sequence(0.0).domain.length - delta_tilde)
+    zeta = delta_tilde / (A - delta_tilde)
     return NuLikeMass(mass, anchors, zeta, mass >= zeta * anchors - 1e-12)

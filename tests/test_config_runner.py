@@ -101,6 +101,38 @@ class TestParsing:
                          "[experiment]\nkind = ftle\n"
                          "[output]\nseed = -3\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[experiment]\nn =\n", "missing value"),
+        ('[output]\ndir = "out\n', "unterminated string"),
+        ("[experiment]\nn = a b\n", "cannot parse value 'a b'"),
+        ("[system\n", "unterminated section header"),
+        ("[ ]\n", "empty section name"),
+        ("[system]\n= logistic\n", "empty key"),
+    ])
+    def test_malformed_line_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_config(text)
+        assert exc.value.line == text.count("\n")
+
+    @pytest.mark.parametrize("text, field, message", [
+        ("[system]\nfamily = bogus\n", "system.family", "unknown family"),
+        ("[experiment]\nkind = ftle\n", "system.family", "required"),
+        ("[system]\nfamily = logistic\n", "experiment.kind", "required"),
+        (MINIMAL.replace("seed = 1", "seed = 1.5"), "output.seed",
+         "expected an integer"),
+        (MINIMAL.replace("dir = out", "dir = 5"), "output.dir",
+         "expected a string"),
+        (MINIMAL + "color = red\n", "output.color", "unknown key"),
+    ])
+    def test_invalid_field_is_a_validation_error(self, text, field, message):
+        with pytest.raises(ValidationError, match=f"^{field}: {message}"):
+            parse_config(text)
+
+    def test_int_literal_of_a_float_key_reads_as_float(self):
+        cfg = parse_config("[system]\nfamily = logistic\n"
+                           "[experiment]\nkind = census\ndelta = 1\n")
+        assert type(cfg.param("delta")) is float and cfg.param("delta") == 1.0
+
     @pytest.mark.parametrize("old, new, field", [
         ("samples = 3", "samples = true", "experiment.samples"),
         ("n = 1000", "n = false", "experiment.n"),
@@ -227,6 +259,7 @@ class TestCli:
         [*TINY_VIANA_FTLE, "--system", "d=16.7"],
         [*TINY_VIANA_FTLE, "--system", "a0=abc"],
         [*TINY_VIANA_FTLE, "--system", "d=nan"],
+        [*TINY_VIANA_FTLE, "--system", "a0"],
         ["acim", "--family", "affine", "--system", "slope=nan",
          "--samples", "100", "--n", "10"],
         ["branch", "--family", "logistic", "--x", "1.5"],
@@ -240,7 +273,8 @@ class TestCli:
             "probe-needs-skew", "markov-needs-interval-map",
             "skew-bins-7", "skew-bins-10", "skew-components-bins-10",
             "config-fractional-degree", "fractional-degree",
-            "non-numeric-system-value", "nan-degree", "nan-slope",
+            "non-numeric-system-value", "nan-degree",
+            "system-item-without-equals", "nan-slope",
             "branch-anchor-outside", "branch-anchor-at-endpoint",
             "pliss-nan-anchor", "probe-nan-anchor", "probe-anchor-outside",
             "probe-infinite-anchor"])
@@ -292,6 +326,46 @@ class TestCli:
         assert rc == 0
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert "d = 16\n" in manifest["config"]
+
+    def test_integral_degree_in_a_file_keeps_int_label(self, tmp_path):
+        cfg_file = tmp_path / "d.cfg"
+        cfg_file.write_text("[system]\nfamily = viana\nd = 16.0\n")
+        rc = cli_main(["ftle", "--config", str(cfg_file), "--n", "10",
+                       "--samples", "1", "--out", str(tmp_path / "d")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert "d = 16\n" in manifest["config"]
+
+    def test_family_value_spellings_write_equal_bytes(self, tmp_path):
+        # a = 2 in a file and --system a=2 are both the float 2.0
+        cfg_file = tmp_path / "a2.cfg"
+        cfg_file.write_text("[system]\nfamily = quadratic\na = 2\n")
+        argv = ["acim", "--samples", "200", "--n", "20", "--bins", "16"]
+        digests = []
+        for sub, spelling in (("file", ["--config", str(cfg_file)]),
+                              ("flag", ["--family", "quadratic",
+                                        "--system", "a=2"])):
+            out = tmp_path / sub
+            assert cli_main([*argv, *spelling, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            digests.append({e["name"]: e["sha256"]
+                            for e in manifest["outputs"]})
+        assert digests[0]["measure_meta.json"] \
+            == digests[1]["measure_meta.json"]
+
+    def test_config_file_supplies_defaults_only(self, tmp_path):
+        # the file may leave out family and kind, and a value that a flag
+        # replaces is never validated
+        cfg_file = tmp_path / "partial.cfg"
+        cfg_file.write_text("[experiment]\nn = -5\nsamples = 2\n"
+                            "[output]\nseed = 1.5\n")
+        out = tmp_path / "p"
+        rc = cli_main(["ftle", "--config", str(cfg_file), "--n", "100",
+                       "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "family = logistic\n" in manifest["config"]
+        assert "samples = 2\n" in manifest["config"]
 
     def test_partition_scale_failure_message(self, tmp_path, capsys):
         rc = cli_main(["markov", "--family", "doubling", "--depth", "1",

@@ -194,6 +194,18 @@ def test_output_digests(name, tmp_path):
     assert actual == expected
 
 
+def test_config_file_spelling_writes_golden_digests(tmp_path):
+    # a = 2 in a file is the float 2.0 that --system a=2 gives
+    cfg_file = tmp_path / "quadratic.cfg"
+    cfg_file.write_text("[system]\nfamily = quadratic\na = 2\n")
+    out = tmp_path / "out"
+    assert cli_main(["markov", "--config", str(cfg_file), "--depth", "1",
+                     "--seeds", "300", "--seed", "5", "--out", str(out)]) == 0
+    actual = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+              for name in GOLDEN["markov quadratic"][1]}
+    assert actual == GOLDEN["markov quadratic"][1]
+
+
 def test_partition_digest():
     part = monotonicity_partition(constant_sequence(logistic_map()), 8)
     text = repr((part.cells, part.levels))

@@ -271,6 +271,12 @@ class TestProbe:
         assert rep.covers_ball
         assert rep.delta1_hat == pytest.approx(rep.rho_prime, rel=1e-9)
 
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_iterate_rejected(self, viana, k):
+        # k = -1 would run the k = 0 probe and report k = -1
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            probe_neighborhood(viana, (0.3, 0.2), k, 0.3, grid=16)
+
     def test_not_hyperbolic_like(self, viana):
         # a point whose first branch image is thin on one side
         rng = make_generator(43)

@@ -370,6 +370,17 @@ class TestAssemble:
         with pytest.raises(ValueError, match="not forward invariant"):
             MarkovPartition.from_endpoints(logistic, (0.0, 0.3, 1.0))
 
+    def test_int_parameter_certifies_as_its_float(self):
+        # quadratic_map(2) has the domain (-2, 2); int endpoints would make
+        # int pullback brackets that truncate every preimage
+        certs = []
+        for a in (2, 2.0):
+            m = quadratic_map(a)
+            certs.append(assemble_markov(m, build_partition(m, 1),
+                                         seeds=300, seed=5))
+        assert certs[0].branches == certs[1].branches
+        assert certs[0].coverage == certs[1].coverage > 0.99
+
 
 class TestCrossRatio:
     def test_worked_value(self):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fiberdyn import (BinGrid1D, BinGrid2D, EmpiricalMeasure, branch_stats,
-                      density_compare, doubling_map, empirical_measure,
-                      ergodic_components, fiber_branch_stats, identity_map,
-                      invariance_defect, maps, nu_like_mass,
-                      orbit_bin_counts)
+from fiberdyn import (BinGrid1D, BinGrid2D, EmpiricalMeasure, InvalidConstants,
+                      branch_stats, density_compare, doubling_map,
+                      empirical_measure, ergodic_components,
+                      fiber_branch_stats, identity_map, invariance_defect,
+                      maps, nu_like_mass, orbit_bin_counts)
 from fiberdyn.measures import (_cluster_count, _l1_distances,
                                _probe_histograms, resolve_grid)
 from fiberdyn.rng import make_generator
@@ -213,6 +213,14 @@ class TestNuLikeMass:
         for samples, n in ((100, 0), (0, 10)):
             with pytest.raises(ValueError, match="need samples"):
                 nu_like_mass(logistic, samples, n, 0.1, 1)
+
+    @pytest.mark.parametrize("delta_tilde", [1.0, 0.6, 0.0, -0.1])
+    def test_constants_outside_pliss_range_rejected(self, logistic,
+                                                    delta_tilde):
+        # c1 = delta, c2 = 2 delta, A = |I0| = 1 need 0 < delta <= A / 2;
+        # 1.0 divided by zero, and the others returned bound_holds = True
+        with pytest.raises(InvalidConstants, match="need c1 < c2 <= A"):
+            nu_like_mass(logistic, 100, 10, delta_tilde, 1)
 
     @pytest.mark.parametrize("family", ["logistic", "viana"])
     def test_matches_stacked_arrays(self, block_rows, family):
