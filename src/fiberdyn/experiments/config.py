@@ -29,8 +29,15 @@ from ..maps import FAMILIES
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _BARE_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
+def _finite(v):
+    """v converts to a finite float; an int past the float range does not."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
 def _positive(v):
-    return v > 0 and math.isfinite(v)
+    return v > 0
 
 def _depth_list(v):
     tokens = v.split()
@@ -185,6 +192,8 @@ def _coerce(key, value, entry):
     if not isinstance(value, want):
         raise ValidationError(field_path,
                               f"expected {want.__name__}, got {value!r}")
+    if want is not str and not _finite(value):
+        raise ValidationError(field_path, "expected a finite number")
     if check is not None and not check(value):
         raise ValidationError(field_path, f"value {value!r} out of range")
     return value
@@ -207,7 +216,7 @@ def validate_config(sections):
         if key not in allowed:
             raise ValidationError(f"system.{key}",
                                   f"not a parameter of family {family!r}")
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not isinstance(value, (int, float)) or not _finite(value):
             raise ValidationError(f"system.{key}", "expected a finite number")
         value = float(value)
         system[key] = int(value) if key == "d" and value.is_integer() \

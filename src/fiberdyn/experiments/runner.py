@@ -8,6 +8,10 @@ This is the one module that turns results into bytes: the numerical
 modules return values, and each `_run_*` function below lays out its
 files through `_write_csv` and `_write_json`.  Floats are written with
 `repr`, so a file round-trips them exactly.
+
+Each `_run_*` function imports the analysis functions it calls in its own
+body, so a process loads only the numerical modules of the kinds it runs;
+importing this module loads `maps` and `rng` alone.
 """
 
 import csv
@@ -21,14 +25,7 @@ import numpy as np
 
 from .. import __version__
 from ..errors import FiberdynError, IOFailure, ValidationError
-from ..expansion import ftle_fiber, ftle_full, measure_AY_decay
-from ..hyptimes import (CurveGraph, PlissQuery, curve_growth_constants,
-                        pliss_times, probe_neighborhood, slope_envelope)
-from ..branches import component_census, track_branch
 from ..maps import IntervalMap, SkewProduct, make_system
-from ..measures import (BinGrid1D, empirical_measure, ergodic_components,
-                        resolve_grid)
-from ..markov import assemble_markov, build_partition, summability_stat
 from ..rng import make_generator, rng_metadata
 from .config import ExperimentConfig, serialize_config
 
@@ -51,6 +48,7 @@ def _anchor(cfg, domain):
 
 
 def _grid(cfg, system):
+    from ..measures import resolve_grid
     try:
         return resolve_grid(system, cfg.param("bins"))
     except ValueError as ex:
@@ -69,6 +67,7 @@ def _write_json(path, payload):
 
 
 def _run_ftle(cfg, system, out):
+    from ..expansion import ftle_fiber, ftle_full
     rng = make_generator(cfg.seed)
     n = cfg.param("n")
     skew = isinstance(system, SkewProduct)
@@ -89,6 +88,7 @@ def _run_ftle(cfg, system, out):
 
 
 def _run_branch(cfg, system, out):
+    from ..branches import track_branch
     seq = system.sequence(cfg.param("theta"))
     br = track_branch(seq, _anchor(cfg, seq.domain), cfg.param("n"))
     payload = {
@@ -107,6 +107,7 @@ def _run_branch(cfg, system, out):
 
 
 def _run_census(cfg, system, out):
+    from ..branches import component_census
     # census has no theta key: a skew-product runs its theta = 0 fibers
     seq = system.sequence(0.0)
     record = component_census(seq, cfg.param("n"), cfg.param("delta"),
@@ -119,6 +120,7 @@ def _run_census(cfg, system, out):
 
 
 def _run_ay_decay(cfg, system, out):
+    from ..expansion import measure_AY_decay
     n_values = [int(v) for v in cfg.param("n_values").split()]
     lo, hi = cfg.param("delta_min"), cfg.param("delta_max")
     count = cfg.param("delta_count")
@@ -133,6 +135,8 @@ def _run_ay_decay(cfg, system, out):
 
 
 def _run_pliss(cfg, system, out):
+    from ..branches import track_branch
+    from ..hyptimes import PlissQuery, pliss_times
     seq = system.sequence(cfg.param("theta"))
     length = seq.domain.length
     if cfg.param("c2") > length:
@@ -150,6 +154,7 @@ def _run_pliss(cfg, system, out):
 
 
 def _run_curve(cfg, system, out):
+    from ..hyptimes import CurveGraph, curve_growth_constants, slope_envelope
     _require(cfg, system, SkewProduct)
     rng = make_generator(cfg.seed)
     alpha = cfg.param("alpha")
@@ -176,6 +181,7 @@ def _run_curve(cfg, system, out):
 
 
 def _run_probe(cfg, system, out):
+    from ..hyptimes import probe_neighborhood
     _require(cfg, system, SkewProduct)
     x = _anchor(cfg, system.fiber_domain)
     rep = probe_neighborhood(system, (cfg.param("theta"), x),
@@ -186,6 +192,7 @@ def _run_probe(cfg, system, out):
 
 
 def _run_acim(cfg, system, out):
+    from ..measures import BinGrid1D, empirical_measure
     mu = empirical_measure(system, cfg.param("samples"), cfg.param("n"),
                            _grid(cfg, system), cfg.seed)
     w = [repr(float(v)) for v in mu.weights]
@@ -201,6 +208,7 @@ def _run_acim(cfg, system, out):
 
 
 def _run_components(cfg, system, out):
+    from ..measures import ergodic_components
     rep = ergodic_components(system, cfg.param("probes"), cfg.param("n"),
                              _grid(cfg, system), cfg.seed,
                              cfg.param("threshold"))
@@ -211,6 +219,7 @@ def _run_components(cfg, system, out):
 
 
 def _run_markov(cfg, system, out):
+    from ..markov import assemble_markov, build_partition, summability_stat
     _require(cfg, system, IntervalMap)
     part = build_partition(system, cfg.param("depth"))
     cert = assemble_markov(system, part, seeds=cfg.param("seeds"),

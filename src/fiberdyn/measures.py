@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConstants
-from .expansion import _cloud_branch_rows
 from .maps import SkewProduct, rows_per_block, wrap
 from .rng import make_generator, rng_metadata
 
@@ -352,6 +351,9 @@ def nu_like_mass(system, samples, n, delta_tilde, seed):
     be at least zeta times the fraction of such anchors.  The Pliss
     constants c1 = delta, c2 = 2*delta, A = |I0| must have c1 < c2 <= A.
     """
+    # imported here: the rest of this module needs neither expansion nor
+    # branches, and acim and components runs load neither
+    from .expansion import _cloud_branch_rows
     if samples < 1 or n < 1:
         raise ValueError("need samples >= 1 and n >= 1")
     A = system.sequence(0.0).domain.length

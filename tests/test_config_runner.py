@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from fiberdyn import CapExceeded, HitCritical, ParseError, ValidationError
+from fiberdyn import (CapExceeded, HitCritical, ParseError, ValidationError,
+                      expansion)
 from fiberdyn.experiments import (ExperimentConfig, parse_config,
                                   run_experiment, serialize_config)
-from fiberdyn.experiments import runner
 from fiberdyn.experiments.cli import main as cli_main
 
 MINIMAL = """
@@ -210,8 +210,8 @@ class TestRunner:
                 raise HitCritical(17)
             return real(seq, x, n)
 
-        real = runner.ftle_fiber
-        monkeypatch.setattr(runner, "ftle_fiber", kernel)
+        real = expansion.ftle_fiber
+        monkeypatch.setattr(expansion, "ftle_fiber", kernel)
         rc = cli_main(["ftle", "--n", "500", "--samples", "3",
                        "--out", str(tmp_path / "f")])
         assert rc == 0 and len(calls) == 3
@@ -297,6 +297,22 @@ class TestCli:
                        "--out", str(tmp_path / "p")])
         assert rc == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling, field", [
+        ("flag", "experiment.n"), ("system", "system.a"),
+        ("file", "system.a")])
+    def test_ints_past_the_float_range_are_config_errors(
+            self, tmp_path, capsys, spelling, field):
+        huge = "1" + "0" * 400
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(f'[system]\nfamily = "quadratic"\na = {huge}\n')
+        argv = {"flag": ["--n", huge],
+                "system": ["--family", "quadratic", "--system", f"a={huge}"],
+                "file": ["--config", str(cfg_file)]}[spelling]
+        rc = cli_main(["ftle", *argv, "--samples", "1",
+                       "--out", str(tmp_path / "h")])
+        assert rc == 2
+        assert f"{field}: expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, field", [
         (["--n-values", "5 5"], "experiment.n_values"),

@@ -1,14 +1,20 @@
 """Source hygiene: no unused module-level imports under src/ or tests/,
 one literal for the critical derivative size and no per-element math.log
 under src/, one theta source and one theta chain, and the CLI starts
-without loading scipy."""
+without loading scipy or any analysis module: each experiment kind loads
+its own, and the package root resolves its names lazily."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import fiberdyn
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,3 +125,72 @@ def test_cli_start_up_leaves_scipy_integrate_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def fresh_interpreter(code, *args):
+    """stdout of `code` run in a new interpreter that imports src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+START_UP = ("import sys\n"
+            "import fiberdyn.experiments.cli\n"
+            "from fiberdyn.maps import family_names, make_system\n"
+            "for family in family_names():\n"
+            "    make_system(family)\n")
+
+LOADED = "print(*sorted(m for m in sys.modules if m.startswith('fiberdyn.')))\n"
+
+# what every CLI call loads
+CLI_MODULES = {"fiberdyn.errors", "fiberdyn.maps", "fiberdyn.rng",
+               "fiberdyn.experiments", "fiberdyn.experiments.config",
+               "fiberdyn.experiments.runner", "fiberdyn.experiments.cli"}
+
+
+def test_cli_start_up_loads_no_analysis_module():
+    assert set(fresh_interpreter(START_UP + LOADED).split()) == CLI_MODULES
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["ftle", "--n", "10", "--samples", "1"], "expansion branches"),
+    (["ay_decay", "--samples", "1000", "--n-values", "5", "--delta-count",
+      "1", "--delta-min", "0.1", "--delta-max", "0.1"], "expansion branches"),
+    (["branch", "--n", "5"], "branches"),
+    (["census", "--n", "2"], "branches"),
+    (["pliss", "--n", "20"], "hyptimes branches"),
+    (["curve", "--family", "viana", "--iterations", "2", "--curves", "1",
+      "--samples", "2"], "hyptimes branches"),
+    (["probe", "--family", "viana", "--k", "0", "--grid", "2"],
+     "hyptimes branches"),
+    (["acim", "--samples", "10", "--n", "10"], "measures"),
+    (["components", "--probes", "100", "--n", "10", "--bins", "8"],
+     "measures"),
+    (["markov", "--depth", "0", "--seeds", "10", "--orbit-len", "2",
+      "--probes", "2"], "markov branches"),
+], ids=lambda v: v[0] if isinstance(v, list) else v.replace(" ", "+"))
+def test_each_kind_loads_its_own_modules(tmp_path, argv, modules):
+    code = ("import sys\n"
+            "from fiberdyn.experiments.cli import main\n"
+            "print(main(sys.argv[1:]))\n" + LOADED)
+    *_, rc, loaded = fresh_interpreter(
+        code, *argv, "--out", str(tmp_path / "o")).splitlines()
+    assert rc == "0"
+    assert set(loaded.split()) == CLI_MODULES | {
+        f"fiberdyn.{name}" for name in modules.split()}
+
+
+def test_root_names_resolve_in_their_home_modules(monkeypatch):
+    for name, module in fiberdyn._EXPORTS.items():
+        home = importlib.import_module(f"fiberdyn.{module}")
+        assert getattr(fiberdyn, name) is getattr(home, name), name
+        assert name in dir(fiberdyn) and name in fiberdyn.__all__, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fiberdyn.no_such_name
+    # uncached: the root sees what a patch or a tracer puts in the home
+    monkeypatch.setattr(fiberdyn.expansion, "ftle_fiber", len)
+    assert fiberdyn.ftle_fiber is len

@@ -8,11 +8,12 @@ Each source tree is a ``src`` directory (or a checkout that holds one).
 For every invocation of every workload in ``perfbench/workloads.py``, at
 the program seeds that ``invocation_seeds`` derives from each workload
 seed, the CLI runs once per tree, each time in a fresh interpreter with
-one native thread.  Every data file (each output file but
-``manifest.json``, whose timings differ from run to run) whose sha256
-differs, or that only one tree writes, is printed, and so is every
-invocation whose exit code or manifest ``status`` or ``error`` differs;
-then the count.  The exit status is 1 on any difference.
+one native thread; the two trees' runs of an invocation run at once.
+Every data file (each output file but ``manifest.json``, whose timings
+differ from run to run) whose sha256 differs, or that only one tree
+writes, is printed, and so is every invocation whose exit code or
+manifest ``status`` or ``error`` differs; then the count.  The exit
+status is 1 on any difference.
 """
 
 import argparse
@@ -22,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -56,15 +58,17 @@ def compare(parent, change, seeds):
     file; return the number of differences, of runs and of data files
     compared."""
     diffs = runs = files = 0
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            ThreadPoolExecutor(max_workers=2) as pool:
         for name, invocations in WORKLOADS.items():
             for wseed in seeds:
                 pseeds = invocation_seeds(wseed, len(invocations))
                 for i, (inv, pseed) in enumerate(zip(invocations, pseeds)):
                     (code_a, files_a, rec_a), (code_b, files_b, rec_b) = (
-                        run_cli(src, argv_for(inv, pseed, Path(tmp) /
-                                              f"{name}-{wseed}-{i}-{side}"))
-                        for side, src in enumerate((parent, change)))
+                        pool.map(run_cli, (parent, change), [
+                            argv_for(inv, pseed, Path(tmp) /
+                                     f"{name}-{wseed}-{i}-{side}")
+                            for side in range(2)]))
                     where = f"{name} seed {wseed} [{' '.join(inv.argv)}]"
                     lines = [f"{where}: exit code {code_a} -> {code_b}"
                              ] if code_a != code_b else []
