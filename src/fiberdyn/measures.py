@@ -9,6 +9,8 @@ oracle density, and the number of distinct orbit-average histograms
 """
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +20,45 @@ from .maps import SkewProduct, rows_per_block, wrap
 from .rng import make_generator, rng_metadata
 
 
-def _bins(scaled, count):
-    """Bins 0..count-1 of floats scaled to [0, count): clipped on the float,
-    in place for arrays, then truncated to int."""
-    return scaled.clip(0.0, count - 1.0,
-                       out=scaled if scaled.ndim else None).astype(int)
+class _Axis:
+    """Bins 0..bins-1 of one grid axis, [lo, hi) cut into equal bins.
+
+    A point's bin is (x - lo) / (hi - lo) * bins, clipped on the float to
+    [0, bins - 1] (in place for arrays) and then truncated to int, so that
+    points out of range, +-1e300 too, land in the end bins.  When the width
+    hi - lo is a normal power of two and bins / width is finite, dividing
+    by the width is exact, so one multiply by that scale gives the same
+    bins; when lo is also 0.0, x - lo is x bit for bit (-0.0 too) and the
+    subtract goes.  Any other width keeps the divide: a multiply by a
+    rounded reciprocal would move points across bin edges.
+    """
+
+    def __init__(self, lo, hi, bins):
+        if not isinstance(bins, numbers.Integral) or bins < 1:
+            raise ValueError(f"need an integral bin count >= 1, got {bins!r}")
+        width = hi - lo
+        if not (lo < hi and math.isfinite(width)):
+            raise ValueError(f"need finite bounds lo < hi with a finite "
+                             f"width, got {lo!r} and {hi!r}")
+        self.lo, self.width, self.bins = lo, width, bins
+        scale = bins / width
+        exact = (math.frexp(width)[0] == 0.5
+                 and width >= sys.float_info.min and math.isfinite(scale))
+        self.scale = scale if exact else None
+
+    def index(self, x):
+        """Bin of each finite point of x, a float or an array."""
+        if self.scale is None:
+            scaled = np.subtract(x, self.lo, dtype=float)
+            scaled /= self.width
+            scaled *= self.bins
+        elif self.lo == 0.0:
+            scaled = np.multiply(x, self.scale, dtype=float)
+        else:
+            scaled = np.subtract(x, self.lo, dtype=float)
+            scaled *= self.scale
+        return scaled.clip(0.0, self.bins - 1.0,
+                           out=scaled if scaled.ndim else None).astype(int)
 
 
 @dataclass(frozen=True)
@@ -32,8 +68,7 @@ class BinGrid1D:
     bins: int
 
     def __post_init__(self):
-        if self.bins < 1 or not self.lo < self.hi:
-            raise ValueError("need bins >= 1 and lo < hi")
+        object.__setattr__(self, "_axis", _Axis(self.lo, self.hi, self.bins))
 
     @property
     def size(self):
@@ -46,10 +81,7 @@ class BinGrid1D:
     def index(self, x):
         """Bin of each finite point of x (a float or an array), points out
         of range clamped to the end bins."""
-        scaled = np.subtract(x, self.lo, dtype=float)
-        scaled /= self.hi - self.lo
-        scaled *= self.bins
-        return _bins(scaled, self.bins)
+        return self._axis.index(x)
 
     def describe(self):
         return {"kind": "1d", "lo": self.lo, "hi": self.hi, "bins": self.bins}
@@ -65,10 +97,9 @@ class BinGrid2D:
     fiber_bins: int
 
     def __post_init__(self):
-        if self.base_bins < 1 or self.fiber_bins < 1:
-            raise ValueError("need at least one bin per axis")
-        if not self.fiber_lo < self.fiber_hi:
-            raise ValueError("need fiber_lo < fiber_hi")
+        object.__setattr__(self, "_theta", _Axis(0.0, 1.0, self.base_bins))
+        object.__setattr__(self, "_fiber", _Axis(self.fiber_lo, self.fiber_hi,
+                                                 self.fiber_bins))
 
     @property
     def size(self):
@@ -78,14 +109,9 @@ class BinGrid2D:
         """Row-major bin of each finite point (theta, x), floats or arrays:
         theta taken mod 1, x out of range clamped to the end fiber bins."""
         theta, x = state
-        t = wrap(np.asarray(theta, dtype=float))
-        t *= self.base_bins
-        idx = _bins(t, self.base_bins)
+        idx = self._theta.index(wrap(np.asarray(theta, dtype=float)))
         idx *= self.fiber_bins
-        u = np.subtract(x, self.fiber_lo, dtype=float)
-        u /= self.fiber_hi - self.fiber_lo
-        u *= self.fiber_bins
-        idx += _bins(u, self.fiber_bins)
+        idx += self._fiber.index(x)
         return idx
 
     def describe(self):

@@ -376,6 +376,77 @@ class TestBlockBinning:
             assert grid2.index((np.array([0.5]), np.array([big]))).tolist() \
                 == [row + end2]
 
+    # power-of-two widths 2^-6 .. 2^7 with lo = 0 and lo != 0, widths that
+    # are not powers of two, and 2-d grids whose fiber width is a power of
+    # two, each with 1 .. 12345 bins
+    EXACT_GRIDS = (
+        [BinGrid1D(lo, lo + 2.0**k, bins)
+         for k in (-6, -1, 0, 3, 7) for lo in (0.0, -0.5, 0.3, -3.25)
+         for bins in (1, 7, 64, 12345)]
+        + [BinGrid1D(0.1, 0.7, 100), BinGrid1D(-1.8784, 1.8784, 128),
+           BinGrid1D(0.0, 3.0, 12345),
+           BinGrid2D(16, -1.0, 1.0, 64), BinGrid2D(24, 0.0, 4.0, 5),
+           BinGrid2D(3, 0.25, 0.25 + 2.0**-6, 12345),
+           BinGrid2D(8, -1.8784, 1.8784, 100)])
+
+    @staticmethod
+    def _probe_points(lo, hi, bins):
+        """Every bin edge and 1 to 3 ulps either side, +-0.0, subnormals
+        and uniform points over the range and a width beyond it."""
+        edges = np.linspace(lo, hi, bins + 1)
+        near = [edges]
+        for toward in (-np.inf, np.inf):
+            x = edges
+            for _ in range(3):
+                x = np.nextafter(x, toward)
+                near.append(x)
+        tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                         2.2250738585072014e-308])
+        width = hi - lo
+        spread = make_generator(bins).uniform(lo - width, hi + width, 2000)
+        return np.concatenate(near + [tiny, lo + tiny, spread])
+
+    @pytest.mark.parametrize("grid", EXACT_GRIDS, ids=repr)
+    def test_index_bins_match_divide_formula(self, grid):
+        if isinstance(grid, BinGrid1D):
+            xs = self._probe_points(grid.lo, grid.hi, grid.bins)
+            assert np.array_equal(grid.index(xs), _per_step_index(grid, xs))
+            for x in xs[::97]:
+                assert grid.index(float(x)) == _per_step_index(grid, x)
+            huge = grid.index(np.array([-1e300, 1e300]))
+            assert huge.tolist() == [0, grid.bins - 1]
+            return
+        xs = self._probe_points(grid.fiber_lo, grid.fiber_hi, grid.fiber_bins)
+        thetas = self._probe_points(0.0, 1.0, grid.base_bins)
+        theta = np.resize(thetas, xs.size)
+        state = (theta, xs)
+        assert np.array_equal(grid.index(state), _per_step_index(grid, state))
+        for t, x in zip(theta[::97], xs[::97]):
+            assert grid.index((float(t), float(x))) == \
+                _per_step_index(grid, (t, x))
+        huge = grid.index((np.array([0.0, 0.0]), np.array([-1e300, 1e300])))
+        assert huge.tolist() == [0, grid.fiber_bins - 1]
+
+    def test_only_power_of_two_widths_multiply(self, viana):
+        def scale(lo, hi, bins=10):
+            return BinGrid1D(lo, hi, bins)._axis.scale
+        # widths 2^-6, 2, 2^7 and 2^1000
+        assert scale(0.0, 2.0**-6) == 640.0
+        assert scale(-0.5, 1.5) == 5.0
+        assert scale(-3.25, 124.75) == 10.0 / 128
+        assert scale(0.0, 2.0**1000) == 10.0 * 2.0**-1000
+        assert scale(0.0, 1.0, 256) == 256.0
+        # not a power of two, a subnormal width, or an infinite scale
+        for lo, hi in ((0.0, 0.6), (0.0, 3.0), (-1.8784, 1.8784),
+                       (0.0, 1.0 + 2.0**-52), (0.0, np.nextafter(1.0, 0.0)),
+                       (0.0, 5e-324), (0.0, 2.0**-1030)):
+            assert scale(lo, hi) is None, (lo, hi)
+        assert scale(0.0, 2.0**-1022, 2**60) is None
+        grid = resolve_grid(viana)
+        assert grid._theta.scale == float(grid.base_bins)
+        assert grid._fiber.scale is None
+        assert BinGrid2D(16, -1.0, 1.0, 64)._fiber.scale == 32.0
+
     def test_index_wraps_theta_like_remainder(self, viana):
         # theta outside [0, 1): negative values, 1.0 and the integers, where
         # the old np.remainder wrap and floor-subtract must agree
@@ -394,6 +465,33 @@ class TestBlockBinning:
         assert np.array_equal(grid.index((theta[None], x[None])), old[None])
         for th, xv, want in zip(theta[-12:], x[-12:], old[-12:]):
             assert grid.index((float(th), float(xv))) == want
+
+
+class TestBinGridValidation:
+    @pytest.mark.parametrize("kind, args", [
+        (BinGrid1D, (-math.inf, 1.0, 4)),
+        (BinGrid1D, (0.0, math.inf, 4)),
+        (BinGrid1D, (math.nan, 1.0, 4)),
+        (BinGrid1D, (-1e308, 1e308, 4)),      # hi - lo overflows
+        (BinGrid1D, (0.0, 1.0, 2.5)),
+        (BinGrid1D, (0.0, 1.0, 4.0)),
+        (BinGrid1D, (0.0, 1.0, 0)),
+        (BinGrid1D, (1.0, 1.0, 4)),
+        (BinGrid2D, (4.5, -1.0, 1.0, 4)),
+        (BinGrid2D, (4, -1.0, 1.0, 2.5)),
+        (BinGrid2D, (0, -1.0, 1.0, 4)),
+        (BinGrid2D, (4, -math.inf, 1.0, 4)),
+        (BinGrid2D, (4, -1e308, 1e308, 4)),
+        (BinGrid2D, (4, 1.0, -1.0, 4)),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+    def test_rejects_bounds_and_counts_that_bin_wrongly(self, kind, args):
+        with pytest.raises(ValueError):
+            kind(*args)
+
+    def test_accepts_integral_counts_and_finite_bounds(self):
+        grid = BinGrid1D(0, 1, np.int64(4))
+        assert grid.index([0.1, 0.9]).tolist() == [0, 3]
+        assert BinGrid2D(np.int32(4), -1e307, 1e307, 4).size == 16
 
 
 class TestClusterCount:

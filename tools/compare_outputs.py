@@ -35,15 +35,22 @@ def source_dir(path):
     return path / "src" if (path / "src" / "fiberdyn").is_dir() else path
 
 
-def run_cli(src, argv):
-    """Exit code, {file name: sha256} of the data files and the manifest's
-    {"status", "error"} (None where absent) of one run."""
+def child_env(src):
+    """Environment of a fresh interpreter that imports fiberdyn from src
+    and runs one native thread."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.update((var, "1") for var in ("OMP_NUM_THREADS",
                                       "OPENBLAS_NUM_THREADS",
                                       "MKL_NUM_THREADS"))
+    return env
+
+
+def run_cli(src, argv):
+    """Exit code, {file name: sha256} of the data files and the manifest's
+    {"status", "error"} (None where absent) of one run."""
     proc = subprocess.run([sys.executable, "-m", "fiberdyn.experiments.cli",
-                           *argv], env=env, capture_output=True, timeout=600)
+                           *argv], env=child_env(src), capture_output=True,
+                          timeout=600)
     out = Path(argv[argv.index("--out") + 1])
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(out.glob("*")) if p.name != "manifest.json"}
