@@ -25,24 +25,29 @@ class _Axis:
 
     A point's bin is (x - lo) / (hi - lo) * bins, clipped on the float to
     [0, bins - 1] (in place for arrays) and then truncated to int, so that
-    points out of range, +-1e300 too, land in the end bins.  When the width
-    hi - lo is a normal power of two and bins / width is finite, dividing
-    by the width is exact, so one multiply by that scale gives the same
-    bins; when lo is also 0.0, x - lo is x bit for bit (-0.0 too) and the
-    subtract goes.  Any other width keeps the divide: a multiply by a
-    rounded reciprocal would move points across bin edges.
+    points out of range, +-1e300 too, land in the end bins.  When lo is 0.0
+    and the width is a normal power of two with bins / width finite, x - lo
+    is x bit for bit (-0.0 too) and dividing by the width is exact, so one
+    multiply by that scale gives the same bins.  Every other axis keeps the
+    subtract and the divide: a multiply by a rounded reciprocal would move
+    points across bin edges.
     """
 
     def __init__(self, lo, hi, bins):
         if not isinstance(bins, numbers.Integral) or bins < 1:
             raise ValueError(f"need an integral bin count >= 1, got {bins!r}")
-        width = hi - lo
-        if not (lo < hi and math.isfinite(width)):
+        try:
+            width = hi - lo
+            finite = (math.isfinite(lo) and math.isfinite(hi)
+                      and math.isfinite(width))
+        except OverflowError:       # int bounds past the float range
+            finite = False
+        if not (finite and lo < hi):
             raise ValueError(f"need finite bounds lo < hi with a finite "
                              f"width, got {lo!r} and {hi!r}")
         self.lo, self.width, self.bins = lo, width, bins
         scale = bins / width
-        exact = (math.frexp(width)[0] == 0.5
+        exact = (lo == 0.0 and math.frexp(width)[0] == 0.5
                  and width >= sys.float_info.min and math.isfinite(scale))
         self.scale = scale if exact else None
 
@@ -52,11 +57,8 @@ class _Axis:
             scaled = np.subtract(x, self.lo, dtype=float)
             scaled /= self.width
             scaled *= self.bins
-        elif self.lo == 0.0:
-            scaled = np.multiply(x, self.scale, dtype=float)
         else:
-            scaled = np.subtract(x, self.lo, dtype=float)
-            scaled *= self.scale
+            scaled = np.multiply(x, self.scale, dtype=float)
         return scaled.clip(0.0, self.bins - 1.0,
                            out=scaled if scaled.ndim else None).astype(int)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import reprlib
 import tracemalloc
 
 import numpy as np
@@ -427,25 +428,27 @@ class TestBlockBinning:
         huge = grid.index((np.array([0.0, 0.0]), np.array([-1e300, 1e300])))
         assert huge.tolist() == [0, grid.fiber_bins - 1]
 
-    def test_only_power_of_two_widths_multiply(self, viana):
+    def test_only_power_of_two_widths_from_zero_multiply(self, viana):
         def scale(lo, hi, bins=10):
             return BinGrid1D(lo, hi, bins)._axis.scale
-        # widths 2^-6, 2, 2^7 and 2^1000
+        # widths 2^-6, 2^7 and 2^1000 from lo = 0
         assert scale(0.0, 2.0**-6) == 640.0
-        assert scale(-0.5, 1.5) == 5.0
-        assert scale(-3.25, 124.75) == 10.0 / 128
+        assert scale(0.0, 2.0**7) == 10.0 / 128
         assert scale(0.0, 2.0**1000) == 10.0 * 2.0**-1000
         assert scale(0.0, 1.0, 256) == 256.0
-        # not a power of two, a subnormal width, or an infinite scale
-        for lo, hi in ((0.0, 0.6), (0.0, 3.0), (-1.8784, 1.8784),
-                       (0.0, 1.0 + 2.0**-52), (0.0, np.nextafter(1.0, 0.0)),
+        # lo != 0, not a power of two, a subnormal width, or an infinite
+        # scale
+        for lo, hi in ((-0.5, 1.5), (-3.25, 124.75), (0.0, 0.6), (0.0, 3.0),
+                       (-1.8784, 1.8784), (0.0, 1.0 + 2.0**-52),
+                       (0.0, np.nextafter(1.0, 0.0)),
                        (0.0, 5e-324), (0.0, 2.0**-1030)):
             assert scale(lo, hi) is None, (lo, hi)
         assert scale(0.0, 2.0**-1022, 2**60) is None
         grid = resolve_grid(viana)
         assert grid._theta.scale == float(grid.base_bins)
         assert grid._fiber.scale is None
-        assert BinGrid2D(16, -1.0, 1.0, 64)._fiber.scale == 32.0
+        assert BinGrid2D(16, -1.0, 1.0, 64)._fiber.scale is None
+        assert BinGrid2D(24, 0.0, 4.0, 5)._fiber.scale == 1.25
 
     def test_index_wraps_theta_like_remainder(self, viana):
         # theta outside [0, 1): negative values, 1.0 and the integers, where
@@ -473,6 +476,8 @@ class TestBinGridValidation:
         (BinGrid1D, (0.0, math.inf, 4)),
         (BinGrid1D, (math.nan, 1.0, 4)),
         (BinGrid1D, (-1e308, 1e308, 4)),      # hi - lo overflows
+        (BinGrid1D, (0, 10**400, 4)),         # int bounds past the floats
+        (BinGrid1D, (10**400, 10**400 + 1, 4)),
         (BinGrid1D, (0.0, 1.0, 2.5)),
         (BinGrid1D, (0.0, 1.0, 4.0)),
         (BinGrid1D, (0.0, 1.0, 0)),
@@ -482,8 +487,9 @@ class TestBinGridValidation:
         (BinGrid2D, (0, -1.0, 1.0, 4)),
         (BinGrid2D, (4, -math.inf, 1.0, 4)),
         (BinGrid2D, (4, -1e308, 1e308, 4)),
+        (BinGrid2D, (4, -10**400, 0, 4)),
         (BinGrid2D, (4, 1.0, -1.0, 4)),
-    ], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else reprlib.repr(v))
     def test_rejects_bounds_and_counts_that_bin_wrongly(self, kind, args):
         with pytest.raises(ValueError):
             kind(*args)

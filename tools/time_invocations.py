@@ -14,8 +14,9 @@ one untimed pass, so that lazy imports and the heap settle, then one
 timed pass.  Per invocation it records the process CPU time and the
 minor page faults (``ru_minflt``) of the call.  The table gives each
 invocation's best CPU time and median fault count over the rounds, and
-the sum of the best times.  Outputs are not checked; an exit code other
-than the expected one is an error.
+the sum of the best times.  The program seeds derive from workload
+seed 1.  Outputs are not checked; an exit code other than the expected
+one is an error.
 """
 
 import argparse
@@ -37,7 +38,7 @@ sys.path.insert(0, sys.argv[1])
 from workloads import WORKLOADS, argv_for, invocation_seeds
 from fiberdyn.experiments import cli
 invocations = WORKLOADS[sys.argv[2]]
-seeds = invocation_seeds(int(sys.argv[3]), len(invocations))
+seeds = invocation_seeds(1, len(invocations))
 rows = []
 with tempfile.TemporaryDirectory() as tmp:
     for timed in (False, True):
@@ -62,18 +63,18 @@ print(json.dumps(rows))
 """
 
 
-def run_tree(src, workload, seed):
+def run_tree(src, workload):
     """[(invocation index, exit code, CPU seconds, minor faults)] of one
     timed pass in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", CHILD_CODE, str(PERFBENCH),
-                           workload, str(seed)], env=child_env(src),
+                           workload], env=child_env(src),
                           capture_output=True, text=True, timeout=1200)
     if proc.returncode != 0:
         raise SystemExit(f"{src}: {proc.stderr.strip()[-500:]}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def time_trees(trees, workload, seed, rounds):
+def time_trees(trees, workload, rounds):
     """Per tree, {invocation index: ([CPU seconds], [minor faults])}."""
     invocations = WORKLOADS[workload]
     samples = [{} for _ in trees]
@@ -81,7 +82,7 @@ def time_trees(trees, workload, seed, rounds):
     for r in range(rounds):
         for k in (order if r % 2 == 0 else order[::-1]):
             tree = trees[k]
-            for i, code, cpu, faults in run_tree(tree, workload, seed):
+            for i, code, cpu, faults in run_tree(tree, workload):
                 if code != invocations[i].expect_exit:
                     raise SystemExit(f"{tree}: invocation {i} "
                                      f"({' '.join(invocations[i].argv)}) "
@@ -121,15 +122,13 @@ def main(argv=None):
     p.add_argument("trees", nargs="+", metavar="SRC",
                    help="one or two source trees (A, then B)")
     p.add_argument("--rounds", type=int, default=6)
-    p.add_argument("--seed", type=int, default=1,
-                   help="workload seed the program seeds derive from")
     args = p.parse_args(argv)
     if len(args.trees) > 2 or args.rounds < 1:
         p.error("need one or two source trees and --rounds >= 1")
     trees = [source_dir(t) for t in args.trees]
     for name, tree in zip("AB", trees):
         print(f"{name}: {tree}")
-    samples = time_trees(trees, args.workload, args.seed, args.rounds)
+    samples = time_trees(trees, args.workload, args.rounds)
     for line in table(samples, args.workload):
         print(line)
     return 0
