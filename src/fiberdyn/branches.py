@@ -13,7 +13,9 @@ Markov inducing times) go through `bisect_preimages`, the elementwise
 replica of `bisect_preimage`: every lane keeps the scalar stopping rule
 and best-residual choice, so it equals the scalar call bit for bit.  Each
 lane has its own depth, and a bisection step applies map s once, to the
-live lanes deeper than s.
+live lanes deeper than s.  A lane loop costs about the same at any narrow
+width, so a call with fewer than SCALAR_LANES open lanes runs them through
+`bisect_preimage` one by one.
 The array loops that follow many branch images at once (the branch-size
 statistics and the Markov inducing walk) take their steps with one rule,
 `image_step`, which maps the cut ends and the orbit points by separate
@@ -33,6 +35,10 @@ PULLBACK_VALUE_TOL = 1e-13
 CENSUS_GUARD = 1e-9
 # Lanes solved together by bisect_preimages; bounds the working arrays.
 LANE_BATCH = 2048
+# Fewer open lanes than this go through bisect_preimage one by one: a lane
+# loop costs about the same at any width this narrow, and the scalar rule
+# catches up with it at 32-48 lanes (logistic and two-well, depths 1-6).
+SCALAR_LANES = 40
 
 
 def compose_maps(maps, x):
@@ -52,17 +58,22 @@ def compose_lanes(maps, xs, depths=None):
 
 
 def _compose_ascending(maps, xs, depths):
-    """A float copy of xs, lane i composed through maps[:depths[i]] (all
-    maps if None): depths ascend, so map s applies to one suffix of lanes."""
-    xs = np.array(xs, dtype=float)
+    """A new float array: lane i of xs composed through maps[:depths[i]]
+    (all maps if None).  Depths ascend, so map s applies to one suffix of
+    lanes.  xs is copied up front only for a depth-0 lane or no maps, and
+    a map result that is its argument (or a view) is copied."""
+    xs = np.asarray(xs, dtype=float)
     starts = [0] * len(maps)
     if depths is not None and depths.size and depths[0] < len(maps):
         starts = np.searchsorted(depths, np.arange(len(maps)), "right")
+    if not maps or starts[0]:
+        xs = xs.copy()
     for m, start in zip(maps, starts):
         if start:
             xs[..., start:] = m.evaluator(xs[..., start:])
         else:                   # all lanes: a new array, no copy back
-            xs = np.asarray(m.evaluator(xs), dtype=float)
+            fx = np.asarray(m.evaluator(xs), dtype=float)
+            xs = fx.copy() if fx is xs or fx.base is not None else fx
     return xs
 
 
@@ -118,14 +129,21 @@ def bisect_preimages(maps, targets, los, his, value_tol=PULLBACK_VALUE_TOL,
     and the bracket update), so lane i equals ``bisect_preimage(
     maps[:depths[i]], targets[i], los[i], his[i])`` bit for bit (depths
     default to len(maps)).  A depth-0 lane returns its target, a one-float
-    lane (lo == hi) its lo.  The other lanes run in depth order, LANE_BATCH
-    at a time, and a step applies map s once, to the lanes deeper than s.
+    lane (lo == hi) its lo.  Fewer than SCALAR_LANES other lanes go through
+    bisect_preimage one by one; more run in depth order, LANE_BATCH at a
+    time, and a step applies map s once, to the lanes deeper than s.
     """
     targets, los, his, depths = (np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (targets, los, his)),
         len(maps) if depths is None else depths))
     out = np.where(depths > 0, los, targets)
     open_lanes = np.flatnonzero((los != his) & (depths > 0))
+    if open_lanes.size < SCALAR_LANES:
+        for i, t, lo, hi, d in zip(open_lanes.tolist(),
+                                   *(v[open_lanes].tolist()
+                                     for v in (targets, los, his, depths))):
+            out[i] = bisect_preimage(maps[:d], t, lo, hi, value_tol)
+        return out
     open_lanes = open_lanes[np.argsort(depths[open_lanes], kind="stable")]
     for s in range(0, open_lanes.size, LANE_BATCH):
         part = open_lanes[s:s + LANE_BATCH]
@@ -141,18 +159,21 @@ def _bisect_lanes(maps, target, lo, hi, depth, value_tol):
     r_lo, r_hi = np.abs(flo - target), np.abs(fhi - target)
     take = r_hi < r_lo
     t, r_best = np.where(take, hi, lo), np.where(take, r_hi, r_lo)
-    # a lane that stops (residual or float exhaustion) writes out and drops
+    # a lane that stops (residual or float exhaustion) writes out and drops;
+    # a NaN r_best stops it at once, where the scalar rule would go on, but
+    # with the same t: no residual is < NaN (value_tol must not be NaN)
     out, lane = np.empty_like(t), np.arange(t.size)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        stop = (r_best <= value_tol) | ~((lo < mid) & (mid < hi))
-        if stop.any():
-            out[lane[stop]] = t[stop]
+        go = (lo < mid) & (mid < hi) & (r_best > value_tol)
+        if not go.all():
+            out[lane] = t
+            keep = np.flatnonzero(go)
+            if not keep.size:
+                return out
             lane, lo, hi, mid, target, increasing, t, r_best, depth = (
-                v[~stop] for v in (lane, lo, hi, mid, target, increasing, t,
-                                   r_best, depth))
-        if not lane.size:
-            break
+                v.take(keep) for v in (lane, lo, hi, mid, target, increasing,
+                                       t, r_best, depth))
         fm = _compose_ascending(maps, mid, depth)
         r = np.abs(fm - target)
         better = r < r_best

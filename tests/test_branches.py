@@ -301,6 +301,25 @@ class TestCensus:
 # batched pullback: lane-by-lane equality with the scalar primitives
 # ---------------------------------------------------------------------------
 
+@pytest.fixture
+def lane_loops(monkeypatch):
+    """The lane count of every _bisect_lanes call."""
+    runs = []
+    inner = branches._bisect_lanes
+
+    def spy(maps, target, *rest):
+        runs.append(target.size)
+        return inner(maps, target, *rest)
+    monkeypatch.setattr(branches, "_bisect_lanes", spy)
+    return runs
+
+
+@pytest.fixture
+def no_scalar_cut(monkeypatch):
+    """Send every open lane through the lane loop, however few."""
+    monkeypatch.setattr(branches, "SCALAR_LANES", 0)
+
+
 PULLBACK_SYSTEMS = {
     "logistic": lambda: constant_sequence(logistic_map()),
     "twowell": lambda: constant_sequence(twowell_map()),
@@ -333,8 +352,8 @@ class TestBatchedPullback:
                 for t, lo, hi in zip(targets, los, his)]
         assert got.tolist() == want
 
-    def test_bisect_preimages_broadcasts_and_handles_no_maps(self,
-                                                             logistic_seq):
+    def test_bisect_preimages_broadcasts_and_handles_no_maps(
+            self, logistic_seq, no_scalar_cut):
         assert bisect_preimages([], [0.3, 0.7], 0.0, 1.0).tolist() == \
             [0.3, 0.7]
         maps = [logistic_seq.map_at(0)] * 2
@@ -343,7 +362,8 @@ class TestBatchedPullback:
                                 for t in (0.3, 0.7)]
         assert bisect_preimages(maps, [], [], []).size == 0
 
-    def test_bisect_preimages_residual_equal_to_tolerance(self):
+    def test_bisect_preimages_residual_equal_to_tolerance(self,
+                                                          no_scalar_cut):
         # dyadic values make residuals hit value_tol exactly: 0.875 stops
         # before the loop (at hi), 0.625 at the first midpoint
         maps = [identity_map()]
@@ -408,15 +428,31 @@ class TestPerLaneDepths:
         assert compose_lanes(maps, xs).tolist() == \
             compose_lanes(maps, xs, depths=np.full(60, 5)).tolist()
 
-    def test_census_pulls_back_once_a_level(self, logistic_seq, monkeypatch):
-        # partition levels 2-8 take one loop each (level 1 pulls back
-        # through no map), and the crossings of all 8 depths one more
-        runs = []
-        inner = branches._bisect_lanes
-        monkeypatch.setattr(branches, "_bisect_lanes",
-                            lambda *a: runs.append(a) or inner(*a))
+    def test_compose_ascending_never_writes_its_argument(self, twowell):
+        # a first map that returns its argument (or a view of it), then a
+        # suffix write; a depth-0 lane; no maps: the result is a new array
+        same = SimpleNamespace(evaluator=lambda x: x)
+        view = SimpleNamespace(evaluator=lambda x: x[...])
+        xs = np.array([0.1, 0.2, 0.3])
+        fx = twowell.evaluator(xs)
+        for maps, depths, want in (
+                ([same, twowell], [1, 2, 2], [xs[0], fx[1], fx[2]]),
+                ([view, twowell], [1, 2, 2], [xs[0], fx[1], fx[2]]),
+                ([twowell], [0, 1, 1], [xs[0], fx[1], fx[2]]),
+                ([same], None, xs), ([], None, xs),
+                ([twowell], None, fx)):
+            got = branches._compose_ascending(
+                maps, xs, None if depths is None else np.array(depths))
+            assert got.tolist() == list(want)
+            assert xs.tolist() == [0.1, 0.2, 0.3]
+            assert not np.shares_memory(got, xs)
+
+    def test_census_pulls_back_once_a_level(self, logistic_seq, lane_loops):
+        # partition levels 2-8 take at most one loop each (level 1 pulls
+        # back through no map, a level with fewer than SCALAR_LANES open
+        # lanes none), and the crossings of all 8 depths one more
         component_census(logistic_seq, 8, 0.1)
-        assert len(runs) <= 8
+        assert len(lane_loops) <= 8
 
 
 class TestImageStep:
@@ -513,7 +549,7 @@ class TestOneFloatBracket:
                                 [0.3, 0.9]).tolist() == [0.3, 0.9]
         assert points == []
 
-    def test_mixed_batch_matches_scalar(self, logistic_seq):
+    def test_mixed_batch_matches_scalar(self, logistic_seq, no_scalar_cut):
         maps, points = self._counted(logistic_seq, 4)
         rng = make_generator(9)
         los = rng.uniform(0.0, 1.0, 40)
@@ -542,3 +578,67 @@ class TestOneFloatBracket:
         assert bisect_preimage([], 0.7, 0.3, 0.3) == 0.7
         assert bisect_preimages([], [0.7, 0.1], [0.3, 0.5],
                                 [0.3, 0.6]).tolist() == [0.7, 0.1]
+
+
+class TestScalarCut:
+    """Fewer open lanes than SCALAR_LANES take the scalar rule, lane by lane;
+    the cut itself makes one lane loop."""
+
+    def test_lanes_under_the_cut_make_no_lane_loop(self, logistic_seq,
+                                                   lane_loops):
+        maps = [logistic_seq.map_at(j) for j in range(3)]
+        n = branches.SCALAR_LANES
+        los = np.linspace(0.01, 0.4, n)
+        his, targets = los + 0.05, np.full(n, 0.3)
+        # one open lane short of the cut; collapsed lanes are not open
+        got = bisect_preimages(maps, np.append(targets[1:], 0.3),
+                               np.append(los[1:], 0.5),
+                               np.append(his[1:], 0.5))
+        assert lane_loops == []
+        assert got.tolist() == [bisect_preimage(maps, 0.3, lo, hi) for lo, hi
+                                in zip(los[1:].tolist(), his[1:].tolist())
+                                ] + [0.5]
+        bisect_preimages(maps, targets, los, his)
+        assert lane_loops == [n]
+
+
+def nan_below(c):
+    """x -> x on [0, 1], NaN below c: residuals are NaN on part of the
+    domain."""
+    return SimpleNamespace(
+        evaluator=lambda x: np.where(np.less(x, c), np.nan, x))
+
+
+class TestStopMask:
+    """Lanes that stop early (a NaN residual from the start, a NaN target, a
+    reversed bracket, a signed-zero end) equal the scalar rule, both in a
+    lane loop and under the scalar cut."""
+
+    NAN = float("nan")
+    # (lo, hi, target)
+    CASES = [(0.1, 0.4, 0.5),      # lo in the NaN part of nan_below(0.25)
+             (0.1, 0.2, 0.5),      # both ends there
+             (0.3, 0.45, 0.8),
+             (0.3, 0.45, NAN),     # NaN target
+             (0.1, 0.4, NAN),
+             (0.4, 0.3, 0.8),      # reversed
+             (0.3, 0.1, 0.5),
+             (-0.0, 0.3, 0.5),     # signed zeros
+             (0.3, -0.0, 0.5),
+             (0.0, -0.0, 0.5),     # collapsed: returns lo, sign and all
+             (-0.0, 0.0, 0.5)]
+
+    @pytest.mark.parametrize("first", ["logistic", "nan below 0.25"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    def test_matches_scalar(self, logistic, first, wide, lane_loops):
+        maps = [logistic if first == "logistic" else nan_below(0.25),
+                logistic]
+        copies = 4 * branches.SCALAR_LANES if wide else 1
+        los, his, targets = (np.tile(v, copies) for v in zip(*self.CASES))
+        got = bisect_preimages(maps, targets, los, his)
+        want = np.array([bisect_preimage(maps, t, lo, hi) for lo, hi, t
+                         in zip(los.tolist(), his.tolist(),
+                                targets.tolist())])
+        assert got.tobytes() == want.tobytes()
+        assert bool(lane_loops) == wide
+        assert np.signbit(got[10::len(self.CASES)]).all()
