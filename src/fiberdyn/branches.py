@@ -7,9 +7,10 @@ cut is pulled back to a domain endpoint by monotone bisection run to float
 exhaustion (residual well below the 1e-12 pullback tolerance), so each
 endpoint carries a checkable certificate (step, critical value).
 
-Pullbacks with many independent solves (the cells of a partition level,
-the threshold crossings of every depth of a census, the branches behind
-Markov inducing times) go through `bisect_preimages`, the elementwise
+Pullbacks with independent solves (the cells of a partition level, the
+threshold crossings of every depth of a census, the branches behind Markov
+inducing times, the endpoint preimages of a Markov partition refinement
+and the probe's trims) go through `bisect_preimages`, the elementwise
 replica of `bisect_preimage`: every lane keeps the scalar stopping rule
 and best-residual choice, so it equals the scalar call bit for bit.  Each
 lane has its own depth, and a bisection step applies map s once, to the
@@ -160,12 +161,12 @@ def _bisect_lanes(maps, target, lo, hi, depth, value_tol):
     take = r_hi < r_lo
     t, r_best = np.where(take, hi, lo), np.where(take, r_hi, r_lo)
     # a lane that stops (residual or float exhaustion) writes out and drops;
-    # a NaN r_best stops it at once, where the scalar rule would go on, but
-    # with the same t: no residual is < NaN (value_tol must not be NaN)
+    # as in the scalar rule, only r_best <= value_tol stops by residual, so
+    # a NaN residual or tolerance goes on (bool a > b is a and not b)
     out, lane = np.empty_like(t), np.arange(t.size)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        go = (lo < mid) & (mid < hi) & (r_best > value_tol)
+        go = ((lo < mid) & (mid < hi)) > (r_best <= value_tol)
         if not go.all():
             out[lane] = t
             keep = np.flatnonzero(go)
@@ -232,31 +233,28 @@ def track_branch(seq, x, n):
     maps = []
     for j in range(n):
         m = seq.map_at(j)
+        # one pass: the HitCritical test and the nearest cut on each side
+        cut_lo = cut_hi = None
         for c in m.critical_points:
             if abs(y - c) <= HIT_TOL:
                 raise HitCritical(j)
-        cut_lo = cut_hi = None
-        for c in m.critical_points:
             if a < c < y and (cut_lo is None or c > cut_lo):
                 cut_lo = c
             if y < c < b and (cut_hi is None or c < cut_hi):
                 cut_hi = c
-        if cut_lo is not None:
-            if lo_to_lo:
-                t_lo = bisect_preimage(maps, cut_lo, t_lo, x)
-                lo_cut = EndpointCut(j, cut_lo)
+        for cut, below in ((cut_lo, True), (cut_hi, False)):
+            if cut is None:
+                continue
+            # a cut below y moves the endpoint that maps to a, one above y
+            # the endpoint that maps to b; lo_to_lo says which is t_lo
+            if below == lo_to_lo:
+                t_lo = bisect_preimage(maps, cut, t_lo, x)
+                lo_cut = EndpointCut(j, cut)
             else:
-                t_hi = bisect_preimage(maps, cut_lo, x, t_hi)
-                hi_cut = EndpointCut(j, cut_lo)
-            a = cut_lo
-        if cut_hi is not None:
-            if lo_to_lo:
-                t_hi = bisect_preimage(maps, cut_hi, x, t_hi)
-                hi_cut = EndpointCut(j, cut_hi)
-            else:
-                t_lo = bisect_preimage(maps, cut_hi, t_lo, x)
-                lo_cut = EndpointCut(j, cut_hi)
-            b = cut_hi
+                t_hi = bisect_preimage(maps, cut, x, t_hi)
+                hi_cut = EndpointCut(j, cut)
+        a = a if cut_lo is None else cut_lo
+        b = b if cut_hi is None else cut_hi
         fa = float(m.evaluator(a))
         fb = float(m.evaluator(b))
         y = float(m.evaluator(y))

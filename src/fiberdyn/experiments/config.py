@@ -188,12 +188,15 @@ def _coerce(key, value, entry):
     want, _, check, _ = entry
     field_path = f"experiment.{key}"
     if want is float and isinstance(value, int):
-        value = float(value)
+        value = float(value) if _finite(value) else math.inf
     if not isinstance(value, want):
         raise ValidationError(field_path,
                               f"expected {want.__name__}, got {value!r}")
     if want is not str and not _finite(value):
         raise ValidationError(field_path, "expected a finite number")
+    if want is int and not -2**63 <= value < 2**63:
+        raise ValidationError(field_path,
+                              "expected an integer in the signed 64-bit range")
     if check is not None and not check(value):
         raise ValidationError(field_path, f"value {value!r} out of range")
     return value

@@ -91,16 +91,9 @@ def _run_branch(cfg, system, out):
     from ..branches import track_branch
     seq = system.sequence(cfg.param("theta"))
     br = track_branch(seq, _anchor(cfg, seq.domain), cfg.param("n"))
-    payload = {
-        "x": br.x, "n": br.n, "t_lo": br.t_lo, "t_hi": br.t_hi,
-        "img_lo": br.img_lo, "img_hi": br.img_hi,
-        "orientation": br.orientation,
-        "lo_cut": None if br.lo_cut is None else
-            {"level": br.lo_cut.level, "critical": br.lo_cut.critical},
-        "hi_cut": None if br.hi_cut is None else
-            {"level": br.hi_cut.level, "critical": br.hi_cut.critical},
-    }
-    _write_json(out / "branch.json", payload)
+    # r_history goes to its own file
+    _write_json(out / "branch.json", {k: v for k, v in asdict(br).items()
+                                      if k != "r_history"})
     _write_csv(out / "r_history.csv", ["i", "r"],
                [[i + 1, repr(r)] for i, r in enumerate(br.r_history)])
     return ["branch.json", "r_history.csv"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import MonotoneBranch, bisect_preimage, track_branch
+from .branches import MonotoneBranch, bisect_preimages, track_branch
 from .errors import (CapExceeded, DomainCollapsed, InvalidConstants,
                      NotAGraph, NotHyperbolicLike)
 from .maps import SkewProduct, fiber_sequence, log_abs, wrap
@@ -332,12 +332,11 @@ def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
         if r_k < delta_tilde:
             raise NotHyperbolicLike(
                 f"r_{k} = {r_k:.6g} < delta_tilde = {delta_tilde:.6g}")
-        fiber_maps = [seq.map_at(j) for j in range(k)]
-        lo_img = branch.img_lo + 0.5 * delta_tilde
-        hi_img = branch.img_hi - 0.5 * delta_tilde
-        f_lo = bisect_preimage(fiber_maps, lo_img, branch.t_lo, branch.t_hi)
-        f_hi = bisect_preimage(fiber_maps, hi_img, branch.t_lo, branch.t_hi)
-        f_lo, f_hi = min(f_lo, f_hi), max(f_lo, f_hi)
+        trims = bisect_preimages([seq.map_at(j) for j in range(k)],
+                                 [branch.img_lo + 0.5 * delta_tilde,
+                                  branch.img_hi - 0.5 * delta_tilde],
+                                 branch.t_lo, branch.t_hi).tolist()
+        f_lo, f_hi = min(trims), max(trims)
         y_center = float(seq.compose(x, k))
     else:
         r_k = math.inf
@@ -387,11 +386,9 @@ def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
     seg2 = eu * eu + ev * ev
     t = np.clip(np.where(seg2 > 0, -(au * eu + av * ev) / np.where(seg2 > 0, seg2, 1.0), 0.0), 0.0, 1.0)
     delta1_hat = float(np.min(np.hypot(au + t * eu, av + t * ev)))
-    angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    radius = 0.99 * delta1_hat
-    covers = bool(_inside_polygon([radius * math.cos(a) for a in angles],
-                                  [radius * math.sin(a) for a in angles],
-                                  poly_u, poly_v).all())
+    # the ball of radius 0.99 delta1_hat around the origin misses the
+    # boundary, so each of its points has the origin's even-odd parity
+    covers = bool(_inside_polygon([0.0], [0.0], poly_u, poly_v)[0])
 
     return ProbeReport(theta, x, int(k), float(delta_tilde), int(grid),
                        injective, K_hat, delta1_hat, covers,

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import (LANE_BATCH, _partition_levels, bisect_preimage,
-                       bisect_preimages, compose_lanes, image_step, min_max,
-                       track_branch)
+from .branches import (LANE_BATCH, _partition_levels, bisect_preimages,
+                       compose_lanes, image_step, min_max, track_branch)
 from .errors import (CapExceeded, ClosureDiverges, DegenerateGap,
                      EscapedDomain, HitCritical, InducingTimeNotFound,
                      NotMonotone)
@@ -85,11 +84,18 @@ def _walk(m: IntervalMap, xs, ks):
     return logs, ys
 
 
+def _nearest_distance(pts, y):
+    """Distance from y to the nearest entry of the sorted float array pts,
+    for a float or elementwise for an array (NaN for a NaN y)."""
+    i = np.searchsorted(pts, y)
+    return np.minimum(np.abs(pts[np.maximum(i - 1, 0)] - y),
+                      np.abs(pts[np.minimum(i, pts.size - 1)] - y))
+
+
 def _endpoint_defects(m: IntervalMap, endpoints):
-    """Distance from f(e) to the endpoint set, for each endpoint e."""
-    pts = np.asarray(endpoints)
-    return [float(np.abs(pts - float(m.evaluator(e))).min())
-            for e in endpoints]
+    """Distance from f(e) to the sorted endpoint set, for each endpoint e."""
+    pts = np.asarray(endpoints, dtype=float)
+    return _nearest_distance(pts, compose_lanes([m], pts)).tolist()
 
 
 @dataclass(frozen=True)
@@ -121,10 +127,7 @@ class MarkovPartition:
 
     def near_endpoint(self, y, tol=1e-12):
         """_near of the endpoints, for a float or elementwise for an array."""
-        pts = np.asarray(self.endpoints)
-        i = np.searchsorted(pts, y)
-        return np.minimum(np.abs(pts[np.maximum(i - 1, 0)] - y),
-                          np.abs(pts[np.minimum(i, pts.size - 1)] - y)) <= tol
+        return _nearest_distance(np.asarray(self.endpoints), y) <= tol
 
 
 def _forward_closure(m: IntervalMap, points):
@@ -145,17 +148,17 @@ def _forward_closure(m: IntervalMap, points):
     return pts
 
 
-def _preimages(m: IntervalMap, value):
-    """All solutions of f(y) = value, one per monotone branch."""
+def _preimages(m: IntervalMap, values):
+    """All solutions of f(y) = v, one per monotone branch whose image holds
+    v, value by value and branch by branch, from one pullback call."""
     dom = m.domain
     knots = [dom.lo, *m.critical_points, dom.hi]
-    out = []
-    for u, v in zip(knots, knots[1:]):
-        fu, fv = float(m.evaluator(u)), float(m.evaluator(v))
-        lo, hi = min(fu, fv), max(fu, fv)
-        if lo <= value <= hi:
-            out.append(bisect_preimage([m], value, u, v))
-    return out
+    f_knots = compose_lanes([m], knots).tolist()
+    laps = [(u, v, min(fu, fv), max(fu, fv)) for u, v, fu, fv
+            in zip(knots, knots[1:], f_knots, f_knots[1:])]
+    lanes = [(value, u, v) for value in values
+             for u, v, lo, hi in laps if lo <= value <= hi]
+    return bisect_preimages([m], *zip(*lanes)).tolist() if lanes else []
 
 
 def build_partition(m: IntervalMap, depth):
@@ -173,10 +176,9 @@ def build_partition(m: IntervalMap, depth):
     pts = _forward_closure(m, base)
     for _ in range(depth):
         new = list(pts)
-        for e in list(pts):
-            for y in _preimages(m, e):
-                if not _near(new, y, 1e-12):
-                    _bisect.insort(new, y)
+        for y in _preimages(m, pts):
+            if not _near(new, y, 1e-12):
+                _bisect.insort(new, y)
         pts = new
     return MarkovPartition.from_endpoints(m, pts)
 
@@ -401,7 +403,7 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
     out = []
     worst_mismatch = 0.0
     min_img = math.inf
-    rng2 = make_generator(seed + 1)
+    rng2 = make_generator((seed + 1) % 2**64)
 
     # inducing times at the constancy samples of all branches, computed
     # LANE_BATCH at a time as the loop below consumes them

@@ -642,3 +642,20 @@ class TestStopMask:
         assert got.tobytes() == want.tobytes()
         assert bool(lane_loops) == wide
         assert np.signbit(got[10::len(self.CASES)]).all()
+
+    @pytest.mark.parametrize("first", ["logistic", "nan below 0.25"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    def test_nan_tolerance_matches_scalar(self, logistic, first, wide,
+                                          lane_loops):
+        # no residual is <= NaN: the scalar rule bisects to exhaustion, and
+        # so must every lane of a lane loop
+        maps = [logistic if first == "logistic" else nan_below(0.25),
+                logistic]
+        copies = 4 * branches.SCALAR_LANES if wide else 1
+        los, his, targets = (np.tile(v, copies) for v in zip(*self.CASES))
+        got = bisect_preimages(maps, targets, los, his, value_tol=self.NAN)
+        want = np.array([bisect_preimage(maps, t, lo, hi, value_tol=self.NAN)
+                         for lo, hi, t in zip(los.tolist(), his.tolist(),
+                                              targets.tolist())])
+        assert got.tobytes() == want.tobytes()
+        assert bool(lane_loops) == wide

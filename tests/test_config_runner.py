@@ -8,6 +8,7 @@ from fiberdyn import (CapExceeded, HitCritical, ParseError, ValidationError,
 from fiberdyn.experiments import (ExperimentConfig, parse_config,
                                   run_experiment, serialize_config)
 from fiberdyn.experiments.cli import main as cli_main
+from fiberdyn.experiments.config import validate_config
 
 MINIMAL = """
 [system]
@@ -127,6 +128,32 @@ class TestParsing:
     def test_invalid_field_is_a_validation_error(self, text, field, message):
         with pytest.raises(ValidationError, match=f"^{field}: {message}"):
             parse_config(text)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("acim", "samples", 10**300), ("components", "probes", 10**300),
+        ("markov", "depth", 10**300), ("probe", "k", 10**300),
+        ("ftle", "n", 10**300), ("census", "cap", 10**300),
+        ("census", "cap", 2**63), ("probe", "k", -2**63 - 1)],
+        ids=lambda v: v if isinstance(v, str) else f"{v:.3g}")
+    def test_int_keys_past_64_bits_are_validation_errors(self, kind, key,
+                                                         value):
+        with pytest.raises(ValidationError, match=f"^experiment.{key}: "
+                           "expected an integer in the signed 64-bit range"):
+            validate_config({"system": {"family": "logistic"},
+                             "experiment": {"kind": kind, key: value}})
+
+    def test_int_keys_at_the_64_bit_bounds_validate(self):
+        cfg = validate_config({"system": {"family": "logistic"},
+                               "experiment": {"kind": "census",
+                                              "cap": 2**63 - 1}})
+        assert cfg.param("cap") == 2**63 - 1
+
+    def test_float_key_int_literal_past_the_float_range(self):
+        huge = "1" + "0" * 400
+        with pytest.raises(ValidationError,
+                           match="^experiment.delta: expected a finite"):
+            parse_config("[system]\nfamily = logistic\n"
+                         f"[experiment]\nkind = census\ndelta = {huge}\n")
 
     def test_int_literal_of_a_float_key_reads_as_float(self):
         cfg = parse_config("[system]\nfamily = logistic\n"
@@ -313,6 +340,13 @@ class TestCli:
                        "--out", str(tmp_path / "h")])
         assert rc == 2
         assert f"{field}: expected a finite number" in capsys.readouterr().err
+
+    def test_int_flag_past_64_bits_is_a_config_error(self, tmp_path, capsys):
+        rc = cli_main(["acim", "--samples", "1" + "0" * 300,
+                       "--out", str(tmp_path / "a")])
+        assert rc == 2
+        assert "experiment.samples: expected an integer in the signed " \
+            "64-bit range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, field", [
         (["--n-values", "5 5"], "experiment.n_values"),

@@ -271,6 +271,13 @@ class TestProbe:
         assert rep.covers_ball
         assert rep.delta1_hat == pytest.approx(rep.rho_prime, rel=1e-9)
 
+    def test_centre_outside_the_box_does_not_cover(self, viana):
+        # x lies below the trimmed fiber interval, so at k = 0 the image
+        # box misses the image of z
+        rep = probe_neighborhood(viana, (0.72, -1.74), 0, 0.3, grid=2)
+        assert -1.74 < rep.fiber_lo
+        assert not rep.covers_ball
+
     @pytest.mark.parametrize("k", [-1, -3])
     def test_negative_iterate_rejected(self, viana, k):
         # k = -1 would run the k = 0 probe and report k = -1

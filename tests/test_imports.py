@@ -98,6 +98,17 @@ def test_one_theta_source():
     assert found == []
 
 
+def test_one_scalar_pullback_caller():
+    # independent pullbacks go through bisect_preimages; only branches.py
+    # (track_branch and the narrow path of bisect_preimages) calls the
+    # scalar rule
+    found = [str(path.relative_to(ROOT))
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "branches.py"
+             and "bisect_preimage(" in path.read_text()]
+    assert found == []
+
+
 def test_one_theta_chain():
     # theta lanes cross a block in SkewProduct.theta_blocks alone: only
     # maps.py names _base_rows, and no module steps a cloud by a block

@@ -232,7 +232,7 @@ class TestInducingOracle:
         # points at and onto the critical points: HitCritical at step 0
         # and 1, unless the partition has them as endpoints
         xs += [*m.critical_points, *(y for c in m.critical_points
-                                     for y in markov._preimages(m, c))]
+                                     for y in markov._preimages(m, [c]))]
         got = list(inducing_times(m, part, xs, N, k_max))
         assert len(got) == len(xs)
         for x, g in zip(xs, got):
@@ -369,6 +369,13 @@ class TestAssemble:
     def test_fault_injection_rejected_at_construction(self, logistic):
         with pytest.raises(ValueError, match="not forward invariant"):
             MarkovPartition.from_endpoints(logistic, (0.0, 0.3, 1.0))
+
+    def test_largest_seed_certifies(self, logistic):
+        # the distortion draws take seed + 1, which wraps to 0 here
+        cert = assemble_markov(logistic, build_partition(logistic, 1),
+                               seeds=50, seed=2**64 - 1,
+                               check_constancy=False)
+        assert cert.coverage > 0.99 and not cert.failures
 
     def test_int_parameter_certifies_as_its_float(self):
         # quadratic_map(2) has the domain (-2, 2); int endpoints would make
@@ -547,6 +554,17 @@ class TestSortedLookups:
         want = [markov._near(pts, v, 1e-12) for v in queries]
         assert part.near_endpoint(np.array(queries)).tolist() == want
         assert [bool(part.near_endpoint(v)) for v in queries] == want
+
+    @pytest.mark.parametrize("make", [logistic_map, twowell_map],
+                             ids=["logistic", "twowell"])
+    def test_endpoint_defects_match_a_full_scan(self, make):
+        # f of each endpoint, one at a time, against every endpoint
+        m = make()
+        rng = make_generator(62)
+        pts = sorted(rng.uniform(0.0, 1.0, 40).tolist() + [0.0, 0.5, 1.0])
+        want = [float(np.abs(np.array(pts) - float(m.evaluator(e))).min())
+                for e in pts]
+        assert markov._endpoint_defects(m, pts) == want
 
 
 class TestLogDerivN:

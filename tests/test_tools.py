@@ -1,5 +1,7 @@
-"""The measuring tools under tools/ still run."""
+"""The measuring tools under tools/ still run, and the output comparison
+sees a one-byte change."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,28 @@ def test_source_dir_accepts_a_checkout_and_its_src(monkeypatch):
     monkeypatch.syspath_prepend(str(TOOLS))
     from compare_outputs import source_dir
     assert source_dir(ROOT) == source_dir(ROOT / "src") == ROOT / "src"
+
+
+def test_compare_reports_one_changed_byte(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import compare_outputs
+    from workloads import Invocation
+    argv = ("branch", "--family", "logistic", "--n", "5")
+    monkeypatch.setattr(compare_outputs, "WORKLOADS",
+                        {"one": (Invocation(argv),)})
+    src = ROOT / "src"
+    assert compare_outputs.compare(src, src, [1]) == (0, 2, 2)
+    # a copy whose r_history.csv header differs in one byte
+    changed = tmp_path / "src"
+    shutil.copytree(src / "fiberdyn", changed / "fiberdyn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    runner = changed / "fiberdyn" / "experiments" / "runner.py"
+    text = runner.read_text()
+    assert text.count('["i", "r"]') == 1
+    runner.write_text(text.replace('["i", "r"]', '["i", "R"]'))
+    capsys.readouterr()
+    assert compare_outputs.main([str(src), str(changed),
+                                 "--seeds", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"one seed 1 [{' '.join(argv)}]: r_history.csv differs",
+        "1 differences (2 data files, 2 runs)"]
