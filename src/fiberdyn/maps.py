@@ -370,16 +370,18 @@ class SkewProduct:
     every fiber map x -> f(theta, x), the same x values for every theta.
     The domination constants are fitted on a test grid at construction.
 
-    Iterates of g are computed by repeated application with a wrap to [0,1)
-    after every step.  This does not keep them accurate: each step shifts
-    out log2(d) bits of the float's 53-bit mantissa, so an orbit reaches
-    exactly 0.0 after about 53 / log2(d) steps and stays there
-    (viana_skew().base_orbit(pi/10, 20) is 0.0 from step 13 on); exact
-    digit-stream orbits are planned (see ROADMAP).  `base_orbit` is the
-    one theta source: it steps one orbit, and on an array it steps a cloud
-    of theta lane by lane.  `theta_blocks` streams those rows block by
-    block, each block continuing from the wrapped last row of the one
-    before; it is the one place theta lanes are chained, and `orbit` and
+    Iterates of g have the bits of repeated application with a wrap to
+    [0,1) after every step.  For d = 2^m row i is frac(d^i theta), computed
+    in one exact multiply per 1023 // m rows; any other d is stepped row by
+    row.  Neither keeps them accurate: the float orbit still collapses,
+    each step shifting out m = log2(d) bits of the float's 53-bit
+    mantissa, so an orbit reaches exactly 0.0 after about 53 / m steps and
+    stays there (viana_skew().base_orbit(pi/10, 20) is 0.0 from step 13
+    on); exact digit-stream orbits are planned (see ROADMAP).  `base_orbit`
+    is the one theta source: it steps one orbit, and on an array it steps
+    a cloud of theta lane by lane.  `theta_blocks` streams those rows
+    block by block, each block continuing from the wrapped last row of the
+    one before; it is the one place theta lanes are chained, and `orbit` and
     the branch statistics' cloud loop read their theta rows from it.
 
     `base` wraps once, with `wrap`: on an array d*theta - floor(d*theta)
@@ -435,8 +437,9 @@ class SkewProduct:
     def theta_blocks(self, theta, n):
         """Rows 0 .. n-1 of the base orbits of a cloud of theta lanes, and
         c(theta) of each, in blocks (T, C) of rows_per_block(lanes) rows
-        (the last may be shorter): the rows of one `base_orbit`, one wrap a
-        row, each block continuing from the last row of the one before.
+        (the last may be shorter): the rows of one `base_orbit`, each row
+        wrapped once, each block continuing from the last row of the one
+        before.
         This is the one place theta lanes cross a block."""
         t = wrap(np.asarray(theta, dtype=float))
         rows = rows_per_block(np.size(t))
@@ -476,29 +479,51 @@ class SkewProduct:
         return fiber_sequence(self, theta)
 
     def base_orbit(self, theta, n):
-        """theta, g(theta), ..., g^n(theta) with per-step wrapping.
+        """theta, g(theta), ..., g^n(theta), bit for bit the per-step orbit.
 
         A float gives the (n+1,) orbit, each step `base` on a float,
-        d*t % 1.0, inlined.  An array of lanes gives rows of shape
+        d*t % 1.0.  An array of lanes gives rows of shape
         (n+1,) + theta.shape: row 0 is `wrap(theta)` and each later row
         `wrap` of d times the row before, bit for bit the float orbit of
-        every lane.
+        every lane.  For d = 2^m both come from `_base_rows`' block
+        multiply; for any other d a float is stepped in a Python loop and
+        an array row by row.
         """
+        if n < 0:
+            raise ValueError(f"base_orbit needs n >= 0, got {n!r}")
         d = self.base_degree
         if np.ndim(theta) == 0:
             t = float(theta) % 1.0
-            return np.array([t] + [t := d * t % 1.0 for _ in range(n)])
+            if d & (d - 1):
+                return np.array([t] + [t := d * t % 1.0 for _ in range(n)])
+            return _base_rows(d, t, n)
         return _base_rows(d, wrap(np.asarray(theta, dtype=float)), n)
 
 
 def _base_rows(d, t, n):
     """The array base_orbit of lanes t already in [0, 1), such as the last
     row of an earlier block: row 0 is t as given (`wrap` of a wrapped row is
-    the identity), and each later row `wrap` of d times the row before."""
+    the identity), and each later row `wrap` of d times the row before.
+
+    For d = 2^m, row s + j is frac(2^(m j) * row s), filled for up to
+    1023 // m rows j by one multiply and one `wrap` of the block: a
+    power-of-two product is exact and below 2^1023, and x - floor(x) is
+    exact for finite x >= 0, so each row has the bits of the per-row
+    wrap(d * row).  Any other d takes one multiply and one wrap a row.
+    """
     T = np.empty((n + 1,) + np.shape(t))
     T[0] = t
-    for i in range(n):
-        T[i + 1] = wrap(d * T[i])
+    if d & (d - 1):
+        for i in range(n):
+            T[i + 1] = wrap(d * T[i])
+        return T
+    m = d.bit_length() - 1
+    k = 1023 // m
+    scale = np.ldexp(1.0, m * np.arange(1, min(k, n) + 1))
+    scale = scale.reshape(scale.shape + (1,) * np.ndim(t))
+    for s in range(0, n, k):
+        B = T[s + 1:s + 1 + k]
+        B[...] = wrap(np.multiply(T[s], scale[:len(B)], out=B))
     return T
 
 

@@ -527,6 +527,66 @@ class TestImageStep:
             assert hi[i] == min((c for c in cps if c > v), default=1.0)
 
 
+    def test_wide_logistic_cloud_matches_the_where_rule(self, logistic):
+        # 10^4 lanes with branch images [a, b] around y: the integer-mask
+        # cuts give the bits of the np.where rule, step after step
+        def where_step(f, cps, a, b, y):
+            hit = np.zeros(np.shape(y), dtype=bool)
+            lo, hi = a, b
+            for c in cps:
+                hit |= np.abs(y - c) <= HIT_TOL
+                lo = np.where((lo < c) & (c < y), c, lo)
+                hi = np.where((y < c) & (c < hi), c, hi)
+            return (hit, lo, hi) + tuple(np.asarray(f(v), dtype=float)
+                                         for v in (lo, hi, y))
+
+        rng = make_generator(41)
+        y = rng.uniform(0.0, 1.0, 10**4)
+        a = y * rng.uniform(0.0, 1.0, y.size)
+        b = y + (1.0 - y) * rng.uniform(0.0, 1.0, y.size)
+        y[:3] = (0.5, 0.5 + HIT_TOL, 0.25)
+        for _ in range(6):
+            got = image_step(logistic.evaluator, logistic.critical_points,
+                             a, b, y)
+            want = where_step(logistic.evaluator, logistic.critical_points,
+                              a, b, y)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+            hit, lo, hi, fa, fb, y = got
+            assert 0 < np.count_nonzero(lo != a) + np.count_nonzero(hi != b)
+            a, b = np.minimum(fa, fb), np.maximum(fa, fb)
+
+
+class TestSelect:
+    """The integer-mask select of image_step is np.where, bit for bit."""
+
+    SPECIAL = np.array([0x7FF8000000000001, 0x7FF80000000000AB,
+                        0xFFF8000000000002 - 2**64, 0x7FF0000000000003,
+                        0x0000000000000001, 0x800FFFFFFFFFFFFF - 2**64,
+                        0x0000000000000000, 0x8000000000000000 - 2**64,
+                        0x7FF0000000000000, 0xFFF0000000000000 - 2**64],
+                       dtype=np.int64).view(np.float64)
+
+    def lanes(self, rng, n):
+        v = rng.uniform(-2.0, 2.0, n)
+        at = rng.choice(n, n // 4, replace=False)
+        v[at] = self.SPECIAL[rng.integers(0, self.SPECIAL.size, at.size)]
+        return v
+
+    @pytest.mark.parametrize("kind", ["random", "true", "false"])
+    def test_matches_where(self, kind):
+        rng = make_generator(43)
+        n = 10**4
+        mask = {"random": rng.uniform(0.0, 1.0, n) < 0.5,
+                "true": np.ones(n, dtype=bool),
+                "false": np.zeros(n, dtype=bool)}[kind]
+        a, b = self.lanes(rng, n), self.lanes(rng, n)
+        firsts = [a, *self.SPECIAL.tolist(), 0.5, -0.0, float("inf")]
+        for first in firsts:
+            got = branches._select(mask, first, b)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == np.where(mask, first, b).tobytes()
+
+
 class TestOneFloatBracket:
     """A bracket with lo == hi returns lo and composes no map."""
 

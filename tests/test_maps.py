@@ -230,7 +230,7 @@ class TestFiberSplit:
     """One theta source for one orbit, and the fiber split into its
     theta-coefficient c(theta) and x-step, bit for bit."""
 
-    @pytest.mark.parametrize("d", [3, 16])
+    @pytest.mark.parametrize("d", [3, 4, 8, 16])
     def test_base_orbit_is_a_per_step_base_loop(self, d):
         skew = viana_skew(d=d)
         ns = sorted({0, 1, *(edge + i for edge in (maps._THETA_BLOCK,
@@ -259,11 +259,35 @@ class TestFiberSplit:
             assert got.shape == (n + 1, 2, 3)
             assert got.tobytes() == want[:n + 1].tobytes(), n
 
+    @pytest.mark.parametrize("d", [2, 32, 1024, 2**20, 10])
+    def test_base_rows_match_a_per_row_wrap(self, d):
+        # d = 2^m fills up to 1023 // m rows by one multiply; n runs across
+        # that chunk edge, and since RuntimeWarnings are errors, no chunk
+        # may overflow
+        k = 1023 // (d.bit_length() - 1)
+        t = np.array([0.0, 5e-324, 1.0 - 2.0**-53, 0.3, np.nan])
+        for n in (k - 1, k, k + 1, 2 * k + 1):
+            want = [t]
+            for _ in range(n):
+                want.append(maps.wrap(d * want[-1]))
+            got = maps._base_rows(d, t, n)
+            assert got.shape == (n + 1, 5)
+            assert got.tobytes() == np.array(want).tobytes(), n
+
+    @pytest.mark.parametrize("d", [3, 16])
+    @pytest.mark.parametrize("n", [-1, -2, -5])
+    def test_negative_base_orbit_length_raises(self, d, n):
+        skew = viana_skew(d=d)
+        for theta in (0.3, np.array([0.3, 0.7])):
+            with pytest.raises(ValueError, match=f"got {n}"):
+                skew.base_orbit(theta, n)
+
     def test_chained_blocks_wrap_each_row_once(self, viana, block_rows,
                                                monkeypatch):
         # a block after the first continues from the wrapped last row of
-        # the block before: one wrap a row, the rows of one base_orbit, and
-        # c(theta) of each row
+        # the block before: every row wrapped once (a wrap takes one row or
+        # a stack of rows), the rows of one base_orbit, and c(theta) of
+        # each row
         theta, x = viana.sample(make_generator(31), 100)
         n = 2 * block_rows + 3
         want = viana.base_orbit(theta, n - 1)
@@ -271,10 +295,15 @@ class TestFiberSplit:
         real = maps.wrap
         monkeypatch.setattr(maps, "wrap",
                             lambda t: wrapped.append(np.shape(t)) or real(t))
+
+        def wrapped_rows():
+            assert all(s[-1:] == (100,) and len(s) <= 2 for s in wrapped)
+            return sum(s[0] if len(s) == 2 else 1 for s in wrapped)
+
         blocks = list(viana.theta_blocks(theta, n))
         assert [len(T) for T, _ in blocks] == [
             min(block_rows, n - j) for j in range(0, n, block_rows)]
-        assert wrapped == [(100,)] * n
+        assert wrapped_rows() == n
         got = np.concatenate([T for T, _ in blocks])
         assert got.tobytes() == want.tobytes()
         for T, C in blocks:
@@ -283,11 +312,11 @@ class TestFiberSplit:
         wrapped.clear()
         rows = [T for T, _ in viana.orbit((theta, x), n)]
         assert np.concatenate(rows).tobytes() == want.tobytes()
-        assert wrapped == [(100,)] * n
+        assert wrapped_rows() == n
         wrapped.clear()
         for _ in expansion._cloud_branch_rows(viana, (theta, x), n):
             pass
-        assert wrapped == [(100,)] * n
+        assert wrapped_rows() == n
 
     def test_viana_fiber_is_its_split(self, viana):
         two_pi = 2.0 * math.pi
