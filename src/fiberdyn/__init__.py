@@ -26,11 +26,11 @@ from .errors import (CapExceeded, ClosureDiverges, DegenerateDifferential,
 # public name -> the module that defines it
 _EXPORTS = {name: module for module, names in {
     "maps": (
-        "Domination", "IntervalDomain", "IntervalMap", "MapSequence",
-        "SkewProduct", "affine_map", "constant_sequence", "doubling_map",
-        "estimate_modulus", "family_names", "fiber_sequence",
-        "find_critical_points", "identity_map", "logistic_map", "make_system",
-        "moebius_map", "quadratic_map", "schwarzian", "twowell_map",
+        "IntervalDomain", "IntervalMap", "MapSequence", "SkewProduct",
+        "affine_map", "constant_sequence", "doubling_map", "estimate_modulus",
+        "family_names", "fiber_sequence", "find_critical_points",
+        "identity_map", "logistic_map", "make_system", "moebius_map",
+        "quadratic_map", "schwarzian", "twowell_map",
         "verify_partial_hyperbolicity", "viana_skew"),
     "branches": (
         "BranchPartition", "CensusRecord", "EndpointCut", "MonotoneBranch",
@@ -38,18 +38,17 @@ _EXPORTS = {name: module for module, names in {
         "interval_images", "monotonicity_partition", "symbol_sequence",
         "track_branch"),
     "expansion": (
-        "DecayTable", "branch_stats", "estimate_f2", "fiber_branch_stats",
-        "ftle_fiber", "ftle_full", "measure_AY_decay",
-        "smallest_singular_value"),
+        "DecayTable", "NuLikeMass", "branch_stats", "estimate_f2",
+        "fiber_branch_stats", "ftle_fiber", "ftle_full", "measure_AY_decay",
+        "nu_like_mass", "smallest_singular_value"),
     "hyptimes": (
         "CurveGraph", "PlissQuery", "PlissResult", "ProbeReport",
         "curve_growth_constants", "hyperbolic_like_times", "pliss_times",
         "probe_neighborhood", "propagate_curve", "slope_envelope"),
     "measures": (
         "BinGrid1D", "BinGrid2D", "ComponentReport", "EmpiricalMeasure",
-        "NuLikeMass", "density_compare", "empirical_measure",
-        "ergodic_components", "invariance_defect", "nu_like_mass",
-        "orbit_bin_counts"),
+        "density_compare", "empirical_measure", "ergodic_components",
+        "invariance_defect", "orbit_bin_counts"),
     "markov": (
         "InducedBranch", "MarkovCertificate", "MarkovPartition",
         "SummabilityStat", "assemble_markov", "build_partition",

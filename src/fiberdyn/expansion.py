@@ -1,8 +1,9 @@
 """Finite-time expansion statistics.
 
 Fiberwise and full-differential Lyapunov averages, vectorized
-branch-size statistics, and the decay experiment for the overlap of
-slow-branch-growth points with expanding points.
+branch-size statistics, and the two cloud experiments that read them:
+the decay of the overlap of slow-branch-growth points with expanding
+points, and the mass carried at hyperbolic-like times.
 """
 
 import math
@@ -13,9 +14,9 @@ from itertools import islice, repeat
 import numpy as np
 
 from .branches import image_step
-from .errors import (DegenerateDifferential, EmptySample, HitCritical)
-from .maps import (IntervalMap, MapSequence, SkewProduct, fiber_coefficients,
-                   log_abs)
+from .errors import (DegenerateDifferential, EmptySample, HitCritical,
+                     InvalidConstants)
+from .maps import IntervalMap, MapSequence, SkewProduct, log_abs
 from .rng import make_generator
 
 # Orbit steps per chunk of the ftle kernels: long enough to amortise the
@@ -111,7 +112,7 @@ def ftle_full(skew: SkewProduct, z, n):
         T = skew.base_orbit(theta, k)
         T, theta = T[:k], T[k]
         X, x = _orbit_chunk(skew.fiber_step,
-                            (fiber_coefficients(skew, T),), x, k)
+                            (skew.fiber_coefficient(T).tolist(),), x, k)
         s, hit = _log_sum(s, smallest_singular_value(
             skew.base_derivative(T), skew.fiber_dtheta(T, X),
             skew.fiber_dx(T, X)))
@@ -253,6 +254,44 @@ def measure_AY_decay(system, n_list, delta, lam, samples, seed):
         rows.extend((n, frac, frac * length, bound, d, lam, samples,
                      int(seed)) for d, frac in zip(deltas, fracs[n]))
     return DecayTable(tuple(rows), length)
+
+
+# ---------------------------------------------------------------------------
+# mass carried at hyperbolic-like times
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NuLikeMass:
+    mass: float               # average density of hyperbolic-like indices
+    anchor_fraction: float    # anchors with sum r_i >= 2 delta n
+    zeta: float               # Pliss density floor for such anchors
+    bound_holds: bool
+
+
+def nu_like_mass(system, samples, n, delta_tilde, seed):
+    """Fraction of orbit indices that are hyperbolic-like, versus the floor.
+
+    Anchors whose branch sizes satisfy sum r_i >= 2*delta*n carry at least
+    a zeta fraction of hyperbolic-like indices, so the deposited mass must
+    be at least zeta times the fraction of such anchors.  The Pliss
+    constants c1 = delta, c2 = 2*delta, A = |I0| must have c1 < c2 <= A.
+    """
+    if samples < 1 or n < 1:
+        raise ValueError("need samples >= 1 and n >= 1")
+    A = system.sequence(0.0).domain.length
+    if not delta_tilde < 2.0 * delta_tilde <= A:
+        raise InvalidConstants(f"need c1 < c2 <= A, got {delta_tilde}, "
+                               f"{2.0 * delta_tilde}, {A}")
+    cloud = system.sample(make_generator(seed), samples)
+    # a running count and running sums over the steps, added left to right
+    count, sum_r = 0, np.zeros(samples)
+    for r, _, _ in _cloud_branch_rows(system, cloud, n):
+        count += np.count_nonzero(r >= delta_tilde)
+        sum_r += r
+    mass = count / (n * samples)
+    anchors = float((sum_r >= 2.0 * delta_tilde * n).mean())
+    zeta = delta_tilde / (A - delta_tilde)
+    return NuLikeMass(mass, anchors, zeta, mass >= zeta * anchors - 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -59,15 +59,11 @@ def pliss_times(q: PlissQuery):
     zeta = (q.c2 - q.c1) / (q.A - q.c1)
     if n == 0:
         return PlissResult((), 0.0, False, zeta)
-    indices = []
-    excess = 0.0       # S_j - c1 * j
-    running_max = 0.0  # over 0 <= k < j
-    for j, v in enumerate(vals, start=1):
-        if excess > running_max:
-            running_max = excess
-        excess += v - q.c1
-        if excess >= running_max:
-            indices.append(j)
+    # excess[j-1] = S_j - c1 j and best[j-1] its maximum over 0 <= k < j,
+    # both accumulated left to right as a per-index loop adds them
+    excess = np.cumsum(np.subtract(vals, q.c1))
+    best = np.maximum.accumulate(np.concatenate(([0.0], excess[:-1])))
+    indices = (np.flatnonzero(excess >= best) + 1).tolist()
     guaranteed = sum(vals) >= q.c2 * n
     return PlissResult(tuple(indices), len(indices) / n, guaranteed, zeta)
 

@@ -282,7 +282,7 @@ class MapSequence:
             return self._map.evaluator, (), self._map.derivative
         T = np.array(self.thetas(start + k)[start:start + k])
         skew = self._skew
-        return (skew.fiber_step, (fiber_coefficients(skew, T),),
+        return (skew.fiber_step, (skew.fiber_coefficient(T).tolist(),),
                 partial(skew.fiber_dx, T))
 
     def compose(self, x, n):
@@ -337,14 +337,6 @@ def estimate_modulus(seq: MapSequence, zeta):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Domination:
-    """Fitted constants for the fiber-vs-base derivative ratio bound."""
-
-    sigma_hat: float
-    C: float
-
-
-@dataclass(frozen=True)
 class PartialHyperbolicityReport:
     n_values: tuple
     max_ratio: tuple          # max over the grid of prod|d_x f| / |d_theta g^n|
@@ -368,7 +360,9 @@ class SkewProduct:
     `fiber_dx` and `fiber_dtheta` take (theta, x).
     `fiber_critical_points` is the strictly increasing critical set of
     every fiber map x -> f(theta, x), the same x values for every theta.
-    The domination constants are fitted on a test grid at construction.
+    `domination` is the `verify_partial_hyperbolicity` report that
+    construction fits on its default test grid; its sigma_hat and C are the
+    domination constants.
 
     Iterates of g have the bits of repeated application with a wrap to
     [0,1) after every step.  For d = 2^m row i is frac(d^i theta), computed
@@ -378,11 +372,13 @@ class SkewProduct:
     mantissa, so an orbit reaches exactly 0.0 after about 53 / m steps and
     stays there (viana_skew().base_orbit(pi/10, 20) is 0.0 from step 13
     on); exact digit-stream orbits are planned (see ROADMAP).  `base_orbit`
-    is the one theta source: it steps one orbit, and on an array it steps
-    a cloud of theta lane by lane.  `theta_blocks` streams those rows
-    block by block, each block continuing from the wrapped last row of the
-    one before; it is the one place theta lanes are chained, and `orbit` and
-    the branch statistics' cloud loop read their theta rows from it.
+    is the one theta source, for one orbit or, on an array, for a cloud of
+    theta lanes: its rows come from `_base_rows`, but for a float orbit of
+    a d that is not a power of two, which a Python loop steps.
+    `theta_blocks` streams those rows block by block, each block continuing
+    from the wrapped last row of the one before; it is the one place theta
+    lanes are chained, and `orbit` and the branch statistics' cloud loop
+    read their theta rows from it.
 
     `base` wraps once, with `wrap`: on an array d*theta - floor(d*theta)
     gives the bits of `% 1.0` at a fraction of np.remainder's cost, and on a
@@ -398,7 +394,7 @@ class SkewProduct:
     fiber_domain: IntervalDomain
     fiber_critical_points: tuple
     label: str = ""
-    domination: Domination = field(init=False)
+    domination: PartialHyperbolicityReport = field(init=False)
 
     def __post_init__(self):
         d = self.base_degree
@@ -414,8 +410,7 @@ class SkewProduct:
         rep = verify_partial_hyperbolicity(self, n_max=12, grid=32)
         if not rep.decays:
             raise ValueError("no geometric domination on the test grid")
-        object.__setattr__(self, "domination",
-                           Domination(rep.sigma_hat, rep.C))
+        object.__setattr__(self, "domination", rep)
 
     def base(self, theta):
         """g(theta) = d*theta mod 1 for a scalar or an array."""
@@ -485,18 +480,15 @@ class SkewProduct:
         d*t % 1.0.  An array of lanes gives rows of shape
         (n+1,) + theta.shape: row 0 is `wrap(theta)` and each later row
         `wrap` of d times the row before, bit for bit the float orbit of
-        every lane.  For d = 2^m both come from `_base_rows`' block
-        multiply; for any other d a float is stepped in a Python loop and
-        an array row by row.
+        every lane.  Both come from `_base_rows` (a float as a 0-d lane),
+        but for d not a power of two a float is stepped in a Python loop.
         """
         if n < 0:
             raise ValueError(f"base_orbit needs n >= 0, got {n!r}")
         d = self.base_degree
-        if np.ndim(theta) == 0:
+        if np.ndim(theta) == 0 and d & (d - 1):
             t = float(theta) % 1.0
-            if d & (d - 1):
-                return np.array([t] + [t := d * t % 1.0 for _ in range(n)])
-            return _base_rows(d, t, n)
+            return np.array([t] + [t := d * t % 1.0 for _ in range(n)])
         return _base_rows(d, wrap(np.asarray(theta, dtype=float)), n)
 
 
@@ -525,11 +517,6 @@ def _base_rows(d, t, n):
         B = T[s + 1:s + 1 + k]
         B[...] = wrap(np.multiply(T[s], scale[:len(B)], out=B))
     return T
-
-
-def fiber_coefficients(skew: SkewProduct, T):
-    """c(theta_j) for an array of theta_j, as a list of Python floats."""
-    return np.broadcast_to(skew.fiber_coefficient(T), T.shape).tolist()
 
 
 def fiber_sequence(skew: SkewProduct, theta):

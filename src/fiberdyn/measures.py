@@ -15,27 +15,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConstants
 from .maps import SkewProduct, rows_per_block, wrap
 from .rng import make_generator, rng_metadata
 
 
-class _Axis:
-    """Bins 0..bins-1 of one grid axis, [lo, hi) cut into equal bins.
+@dataclass(frozen=True)
+class BinGrid1D:
+    """Bins 0..bins-1 of [lo, hi) cut into equal bins; also one axis of a
+    BinGrid2D.
 
     A point's bin is (x - lo) / (hi - lo) * bins, clipped on the float to
     [0, bins - 1] (in place for arrays) and then truncated to int, so that
     points out of range, +-1e300 too, land in the end bins.  When lo is 0.0
     and the width is a normal power of two with bins / width finite, x - lo
     is x bit for bit (-0.0 too) and dividing by the width is exact, so one
-    multiply by that scale gives the same bins.  Every other axis keeps the
-    subtract and the divide: a multiply by a rounded reciprocal would move
-    points across bin edges.
+    multiply by that `scale` gives the same bins.  Every other grid keeps
+    the subtract and the divide (`scale` is None): a multiply by a rounded
+    reciprocal would move points across bin edges.
     """
 
-    def __init__(self, lo, hi, bins):
+    lo: float
+    hi: float
+    bins: int
+
+    def __post_init__(self):
+        lo, hi, bins = self.lo, self.hi, self.bins
         if not isinstance(bins, numbers.Integral) or bins < 1:
             raise ValueError(f"need an integral bin count >= 1, got {bins!r}")
+        if bins > sys.float_info.max:     # bins / width would overflow
+            raise ValueError(f"need a bin count within the float range, got "
+                             f"one of {int(bins).bit_length()} bits")
         try:
             width = hi - lo
             finite = (math.isfinite(lo) and math.isfinite(hi)
@@ -45,32 +54,11 @@ class _Axis:
         if not (finite and lo < hi):
             raise ValueError(f"need finite bounds lo < hi with a finite "
                              f"width, got {lo!r} and {hi!r}")
-        self.lo, self.width, self.bins = lo, width, bins
         scale = bins / width
         exact = (lo == 0.0 and math.frexp(width)[0] == 0.5
                  and width >= sys.float_info.min and math.isfinite(scale))
-        self.scale = scale if exact else None
-
-    def index(self, x):
-        """Bin of each finite point of x, a float or an array."""
-        if self.scale is None:
-            scaled = np.subtract(x, self.lo, dtype=float)
-            scaled /= self.width
-            scaled *= self.bins
-        else:
-            scaled = np.multiply(x, self.scale, dtype=float)
-        return scaled.clip(0.0, self.bins - 1.0,
-                           out=scaled if scaled.ndim else None).astype(int)
-
-
-@dataclass(frozen=True)
-class BinGrid1D:
-    lo: float
-    hi: float
-    bins: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "_axis", _Axis(self.lo, self.hi, self.bins))
+        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "scale", scale if exact else None)
 
     @property
     def size(self):
@@ -83,7 +71,14 @@ class BinGrid1D:
     def index(self, x):
         """Bin of each finite point of x (a float or an array), points out
         of range clamped to the end bins."""
-        return self._axis.index(x)
+        if self.scale is None:
+            scaled = np.subtract(x, self.lo, dtype=float)
+            scaled /= self._width
+            scaled *= self.bins
+        else:
+            scaled = np.multiply(x, self.scale, dtype=float)
+        return scaled.clip(0.0, self.bins - 1.0,
+                           out=scaled if scaled.ndim else None).astype(int)
 
     def describe(self):
         return {"kind": "1d", "lo": self.lo, "hi": self.hi, "bins": self.bins}
@@ -99,9 +94,9 @@ class BinGrid2D:
     fiber_bins: int
 
     def __post_init__(self):
-        object.__setattr__(self, "_theta", _Axis(0.0, 1.0, self.base_bins))
-        object.__setattr__(self, "_fiber", _Axis(self.fiber_lo, self.fiber_hi,
-                                                 self.fiber_bins))
+        object.__setattr__(self, "_theta", BinGrid1D(0.0, 1.0, self.base_bins))
+        object.__setattr__(self, "_fiber", BinGrid1D(
+            self.fiber_lo, self.fiber_hi, self.fiber_bins))
 
     @property
     def size(self):
@@ -357,44 +352,3 @@ def ergodic_components(system, probes, n, grid, seed, link_threshold=0.3,
             **rng_metadata(seed)}
     return ComponentReport(count, assignment, float(link_threshold), sens,
                            meta)
-
-
-# ---------------------------------------------------------------------------
-# mass carried at hyperbolic-like times
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NuLikeMass:
-    mass: float               # average density of hyperbolic-like indices
-    anchor_fraction: float    # anchors with sum r_i >= 2 delta n
-    zeta: float               # Pliss density floor for such anchors
-    bound_holds: bool
-
-
-def nu_like_mass(system, samples, n, delta_tilde, seed):
-    """Fraction of orbit indices that are hyperbolic-like, versus the floor.
-
-    Anchors whose branch sizes satisfy sum r_i >= 2*delta*n carry at least
-    a zeta fraction of hyperbolic-like indices, so the deposited mass must
-    be at least zeta times the fraction of such anchors.  The Pliss
-    constants c1 = delta, c2 = 2*delta, A = |I0| must have c1 < c2 <= A.
-    """
-    # imported here: the rest of this module needs neither expansion nor
-    # branches, and acim and components runs load neither
-    from .expansion import _cloud_branch_rows
-    if samples < 1 or n < 1:
-        raise ValueError("need samples >= 1 and n >= 1")
-    A = system.sequence(0.0).domain.length
-    if not delta_tilde < 2.0 * delta_tilde <= A:
-        raise InvalidConstants(f"need c1 < c2 <= A, got {delta_tilde}, "
-                               f"{2.0 * delta_tilde}, {A}")
-    cloud = system.sample(make_generator(seed), samples)
-    # a running count and running sums over the steps, added left to right
-    count, sum_r = 0, np.zeros(samples)
-    for r, _, _ in _cloud_branch_rows(system, cloud, n):
-        count += np.count_nonzero(r >= delta_tilde)
-        sum_r += r
-    mass = count / (n * samples)
-    anchors = float((sum_r >= 2.0 * delta_tilde * n).mean())
-    zeta = delta_tilde / (A - delta_tilde)
-    return NuLikeMass(mass, anchors, zeta, mass >= zeta * anchors - 1e-12)

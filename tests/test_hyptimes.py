@@ -25,6 +25,20 @@ def brute_force_pliss(values, c1):
     return tuple(out)
 
 
+def _per_index_pliss(values, c1):
+    """The per-index scan pliss_times ran before its cumulative pass."""
+    indices = []
+    excess = 0.0       # S_j - c1 * j
+    running_max = 0.0  # over 0 <= k < j
+    for j, v in enumerate(values, start=1):
+        if excess > running_max:
+            running_max = excess
+        excess += v - c1
+        if excess >= running_max:
+            indices.append(j)
+    return tuple(indices)
+
+
 class TestPliss:
     def test_worked_example(self):
         res = pliss_times(PlissQuery((3, 0, 3, 0), 1.0, 1.5, 3.0))
@@ -60,6 +74,23 @@ class TestPliss:
             c1 = float(rng.uniform(0.05, 0.6))
             res = pliss_times(PlissQuery(tuple(vals), c1, c1 + 0.1, 1.1))
             assert res.indices == brute_force_pliss(vals, c1)
+
+    def test_matches_per_index_loop(self):
+        # dyadic values and thresholds add exactly, so suffix sums tie with
+        # the running maximum and values sit on c1 itself; random uniform
+        # values add with rounding, as the loop rounds them
+        rng = make_generator(41)
+        for trial in range(600):
+            n = int(rng.integers(1, 120))
+            if trial % 2:
+                c1 = float(rng.integers(1, 8)) / 8
+                vals = rng.integers(0, 9, n) / 8
+            else:
+                c1 = float(rng.uniform(0.05, 0.6))
+                vals = rng.uniform(0.0, 1.0, n)
+                vals[rng.uniform(size=n) < 0.2] = c1
+            res = pliss_times(PlissQuery(tuple(vals), c1, c1 + 0.1, 1.1))
+            assert res.indices == _per_index_pliss(vals.tolist(), c1), trial
 
     def test_density_guarantee(self):
         rng = make_generator(29)

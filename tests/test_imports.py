@@ -1,8 +1,9 @@
 """Source hygiene: no unused module-level imports under src/ or tests/,
 one literal for the critical derivative size and no per-element math.log
-under src/, one theta source and one theta chain, and the CLI starts
-without loading scipy or any analysis module: each experiment kind loads
-its own, and the package root resolves its names lazily."""
+under src/, one theta source and one theta chain, no import of the branch
+machinery in measures.py, and the CLI starts without loading scipy or any
+analysis module: each experiment kind loads its own, and the package root
+resolves its names lazily."""
 
 import ast
 import importlib
@@ -118,6 +119,42 @@ def test_one_theta_chain():
              for name in ("_base_rows", ".iterates(")
              if name in path.read_text()
              and not (name == "_base_rows" and path.name == "maps.py")]
+    assert found == []
+
+
+def imported_modules(source):
+    """Every module an import statement names, at any depth: `import a.b`
+    gives "a.b", `from .a import b` gives ".a" and `from . import c`
+    gives ".c"."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules = ([node.module] if node.module
+                       else [alias.name for alias in node.names])
+            found.update("." * node.level + name for name in modules)
+    return found
+
+
+def test_checker_sees_nested_imports():
+    src = ("import os\n"
+           "def f():\n"
+           "    from .expansion import g\n"
+           "    if True:\n"
+           "        import fiberdyn.branches as b\n"
+           "from . import maps\n")
+    assert imported_modules(src) == {"os", ".expansion", "fiberdyn.branches",
+                                     ".maps"}
+
+
+def test_measures_imports_neither_expansion_nor_branches():
+    # the binned measures and components load no branch machinery, not
+    # even inside a function
+    names = imported_modules(
+        (ROOT / "src" / "fiberdyn" / "measures.py").read_text())
+    found = sorted(name for name in names
+                   if name.rsplit(".", 1)[-1] in ("expansion", "branches"))
     assert found == []
 
 

@@ -259,6 +259,21 @@ class TestFiberSplit:
             assert got.shape == (n + 1, 2, 3)
             assert got.tobytes() == want[:n + 1].tobytes(), n
 
+    @pytest.mark.parametrize("n", [511, 512, 513, 1025])
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_fiber_sequence_thetas_are_one_base_orbit(self, d, n):
+        # a fiber sequence extends theta_j in blocks of at most
+        # _THETA_BLOCK, each restarting base_orbit from the last theta;
+        # reached by one call or a map_at walk, they are one orbit's rows
+        skew = viana_skew(d=d)
+        want = skew.base_orbit(0.3, n - 1).tobytes()
+        seq = fiber_sequence(skew, 0.3)
+        assert np.array(seq.thetas(n)[:n]).tobytes() == want
+        walk = fiber_sequence(skew, 0.3)
+        for j in range(n):
+            walk.map_at(j)
+        assert np.array(walk.thetas(n)[:n]).tobytes() == want
+
     @pytest.mark.parametrize("d", [2, 32, 1024, 2**20, 10])
     def test_base_rows_match_a_per_row_wrap(self, d):
         # d = 2^m fills up to 1023 // m rows by one multiply; n runs across
@@ -449,6 +464,10 @@ class TestPartialHyperbolicity:
                for s in (viana_skew(), viana_skew(d=3))]
         assert got == [("0x1.e40880b5c349ep-4", "0x1.4e974d09ea53bp+4"),
                        ("0x1.526f68a3c2170p-1", "0x1.5405fc843fffdp+3")]
+
+    def test_domination_is_the_construction_fit(self):
+        skew = viana_skew()
+        assert skew.domination == verify_partial_hyperbolicity(skew, 12, 32)
 
     def test_fit_sees_more_than_one_theta(self, viana):
         # the dyadic grid k/32 stepped twice at d = 16 is theta = 0 only;

@@ -430,7 +430,7 @@ class TestBlockBinning:
 
     def test_only_power_of_two_widths_from_zero_multiply(self, viana):
         def scale(lo, hi, bins=10):
-            return BinGrid1D(lo, hi, bins)._axis.scale
+            return BinGrid1D(lo, hi, bins).scale
         # widths 2^-6, 2^7 and 2^1000 from lo = 0
         assert scale(0.0, 2.0**-6) == 640.0
         assert scale(0.0, 2.0**7) == 10.0 / 128
@@ -492,6 +492,17 @@ class TestBinGridValidation:
     ], ids=lambda v: v.__name__ if isinstance(v, type) else reprlib.repr(v))
     def test_rejects_bounds_and_counts_that_bin_wrongly(self, kind, args):
         with pytest.raises(ValueError):
+            kind(*args)
+
+    @pytest.mark.parametrize("kind, args", [
+        (BinGrid1D, (0.0, 1.0, 10**400)),
+        (BinGrid2D, (10**400, -1.0, 1.0, 4)),
+        (BinGrid2D, (4, -1.0, 1.0, 2**1024)),
+    ], ids=["1d", "2d-base", "2d-fiber"])
+    def test_rejects_bin_counts_past_the_floats(self, kind, args):
+        # bins / width cannot be formed; the message names the count, not
+        # the bounds
+        with pytest.raises(ValueError, match="bin count"):
             kind(*args)
 
     def test_accepts_integral_counts_and_finite_bounds(self):
