@@ -34,8 +34,10 @@ from .errors import CapExceeded, HitCritical
 HIT_TOL = 1e-12
 PULLBACK_VALUE_TOL = 1e-13
 CENSUS_GUARD = 1e-9
-# Lanes solved together by bisect_preimages; bounds the working arrays.
-LANE_BATCH = 2048
+# Lanes solved together by bisect_preimages, and points walked together by
+# markov.inducing_times; bounds the working arrays.  At 4096 the 2,560
+# constancy samples of 256 Markov branches walk as one.
+LANE_BATCH = 4096
 # Fewer open lanes than this go through bisect_preimage one by one: a lane
 # loop costs about the same at any width this narrow, and the scalar rule
 # catches up with it at 32-48 lanes (logistic and two-well, depths 1-6).
@@ -43,8 +45,12 @@ SCALAR_LANES = 40
 
 
 def compose_maps(maps, x):
-    for m in maps:
-        x = float(m.evaluator(x))
+    return _compose_evaluators([m.evaluator for m in maps], x)
+
+
+def _compose_evaluators(fs, x):
+    for f in fs:
+        x = float(f(x))
     return x
 
 
@@ -98,8 +104,9 @@ def bisect_preimage(maps, target, lo, hi, value_tol=PULLBACK_VALUE_TOL):
         return float(target)
     if lo == hi:
         return lo
-    flo = compose_maps(maps, lo)
-    fhi = compose_maps(maps, hi)
+    fs = [m.evaluator for m in maps]
+    flo = _compose_evaluators(fs, lo)
+    fhi = _compose_evaluators(fs, hi)
     increasing = fhi >= flo
     best_t, best_r = lo, abs(flo - target)
     if abs(fhi - target) < best_r:
@@ -110,7 +117,7 @@ def bisect_preimage(maps, target, lo, hi, value_tol=PULLBACK_VALUE_TOL):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        fm = compose_maps(maps, mid)
+        fm = _compose_evaluators(fs, mid)
         r = abs(fm - target)
         if r < best_r:
             best_t, best_r = mid, r
@@ -148,22 +155,23 @@ def bisect_preimages(maps, targets, los, his, value_tol=PULLBACK_VALUE_TOL,
     open_lanes = open_lanes[np.argsort(depths[open_lanes], kind="stable")]
     for s in range(0, open_lanes.size, LANE_BATCH):
         part = open_lanes[s:s + LANE_BATCH]
-        out[part] = _bisect_lanes(maps, targets[part], los[part], his[part],
-                                  depths[part], value_tol)
+        _bisect_lanes(maps, targets[part], los[part], his[part],
+                      depths[part], value_tol, out, part)
     return out
 
 
-def _bisect_lanes(maps, target, lo, hi, depth, value_tol):
-    # lanes come in ascending depth and keep that order as they are dropped
+def _bisect_lanes(maps, target, lo, hi, depth, value_tol, out, lane):
+    """bisect_preimage of every lane, written to out[lane].  Lanes come in
+    ascending depth and keep that order as they are dropped."""
     flo, fhi = _compose_ascending(maps, np.array((lo, hi)), depth)
     increasing = fhi >= flo
     r_lo, r_hi = np.abs(flo - target), np.abs(fhi - target)
     take = r_hi < r_lo
     t, r_best = np.where(take, hi, lo), np.where(take, r_hi, r_lo)
+    del flo, fhi, r_lo, r_hi, take     # the loop holds only its own state
     # a lane that stops (residual or float exhaustion) writes out and drops;
     # as in the scalar rule, only r_best <= value_tol stops by residual, so
     # a NaN residual or tolerance goes on (bool a > b is a and not b)
-    out, lane = np.empty_like(t), np.arange(t.size)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         go = ((lo < mid) & (mid < hi)) > (r_best <= value_tol)
@@ -171,20 +179,21 @@ def _bisect_lanes(maps, target, lo, hi, depth, value_tol):
             out[lane] = t
             keep = np.flatnonzero(go)
             if not keep.size:
-                return out
-            lane, lo, hi, mid, target, increasing, t, r_best, depth = (
-                v.take(keep) for v in (lane, lo, hi, mid, target, increasing,
-                                       t, r_best, depth))
+                return
+            # three arrays at a time, so the state is never held twice
+            lane, lo, hi = (v.take(keep) for v in (lane, lo, hi))
+            mid, target, depth = (v.take(keep) for v in (mid, target, depth))
+            t, r_best, increasing = (v.take(keep)
+                                     for v in (t, r_best, increasing))
         fm = _compose_ascending(maps, mid, depth)
-        r = np.abs(fm - target)
+        up = (fm < target) == increasing
+        r = np.abs(np.subtract(fm, target, out=fm), out=fm)   # fm is spent
         better = r < r_best
         t = np.where(better, mid, t)
         r_best = np.where(better, r, r_best)
-        up = (fm < target) == increasing
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
     out[lane] = t
-    return out
 
 
 @dataclass(frozen=True)

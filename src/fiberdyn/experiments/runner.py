@@ -34,8 +34,13 @@ def _require(cfg, system, cls):
     """Reject a family whose system type the experiment cannot run on."""
     if not isinstance(system, cls):
         raise ValidationError(
-            "system.family", f"{cfg.kind} experiments need a {cls.__name__}; "
-            f"{cfg.family!r} is a {type(system).__name__}")
+            "system.family", f"{cfg.kind} experiments need {_a(cls)}; "
+            f"{cfg.family!r} is {_a(type(system))}")
+
+
+def _a(cls):
+    """The class name with its indefinite article."""
+    return f"{'an' if cls.__name__[0] in 'AEIOU' else 'a'} {cls.__name__}"
 
 
 def _anchor(cfg, domain):

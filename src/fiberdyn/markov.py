@@ -10,11 +10,16 @@ cell.  Certification checks image exactness, minimum image length,
 constancy of (k, I) on each branch, and sampled distortion.  N and the
 depth-8 seed cells come from one walk of the partition levels.  Discovery
 and constancy checks stream their points through `inducing_times`, which
-answers LANE_BATCH points at a time with one lockstep walk: each step maps
-the branch images, pulls the new cuts back, and pulls the cell back once
-a lane is covered.  Certification walks its orbits as lanes through
-`_walk`, adding each `maps.log_abs` term in order; summability moves its
-probes with `compose_lanes`.  Every answer equals the one-point result.
+answers LANE_BATCH (4096) points at a time with one lockstep walk and one
+bisection loop per dependency level: each step maps the branch images and
+pulls that step's cuts back in one call, and once the walk ends the cells
+of all covered lanes are pulled back in one more.  The walk answers in
+columns (k, cell ends, cell index, failure step), and an answer becomes a
+tuple or an exception only as it is yielded, so the 2,560 constancy
+samples of 256 branches walk together without per-lane Python objects.
+Certification walks its orbits as lanes through `_walk`, adding each
+`maps.log_abs` term in order; summability moves its probes with
+`compose_lanes`.  Every answer equals the one-point result.
 """
 
 import bisect as _bisect
@@ -213,20 +218,45 @@ def _scale_and_cells(m, part, n_cap, depth):
 def _induce(m: IntervalMap, part: MarkovPartition, xs, N, k_max):
     """Inducing times of anchors interior to the domain, in one lockstep walk.
 
+    The walk (_cover) finds every anchor's inducing time k, image cell and
+    depth-k branch; then the cells of all covered anchors are pulled back
+    into their branches in one ragged-depth bisect_preimages call, lane i
+    through k[i] maps.  The walk's temporaries are gone by then, so that
+    call holds only the columns.
+
+    Returns the answers in columns (k, lo, hi, ci, fail), one row an anchor:
+    a row with fail -1 answers (k, (lo, hi), ci); any other row failed at
+    step fail, with HitCritical(fail) for fail < k_max and
+    InducingTimeNotFound(k_max) for fail == k_max.
+    """
+    eps = np.asarray(part.endpoints)
+    k, ci, fail, lo, hi = _cover(m, eps, np.asarray(xs, dtype=float), N,
+                                 k_max)
+    done = np.flatnonzero(fail < 0)
+    if done.size:
+        c, depths = ci[done], np.tile(k[done], 2)
+        ends = bisect_preimages([m] * int(depths.max()),
+                                np.concatenate([eps[c], eps[c + 1]]),
+                                np.tile(lo[done], 2), np.tile(hi[done], 2),
+                                depths=depths)
+        lo[done], hi[done] = min_max(*np.split(ends, 2))
+    return k, lo, hi, ci, fail
+
+
+def _cover(m, eps, x, N, k_max):
+    """The walk of _induce: columns (k, ci, fail, t_lo, t_hi), with
+    [t_lo, t_hi] the depth-k branch of each covered anchor.
+
     Step j maps the branch image of every live lane with one image_step and
     pulls the new cuts back through the first j maps with one
     bisect_preimages call, so each lane's domain is the one track_branch
-    finds.  A lane stops at the first k >= N whose image covers its cell and
-    both neighbouring cells; the cells of all lanes stopping at k are pulled
-    back through k maps in one call.  Returns one result or exception per
-    anchor.
+    finds.  A lane stops at the first k >= N whose image covers its cell
+    (ci) and both neighbouring cells, or fails as _induce says.
     """
-    dom = m.domain
-    eps = np.asarray(part.endpoints)
-    out = [None] * len(xs)
-    lane = np.arange(len(xs))
-    x = np.array(xs, dtype=float)
-    t_lo, t_hi = np.full(x.size, dom.lo), np.full(x.size, dom.hi)
+    k, ci = np.zeros(x.size, dtype=int), np.zeros(x.size, dtype=int)
+    fail = np.full(x.size, k_max)
+    t_lo, t_hi = np.full(x.size, m.domain.lo), np.full(x.size, m.domain.hi)
+    lane = np.arange(x.size)
     a, b, y = t_lo.copy(), t_hi.copy(), x.copy()
     lo_to_lo = np.ones(x.size, dtype=bool)
     for j in range(k_max):
@@ -239,37 +269,37 @@ def _induce(m: IntervalMap, part: MarkovPartition, xs, N, k_max):
         # critical point pulls nothing back and is dropped below
         sets_lo = ~hit & np.where(lo_to_lo, lo != a, hi != b)
         sets_hi = ~hit & np.where(lo_to_lo, hi != b, lo != a)
-        ts = bisect_preimages(
-            [m] * j, np.concatenate([np.where(lo_to_lo, lo, hi)[sets_lo],
-                                     np.where(lo_to_lo, hi, lo)[sets_hi]]),
-            np.concatenate([t_lo[sets_lo], x[sets_hi]]),
-            np.concatenate([x[sets_lo], t_hi[sets_hi]]))
-        n_lo = np.count_nonzero(sets_lo)
-        t_lo[sets_lo], t_hi[sets_hi] = ts[:n_lo], ts[n_lo:]
+        cuts = np.concatenate([np.where(lo_to_lo, lo, hi)[sets_lo],
+                               np.where(lo_to_lo, hi, lo)[sets_hi]])
         keep = fa <= fb
         a, b = np.where(keep, fa, fb), np.where(keep, fb, fa)
         lo_to_lo = lo_to_lo == keep
-        k = j + 1
-        ci = np.clip(np.searchsorted(eps, y, side="right") - 1,
-                     0, eps.size - 2)
-        done = (~hit & (k >= N)
-                & (a <= eps[np.maximum(ci - 1, 0)] + ENDPOINT_TOL)
-                & (b >= eps[np.minimum(ci + 2, eps.size - 1)] - ENDPOINT_TOL))
-        ci = ci[done]
-        ends = bisect_preimages([m] * k,
-                                np.concatenate([eps[ci], eps[ci + 1]]),
-                                np.tile(t_lo[done], 2), np.tile(t_hi[done], 2))
-        cell_lo, cell_hi = min_max(*np.split(ends, 2))
-        for i, c, u, v in zip(lane[done].tolist(), ci.tolist(),
-                              cell_lo.tolist(), cell_hi.tolist()):
-            out[i] = (k, (u, v), c)
-        for i in lane[hit].tolist():
-            out[i] = HitCritical(j)
-        lane, x, t_lo, t_hi, a, b, y, lo_to_lo = (
-            v[~(hit | done)] for v in (lane, x, t_lo, t_hi, a, b, y, lo_to_lo))
-    for i in lane.tolist():
-        out[i] = InducingTimeNotFound(k_max)
-    return out
+        del lo, hi, fa, fb, keep   # freed before the pullback, the peak
+        at_lo, at_hi = lane[sets_lo], lane[sets_hi]
+        t_lo[at_lo], t_hi[at_hi] = np.split(bisect_preimages(
+            [m] * j, cuts, np.concatenate([t_lo[at_lo], x[at_hi]]),
+            np.concatenate([x[at_lo], t_hi[at_hi]])), [at_lo.size])
+        c = np.clip(np.searchsorted(eps, y, side="right") - 1,
+                    0, eps.size - 2)
+        done = (~hit & (j + 1 >= N)
+                & (a <= eps[np.maximum(c - 1, 0)] + ENDPOINT_TOL)
+                & (b >= eps[np.minimum(c + 2, eps.size - 1)] - ENDPOINT_TOL))
+        covered = lane[done]
+        k[covered], ci[covered], fail[covered] = j + 1, c[done], -1
+        fail[lane[hit]] = j
+        go = ~(hit | done)
+        lane, a, b, y, lo_to_lo = (v[go] for v in (lane, a, b, y, lo_to_lo))
+    return k, ci, fail, t_lo, t_hi
+
+
+def _answers(columns, k_max):
+    """The answer objects of _induce's rows, in order, made a slice of rows
+    at a time."""
+    for s in range(0, columns[0].size, 256):
+        for k, lo, hi, ci, fail in zip(*(v[s:s + 256].tolist()
+                                         for v in columns)):
+            yield ((k, (lo, hi), ci) if fail < 0 else HitCritical(fail)
+                   if fail < k_max else InducingTimeNotFound(k_max))
 
 
 def inducing_times(m: IntervalMap, part: MarkovPartition, xs, N=None,
@@ -280,26 +310,26 @@ def inducing_times(m: IntervalMap, part: MarkovPartition, xs, N=None,
     the HitCritical, InducingTimeNotFound or ValueError it raises.  Points
     are read LANE_BATCH at a time, and a batch is answered before more are
     read; its anchors off the partition endpoints and inside the domain go
-    through one lockstep walk.  N defaults to monotone_scale, computed once,
-    when the first point needs it.
+    through one lockstep walk, which answers in columns.  An answer becomes
+    its tuple or exception only as it is yielded.  N defaults to
+    monotone_scale, computed once, when the first point needs it.
     """
     dom = m.domain
     xs = iter(xs)
-    while batch := [float(x) for x in itertools.islice(xs, LANE_BATCH)]:
+    while (batch := np.fromiter(itertools.islice(xs, LANE_BATCH),
+                                float)).size:
         # the endpoint test for the whole batch, then the domain test
-        near = part.near_endpoint(np.array(batch))
-        out = [ValueError("x must be interior to a partition cell") if n
-               else None if dom.lo < x < dom.hi else
-               ValueError("anchor must be interior to the domain")
-               for x, n in zip(batch, near.tolist())]
-        lanes = [i for i, r in enumerate(out) if r is None]
-        if lanes:
+        near = part.near_endpoint(batch)
+        walk = ~near & (dom.lo < batch) & (batch < dom.hi)
+        answers = iter(())
+        if walk.any():
             if N is None:
                 N = monotone_scale(m, part)
-            for i, r in zip(lanes, _induce(m, part, [batch[i] for i in lanes],
-                                           N, k_max)):
-                out[i] = r
-        yield from out
+            answers = _answers(_induce(m, part, batch[walk], N, k_max), k_max)
+        for w, n in zip(walk.tolist(), near.tolist()):
+            yield (next(answers) if w else
+                   ValueError("x must be interior to a partition cell") if n
+                   else ValueError("anchor must be interior to the domain"))
 
 
 def inducing_time(m: IntervalMap, part: MarkovPartition, x, N=None,

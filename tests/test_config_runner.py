@@ -311,6 +311,18 @@ class TestCli:
         argv = [str(cfg_file) if a == "VIANA_D_16_7" else a for a in argv]
         assert cli_main([*argv, "--out", str(tmp_path / "bad")]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["markov", "--family", "viana"],
+         "markov experiments need an IntervalMap; 'viana' is a SkewProduct"),
+        (["curve", "--family", "logistic"],
+         "curve experiments need a SkewProduct; 'logistic' is an "
+         "IntervalMap"),
+    ], ids=["markov-on-skew", "curve-on-interval-map"])
+    def test_kind_mismatch_names_both_types(self, tmp_path, capsys, argv,
+                                            message):
+        assert cli_main([*argv, "--out", str(tmp_path / "k")]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, field", [
         (["--c1", "0.2", "--c2", "0.1"], "experiment.c1"),
         (["--c1", "0.1", "--c2", "0.1"], "experiment.c1"),

@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,63 @@ class TestOnePartitionWalk:
         cert = assemble_markov(logistic, part, seeds=200)
         assert len(walks) == 1
         assert cert.N == monotone_scale(logistic, part)
+
+
+class TestLaneLoops:
+    """What a Markov assembly spends on bisection loops and lane memory."""
+
+    @pytest.mark.parametrize("depth, seeds, most", [(1, 200, 15),
+                                                    (2, 2000, 79)])
+    def test_one_loop_per_dependency_level(self, logistic, monkeypatch,
+                                           depth, seeds, most):
+        # 21 and 125 loops when each step's covered cells took a loop of
+        # their own and LANE_BATCH was 2048, so that the 2,560 constancy
+        # samples of depth 1 walked as 2,048 + 512
+        loops = []
+        inner = branches._bisect_lanes
+
+        def counted(*args):
+            loops.append(args[1].size)
+            return inner(*args)
+        monkeypatch.setattr(branches, "_bisect_lanes", counted)
+        assemble_markov(logistic, build_partition(logistic, depth),
+                        seeds=seeds, seed=5)
+        assert len(loops) <= most
+
+    def test_cells_take_one_loop_after_the_walk(self, monkeypatch):
+        # inducing times 4 to 34: the covered cells of every step, 2,000
+        # lanes, are pulled back in one ragged-depth loop once the walk
+        # ends; with a cell loop at each step the walk took 17 loops
+        loops = []
+        inner = branches._bisect_lanes
+
+        def counted(maps, target, lo, hi, depth, *rest):
+            loops.append((depth.min(), depth.max()))
+            return inner(maps, target, lo, hi, depth, *rest)
+        monkeypatch.setattr(branches, "_bisect_lanes", counted)
+        m, part = ORACLE_SYSTEMS["quadratic 1.7"]()
+        xs = make_generator(54).uniform(m.domain.lo, m.domain.hi, 1000)
+        got = list(inducing_times(m, part, xs.tolist(), 4, 40))
+        assert len({g[0] for g in got if isinstance(g, tuple)}) > 10
+        assert len(loops) <= 10
+        assert [lo < hi for lo, hi in loops] == [False] * 9 + [True]
+
+    def test_walk_memory_per_lane(self, logistic):
+        # traced peak of one walk over LANE_BATCH anchors, above its
+        # inputs: 380 B a lane when each answer was a tuple or an exception
+        # and LANE_BATCH was 2048; 268 B with answers in columns at 4096
+        part = build_partition(logistic, 1)
+        xs = make_generator(7).uniform(0.0, 1.0, LANE_BATCH)
+        xs = xs[~part.near_endpoint(xs)].tolist()
+        N = monotone_scale(logistic, part)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            markov._induce(logistic, part, xs, N, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / len(xs) < 320
 
 
 class TestAssemble:

@@ -24,7 +24,11 @@ def test_time_invocations_one_round(monkeypatch):
     assert lines[0] == f"A: {ROOT / 'src'}"
     rows = lines[2:]
     assert [row[:len(argv)] for row, argv in zip(rows, repeated)] == repeated
-    assert len(rows) == len(repeated) + 1 and rows[-1].startswith("total")
+    assert len(rows) == len(repeated) + 2 and rows[-2].startswith("total")
+    # the peak resident set sits in the CPU column, after the once runs
+    name, mb = rows[-1].rsplit(None, 1)
+    assert name == "peak rss MB" and 10 < float(mb) < 10**4
+    assert len(rows[-1].rstrip()) == len(rows[-2].rstrip())
 
 
 def test_source_dir_accepts_a_checkout_and_its_src(monkeypatch):

@@ -8,15 +8,18 @@ Each source tree is a ``src`` directory (or a checkout that holds one).
 Every round starts one fresh interpreter per tree, with one native
 thread; the trees alternate A B, B A, A B, ... so that neither always
 runs first.  Each interpreter calls ``fiberdyn.experiments.cli.main`` on
-the workload's repeated invocations (``perfbench/workloads.py``, without
-the ``once`` ones) in list order, the way the benchmark's passes do:
-one untimed pass, so that lazy imports and the heap settle, then one
-timed pass.  Per invocation it records the process CPU time and the
-minor page faults (``ru_minflt``) of the call.  The table gives each
-invocation's best CPU time and median fault count over the rounds, and
-the sum of the best times.  The program seeds derive from workload
-seed 1.  Outputs are not checked; an exit code other than the expected
-one is an error.
+the workload's invocations (``perfbench/workloads.py``) in list order,
+the way the benchmark does: one untimed pass of all of them, the ``once``
+ones first, so that lazy imports and the heap settle, then one timed
+pass of the repeated ones.  Per timed invocation it records the process
+CPU time and the minor page faults (``ru_minflt``) of the call; at the
+end it reads the process's peak resident set (``ru_maxrss``), which
+matches the benchmark's ``peak_rss_mb`` as far as the program goes.
+The table gives each invocation's best CPU time and median fault count
+over the rounds, the sum of the best times, and each tree's median peak
+resident set in MB.  The program seeds derive from workload seed 1.
+Outputs are not checked; an exit code other than the expected one is an
+error.
 """
 
 import argparse
@@ -41,9 +44,14 @@ invocations = WORKLOADS[sys.argv[2]]
 seeds = invocation_seeds(1, len(invocations))
 rows = []
 with tempfile.TemporaryDirectory() as tmp:
+    # the untimed pass runs the once invocations first, as the benchmark
+    # does; the timed pass skips them
+    order = sorted(range(len(invocations)),
+                   key=lambda i: not invocations[i].once)
     for timed in (False, True):
-        for i, (inv, seed) in enumerate(zip(invocations, seeds)):
-            if inv.once:
+        for i in order:
+            inv, seed = invocations[i], seeds[i]
+            if timed and inv.once:
                 continue
             argv = argv_for(inv, seed, Path(tmp) / f"{int(timed)}-{i:02d}")
             gc.collect()
@@ -57,15 +65,16 @@ with tempfile.TemporaryDirectory() as tmp:
                     code = ex.code if isinstance(ex.code, int) else 2
                 cpu = time.process_time() - c0
                 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
-            if timed:
-                rows.append([i, code, cpu, faults])
-print(json.dumps(rows))
+            rows.append([i, timed, code, cpu, faults])
+maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([rows, maxrss]))
 """
 
 
 def run_tree(src, workload):
-    """[(invocation index, exit code, CPU seconds, minor faults)] of one
-    timed pass in a fresh interpreter."""
+    """([(invocation index, timed, exit code, CPU seconds, minor faults)],
+    ru_maxrss in KiB) of one untimed and one timed pass in a fresh
+    interpreter."""
     proc = subprocess.run([sys.executable, "-c", CHILD_CODE, str(PERFBENCH),
                            workload], env=child_env(src),
                           capture_output=True, text=True, timeout=1200)
@@ -75,29 +84,34 @@ def run_tree(src, workload):
 
 
 def time_trees(trees, workload, rounds):
-    """Per tree, {invocation index: ([CPU seconds], [minor faults])}."""
+    """Per tree, ({invocation index: ([CPU seconds], [minor faults])},
+    [ru_maxrss in KiB])."""
     invocations = WORKLOADS[workload]
-    samples = [{} for _ in trees]
+    samples = [({}, []) for _ in trees]
     order = list(range(len(trees)))
     for r in range(rounds):
         for k in (order if r % 2 == 0 else order[::-1]):
             tree = trees[k]
-            for i, code, cpu, faults in run_tree(tree, workload):
+            rows, maxrss = run_tree(tree, workload)
+            for i, timed, code, cpu, faults in rows:
                 if code != invocations[i].expect_exit:
                     raise SystemExit(f"{tree}: invocation {i} "
                                      f"({' '.join(invocations[i].argv)}) "
                                      f"exited {code}")
-                cpus, flts = samples[k].setdefault(i, ([], []))
-                cpus.append(cpu)
-                flts.append(faults)
+                if timed:
+                    cpus, flts = samples[k][0].setdefault(i, ([], []))
+                    cpus.append(cpu)
+                    flts.append(faults)
+            samples[k][1].append(maxrss)
     return samples
 
 
 def table(samples, workload):
     """Lines of the table: per invocation and tree, the best CPU time in ms
-    and the median minor faults; then the sums of the best times."""
+    and the median minor faults; then the sums of the best times, and the
+    median peak resident sets in MB."""
     invocations = WORKLOADS[workload]
-    indices = sorted(samples[0])
+    indices = sorted(samples[0][0])
     labels = {i: " ".join(invocations[i].argv) for i in indices}
     width = max(map(len, labels.values()))
     head = "".join(f" {n + ' cpu ms':>10} {n + ' minflt':>9}"
@@ -106,13 +120,16 @@ def table(samples, workload):
     totals = [0.0] * len(samples)
     for i in indices:
         cells = ""
-        for k, per_inv in enumerate(samples):
+        for k, (per_inv, _) in enumerate(samples):
             cpus, flts = per_inv[i]
             totals[k] += min(cpus)
             cells += f" {1e3 * min(cpus):10.2f} {statistics.median(flts):9.0f}"
         lines.append(f"{labels[i]:<{width}}{cells}")
     lines.append(f"{'total':<{width}}"
                  + "".join(f" {1e3 * t:10.2f} {'':9}" for t in totals))
+    lines.append(f"{'peak rss MB':<{width}}"
+                 + "".join(f" {statistics.median(rss) / 1024:10.2f} {'':9}"
+                           for _, rss in samples))
     return lines
 
 
