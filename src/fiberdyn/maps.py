@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DerivativeVanishes, MissingDerivative
 
@@ -670,38 +669,30 @@ _WELL_LO = 0.45
 _WELL_HI = 0.55
 _GAP = _WELL_HI - _WELL_LO
 
-
-def _twowell_connector_coeffs():
-    d2 = _GAP ** 2 * 8.0 / _WELL_LO    # well second derivative rescaled to s
-    A = np.zeros((8, 8))
-    for k in range(8):
-        A[0, k] = float(k == 0)
-        A[1, k] = float(k == 1)
-        A[2, k] = 2.0 * (k == 2)
-        A[3, k] = 6.0 * (k == 3)
-        A[4, k] = 1.0
-        A[5, k] = k
-        A[6, k] = k * (k - 1)
-        A[7, k] = k * (k - 1) * (k - 2)
-    b = np.array([_WELL_LO, 4.0 * _GAP, d2, 0.0,
-                  _WELL_HI, 4.0 * _GAP, -d2, 0.0])
-    hermite = np.linalg.solve(A, b)
-    # bump (s(1-s))^4 (a + b s + c s^2) plunging the connector into the left
-    # well; targets tuned so that every diagonal crossing is repelling
-    targets = [(0.35, 0.20), (0.50, 0.17), (0.65, 0.28)]
-    M = np.array([[(s * (1 - s)) ** 4 * s ** k for k in range(3)]
-                  for s, _ in targets])
-    rhs = np.array([t - P.polyval(s, hermite) for s, t in targets])
-    abc = np.linalg.solve(M, rhs)
-    bump = P.polymul(P.polypow(P.polymul([0.0, 1.0], [1.0, -1.0]), 4), abc)
-    total = P.polyadd(hermite, bump)
-    return tuple(P.polyder(total, m) if m else total for m in range(4))
-
-
-# Connector coefficients per derivative order as Python floats, highest
-# degree first, for Horner's rule in P.polyval's order.
-_TW_CONNECTOR = tuple(tuple(float(c) for c in coeffs[::-1])
-                      for coeffs in _twowell_connector_coeffs())
+# Coefficients of the degree-10 connector in s = (x - 0.45) / gap and of its
+# first three derivatives in s, highest degree first for Horner's rule.  The
+# connector is the degree-7 Hermite join matching both wells' value and first
+# three derivatives at s = 0 and s = 1, plus a bump
+# (s(1-s))^4 (a + b s + c s^2) fitted through (0.35, 0.20), (0.50, 0.17) and
+# (0.65, 0.28), which plunges it into the left well so that every diagonal
+# crossing is repelling.  The floats are stored as literals;
+# test_connector_literals_equal_their_derivation in tests/test_maps.py
+# re-derives them by two linear solves and checks them bit for bit.
+_TW_CONNECTOR = (
+    (-559.1851811269239, 2976.815000060138, -6630.129031465804,
+     7942.780858911424, -5431.296227192527, 2027.1798677526278,
+     -326.5541758278241, 0.0, 0.08888888888888895, 0.40000000000000013,
+     0.45),
+    (-5591.851811269239, 26791.335000541243, -53041.03225172643,
+     55599.46601237997, -32587.77736315516, 10135.89933876314,
+     -1306.2167033112964, 0.0, 0.1777777777777779, 0.40000000000000013),
+    (-50326.66630142315, 214330.68000432994, -371287.225762085,
+     333596.7960742798, -162938.8868157758, 40543.59735505256,
+     -3918.6501099338893, 0.0, 0.1777777777777779),
+    (-402613.3304113852, 1500314.7600303097, -2227723.35457251,
+     1667983.980371399, -651755.5472631032, 121630.79206515767,
+     -7837.300219867779, 0.0),
+)
 
 
 def _twowell_connector(s, order):

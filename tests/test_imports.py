@@ -1,9 +1,9 @@
 """Source hygiene: no unused module-level imports under src/ or tests/,
 one literal for the critical derivative size and no per-element math.log
 under src/, one theta source and one theta chain, no import of the branch
-machinery in measures.py, and the CLI starts without loading scipy or any
-analysis module: each experiment kind loads its own, and the package root
-resolves its names lazily."""
+machinery in measures.py, and the CLI starts without loading scipy,
+numpy.polynomial or any analysis module: each experiment kind loads its
+own, and the package root resolves its names lazily."""
 
 import ast
 import importlib
@@ -158,23 +158,6 @@ def test_measures_imports_neither_expansion_nor_branches():
     assert found == []
 
 
-def test_cli_start_up_leaves_scipy_integrate_unloaded():
-    # only density_compare integrates, and no experiment kind calls it
-    code = ("import sys\n"
-            "import fiberdyn.experiments.cli\n"
-            "from fiberdyn.maps import family_names, make_system\n"
-            "for family in family_names():\n"
-            "    make_system(family)\n"
-            "print('scipy.integrate' in sys.modules)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
-
-
 def fresh_interpreter(code, *args):
     """stdout of `code` run in a new interpreter that imports src/."""
     env = dict(os.environ)
@@ -198,6 +181,19 @@ LOADED = "print(*sorted(m for m in sys.modules if m.startswith('fiberdyn.')))\n"
 CLI_MODULES = {"fiberdyn.errors", "fiberdyn.maps", "fiberdyn.rng",
                "fiberdyn.experiments", "fiberdyn.experiments.config",
                "fiberdyn.experiments.runner", "fiberdyn.experiments.cli"}
+
+
+def test_cli_start_up_leaves_scipy_integrate_unloaded():
+    # only density_compare integrates, and no experiment kind calls it
+    code = START_UP + "print('scipy.integrate' in sys.modules)\n"
+    assert fresh_interpreter(code).split() == ["False"]
+
+
+def test_cli_start_up_leaves_numpy_polynomial_unloaded():
+    # the two-well connector is stored as literals; only the test that
+    # re-derives it loads numpy.polynomial
+    code = START_UP + "print('numpy.polynomial' in sys.modules)\n"
+    assert fresh_interpreter(code).split() == ["False"]
 
 
 def test_cli_start_up_loads_no_analysis_module():

@@ -797,17 +797,60 @@ class TestLogAbs:
             float(np.log(2.0)), -math.inf]
 
 
+def _derive_twowell_connector():
+    """The connector and its first three derivatives in s, lowest degree
+    first: the C^3 Hermite join of the two wells by one linear solve, plus
+    the bump (s(1-s))^4 (a + b s + c s^2) through three targets by
+    another."""
+    from numpy.polynomial import polynomial as P
+
+    lo, hi, gap = maps._WELL_LO, maps._WELL_HI, maps._GAP
+    d2 = gap ** 2 * 8.0 / lo    # well second derivative rescaled to s
+    A = np.zeros((8, 8))
+    for k in range(8):
+        A[0, k] = float(k == 0)
+        A[1, k] = float(k == 1)
+        A[2, k] = 2.0 * (k == 2)
+        A[3, k] = 6.0 * (k == 3)
+        A[4, k] = 1.0
+        A[5, k] = k
+        A[6, k] = k * (k - 1)
+        A[7, k] = k * (k - 1) * (k - 2)
+    b = np.array([lo, 4.0 * gap, d2, 0.0, hi, 4.0 * gap, -d2, 0.0])
+    hermite = np.linalg.solve(A, b)
+    # targets tuned so that every diagonal crossing is repelling
+    targets = [(0.35, 0.20), (0.50, 0.17), (0.65, 0.28)]
+    M = np.array([[(s * (1 - s)) ** 4 * s ** k for k in range(3)]
+                  for s, _ in targets])
+    rhs = np.array([t - P.polyval(s, hermite) for s, t in targets])
+    abc = np.linalg.solve(M, rhs)
+    bump = P.polymul(P.polypow(P.polymul([0.0, 1.0], [1.0, -1.0]), 4), abc)
+    total = P.polyadd(hermite, bump)
+    return tuple(P.polyder(total, m) if m else total for m in range(4))
+
+
+def test_connector_literals_equal_their_derivation():
+    derived = _derive_twowell_connector()
+    assert len(maps._TW_CONNECTOR) == len(derived) == 4
+    for order, (stored, coeffs) in enumerate(zip(maps._TW_CONNECTOR,
+                                                 derived)):
+        assert all(type(c) is float for c in stored), order
+        assert ([c.hex() for c in stored]
+                == [float(c).hex() for c in coeffs[::-1]]), order
+
+
 def _polyval_twowell():
-    """The two-well value and derivatives through P.polyval and np.clip.
+    """The two-well value and derivatives through P.polyval and np.clip,
+    on the connector derived by linear solves.
 
     This is the evaluator as first written; the catalogue map runs Horner's
-    rule inline and must agree with it bit for bit.
+    rule inline on the stored literals and must agree with it bit for bit.
     """
     from numpy.polynomial import polynomial as P
 
     lo, hi, gap = maps._WELL_LO, maps._WELL_HI, maps._GAP
     w = lo
-    connector = maps._twowell_connector_coeffs()
+    connector = _derive_twowell_connector()
 
     def piecewise(x, left, order):
         x = np.asarray(x, dtype=float)

@@ -24,11 +24,15 @@ def test_time_invocations_one_round(monkeypatch):
     assert lines[0] == f"A: {ROOT / 'src'}"
     rows = lines[2:]
     assert [row[:len(argv)] for row, argv in zip(rows, repeated)] == repeated
-    assert len(rows) == len(repeated) + 2 and rows[-2].startswith("total")
-    # the peak resident set sits in the CPU column, after the once runs
+    assert len(rows) == len(repeated) + 3 and rows[-3].startswith("total")
+    # the set-up CPU time and the peak resident set sit in the CPU column;
+    # set-up imports numpy and fiberdyn in a fresh interpreter
+    name, ms = rows[-2].rsplit(None, 1)
+    assert name == "setup ms" and 1 < float(ms) < 10**5
     name, mb = rows[-1].rsplit(None, 1)
     assert name == "peak rss MB" and 10 < float(mb) < 10**4
-    assert len(rows[-1].rstrip()) == len(rows[-2].rstrip())
+    assert (len(rows[-1].rstrip()) == len(rows[-2].rstrip())
+            == len(rows[-3].rstrip()))
 
 
 def test_source_dir_accepts_a_checkout_and_its_src(monkeypatch):

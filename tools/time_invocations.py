@@ -15,9 +15,13 @@ pass of the repeated ones.  Per timed invocation it records the process
 CPU time and the minor page faults (``ru_minflt``) of the call; at the
 end it reads the process's peak resident set (``ru_maxrss``), which
 matches the benchmark's ``peak_rss_mb`` as far as the program goes.
-The table gives each invocation's best CPU time and median fault count
-over the rounds, the sum of the best times, and each tree's median peak
-resident set in MB.  The program seeds derive from workload seed 1.
+In each round, one more fresh interpreter per tree runs the benchmark's
+own set-up code (``SETUP_CODE`` of ``perfbench/run.py``: import the CLI,
+build the workload's systems) and reports its CPU time.  The table gives
+each invocation's best CPU time and median fault count over the rounds,
+the sum of the best times, each tree's median set-up CPU time in ms and
+its median peak resident set in MB.  The program seeds derive from
+workload seed 1.
 Outputs are not checked; an exit code other than the expected one is an
 error.
 """
@@ -30,7 +34,8 @@ import sys
 from pathlib import Path
 
 from compare_outputs import child_env, source_dir
-from workloads import WORKLOADS
+from run import SETUP_CODE
+from workloads import WORKLOADS, families
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -83,11 +88,24 @@ def run_tree(src, workload):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def setup_seconds(src, fams):
+    """CPU seconds of the benchmark's set-up code for the families fams,
+    in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", SETUP_CODE, str(src), *fams],
+                          env=child_env(src), capture_output=True, text=True,
+                          timeout=120)
+    if proc.returncode != 0:
+        raise SystemExit(f"{src}: set-up failed: "
+                         f"{proc.stderr.strip()[-500:]}")
+    return float(proc.stdout.split()[-1])
+
+
 def time_trees(trees, workload, rounds):
     """Per tree, ({invocation index: ([CPU seconds], [minor faults])},
-    [ru_maxrss in KiB])."""
+    [ru_maxrss in KiB], [set-up CPU seconds])."""
     invocations = WORKLOADS[workload]
-    samples = [({}, []) for _ in trees]
+    fams = families(invocations)
+    samples = [({}, [], []) for _ in trees]
     order = list(range(len(trees)))
     for r in range(rounds):
         for k in (order if r % 2 == 0 else order[::-1]):
@@ -103,13 +121,15 @@ def time_trees(trees, workload, rounds):
                     cpus.append(cpu)
                     flts.append(faults)
             samples[k][1].append(maxrss)
+            samples[k][2].append(setup_seconds(tree, fams))
     return samples
 
 
 def table(samples, workload):
     """Lines of the table: per invocation and tree, the best CPU time in ms
-    and the median minor faults; then the sums of the best times, and the
-    median peak resident sets in MB."""
+    and the median minor faults; then the sums of the best times, the
+    median set-up CPU times in ms and the median peak resident sets in
+    MB."""
     invocations = WORKLOADS[workload]
     indices = sorted(samples[0][0])
     labels = {i: " ".join(invocations[i].argv) for i in indices}
@@ -120,16 +140,19 @@ def table(samples, workload):
     totals = [0.0] * len(samples)
     for i in indices:
         cells = ""
-        for k, (per_inv, _) in enumerate(samples):
+        for k, (per_inv, *_) in enumerate(samples):
             cpus, flts = per_inv[i]
             totals[k] += min(cpus)
             cells += f" {1e3 * min(cpus):10.2f} {statistics.median(flts):9.0f}"
         lines.append(f"{labels[i]:<{width}}{cells}")
     lines.append(f"{'total':<{width}}"
                  + "".join(f" {1e3 * t:10.2f} {'':9}" for t in totals))
+    lines.append(f"{'setup ms':<{width}}"
+                 + "".join(f" {1e3 * statistics.median(setup):10.2f} {'':9}"
+                           for *_, setup in samples))
     lines.append(f"{'peak rss MB':<{width}}"
                  + "".join(f" {statistics.median(rss) / 1024:10.2f} {'':9}"
-                           for _, rss in samples))
+                           for _, rss, _ in samples))
     return lines
 
 
