@@ -4,10 +4,12 @@ Every run writes its data files plus a manifest recording the exact
 config, the seed and generator, per-file content digests and wall time.
 Reruns with an identical config reproduce the data files bit for bit.
 
-This is the one module that turns results into bytes: the numerical
-modules return values, and each `_run_*` function below lays out its
-files through `_write_csv` and `_write_json`.  Floats are written with
-`repr`, so a file round-trips them exactly.
+This is the one module that turns results into bytes.  The numerical
+modules return values, and so does each `_run_*` function below: its
+files as {name: CSV rows, header first, or a JSON payload}.
+`run_experiment` alone encodes, writes and digests them, once the kind
+has returned.  Floats are written with `repr`, so a file round-trips
+them exactly.
 
 Each `_run_*` function imports the analysis functions it calls in its own
 body, so a process loads only the numerical modules of the kinds it runs;
@@ -16,6 +18,7 @@ importing this module loads `maps` and `rng` alone.
 
 import csv
 import hashlib
+import io
 import json
 import time
 from dataclasses import asdict
@@ -60,18 +63,7 @@ def _grid(cfg, system):
         raise ValidationError("experiment.bins", str(ex)) from ex
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_json(path, payload):
-    path.write_text(json.dumps(payload, sort_keys=True))
-
-
-def _run_ftle(cfg, system, out):
+def _run_ftle(cfg, system):
     from ..expansion import ftle_fiber, ftle_full
     rng = make_generator(cfg.seed)
     n = cfg.param("n")
@@ -88,36 +80,33 @@ def _run_ftle(cfg, system, out):
         rows.append([i, *map(repr, z), repr(val)])
     header = ["sample", "theta", "x0", "ftle"] if skew else \
         ["sample", "x0", "ftle"]
-    _write_csv(out / "ftle.csv", header, rows)
-    return ["ftle.csv"]
+    return {"ftle.csv": [header, *rows]}
 
 
-def _run_branch(cfg, system, out):
+def _run_branch(cfg, system):
     from ..branches import track_branch
     seq = system.sequence(cfg.param("theta"))
     br = track_branch(seq, _anchor(cfg, seq.domain), cfg.param("n"))
     # r_history goes to its own file
-    _write_json(out / "branch.json", {k: v for k, v in asdict(br).items()
-                                      if k != "r_history"})
-    _write_csv(out / "r_history.csv", ["i", "r"],
-               [[i + 1, repr(r)] for i, r in enumerate(br.r_history)])
-    return ["branch.json", "r_history.csv"]
+    return {"branch.json": {k: v for k, v in asdict(br).items()
+                            if k != "r_history"},
+            "r_history.csv": [["i", "r"], *([i + 1, repr(r)] for i, r in
+                                            enumerate(br.r_history))]}
 
 
-def _run_census(cfg, system, out):
+def _run_census(cfg, system):
     from ..branches import component_census
     # census has no theta key: a skew-product runs its theta = 0 fibers
     seq = system.sequence(0.0)
     record = component_census(seq, cfg.param("n"), cfg.param("delta"),
                               cap=cfg.param("cap"))
-    _write_csv(out / "census.csv",
-               ["word", "component_count", "total_measure"],
-               [["".join(map(str, w)), record.count(w),
-                 repr(record.measure(w))] for w in record.words()])
-    return ["census.csv"]
+    return {"census.csv": [
+        ["word", "component_count", "total_measure"],
+        *(["".join(map(str, w)), record.count(w), repr(record.measure(w))]
+          for w in record.words())]}
 
 
-def _run_ay_decay(cfg, system, out):
+def _run_ay_decay(cfg, system):
     from ..expansion import measure_AY_decay
     n_values = [int(v) for v in cfg.param("n_values").split()]
     lo, hi = cfg.param("delta_min"), cfg.param("delta_max")
@@ -125,14 +114,13 @@ def _run_ay_decay(cfg, system, out):
     deltas = list(np.geomspace(lo, hi, count)) if count > 1 else [lo]
     table = measure_AY_decay(system, n_values, deltas, cfg.param("lambda"),
                              cfg.param("samples"), cfg.seed)
-    _write_csv(out / "decay.csv", ["n", "fraction", "bound", "delta",
-                                   "lambda", "samples", "seed"],
-               [[n, repr(frac), repr(bound), repr(delta), repr(lam), m, seed]
-                for n, frac, _, bound, delta, lam, m, seed in table.rows])
-    return ["decay.csv"]
+    return {"decay.csv": [
+        ["n", "fraction", "bound", "delta", "lambda", "samples", "seed"],
+        *([n, repr(frac), repr(bound), repr(delta), repr(lam), m, seed]
+          for n, frac, _, bound, delta, lam, m, seed in table.rows)]}
 
 
-def _run_pliss(cfg, system, out):
+def _run_pliss(cfg, system):
     from ..branches import track_branch
     from ..hyptimes import PlissQuery, pliss_times
     seq = system.sequence(cfg.param("theta"))
@@ -143,15 +131,14 @@ def _run_pliss(cfg, system, out):
     br = track_branch(seq, _anchor(cfg, seq.domain), cfg.param("n"))
     q = PlissQuery(br.r_history, cfg.param("c1"), cfg.param("c2"), length)
     res = pliss_times(q)
-    _write_csv(out / "pliss.csv", ["index"], [[i] for i in res.indices])
-    _write_json(out / "pliss.json", {
-        "density": res.density, "zeta": res.zeta,
-        "guaranteed": res.guaranteed, "count": len(res.indices),
-    })
-    return ["pliss.csv", "pliss.json"]
+    return {"pliss.csv": [["index"], *([i] for i in res.indices)],
+            "pliss.json": {
+                "density": res.density, "zeta": res.zeta,
+                "guaranteed": res.guaranteed, "count": len(res.indices),
+            }}
 
 
-def _run_curve(cfg, system, out):
+def _run_curve(cfg, system):
     from ..hyptimes import CurveGraph, curve_growth_constants, slope_envelope
     _require(cfg, system, SkewProduct)
     rng = make_generator(cfg.seed)
@@ -168,72 +155,57 @@ def _run_curve(cfg, system, out):
         cur = CurveGraph(th, xs, slopes=np.full(th.size, slope))
         env = np.maximum(env, slope_envelope(system, cur, n))
     _, C1, C2 = curve_growth_constants(system, alpha)
-    _write_csv(out / "curve_slopes.csv", ["iterate", "max_slope"],
-               [[i + 1, repr(float(v))] for i, v in enumerate(env)])
-    _write_json(out / "curve.json", {
-        "C1": C1, "C2": C2, "alpha": alpha,
-        "max_slope": float(env.max()),
-        "bound_satisfied": bool(env.max() <= 1.1 * C1),
-    })
-    return ["curve_slopes.csv", "curve.json"]
+    return {"curve_slopes.csv": [["iterate", "max_slope"],
+                                 *([i + 1, repr(float(v))]
+                                   for i, v in enumerate(env))],
+            "curve.json": {
+                "C1": C1, "C2": C2, "alpha": alpha,
+                "max_slope": float(env.max()),
+                "bound_satisfied": bool(env.max() <= 1.1 * C1),
+            }}
 
 
-def _run_probe(cfg, system, out):
+def _run_probe(cfg, system):
     from ..hyptimes import probe_neighborhood
     _require(cfg, system, SkewProduct)
     x = _anchor(cfg, system.fiber_domain)
     rep = probe_neighborhood(system, (cfg.param("theta"), x),
                              cfg.param("k"), cfg.param("delta_tilde"),
                              cfg.param("grid"))
-    _write_json(out / "probe.json", asdict(rep))
-    return ["probe.json"]
+    return {"probe.json": asdict(rep)}
 
 
-def _run_acim(cfg, system, out):
+def _run_acim(cfg, system):
     from ..measures import BinGrid1D, empirical_measure
     mu = empirical_measure(system, cfg.param("samples"), cfg.param("n"),
                            _grid(cfg, system), cfg.seed)
     w = [repr(float(v)) for v in mu.weights]
     if isinstance(mu.grid, BinGrid1D):
         e = [repr(float(v)) for v in mu.grid.edges]
-        _write_csv(out / "measure.csv", ["bin_lo", "bin_hi", "weight"],
-                   zip(e, e[1:], w))
+        rows = [["bin_lo", "bin_hi", "weight"], *zip(e, e[1:], w)]
     else:
-        _write_csv(out / "measure.csv", ["flat_index", "weight"], enumerate(w))
-    _write_json(out / "measure_meta.json",
-                {**mu.metadata, "grid": mu.grid.describe()})
-    return ["measure.csv", "measure_meta.json"]
+        rows = [["flat_index", "weight"], *enumerate(w)]
+    return {"measure.csv": rows,
+            "measure_meta.json": {**mu.metadata,
+                                  "grid": mu.grid.describe()}}
 
 
-def _run_components(cfg, system, out):
+def _run_components(cfg, system):
     from ..measures import ergodic_components
     rep = ergodic_components(system, cfg.param("probes"), cfg.param("n"),
                              _grid(cfg, system), cfg.seed,
                              cfg.param("threshold"))
-    _write_json(out / "components.json", asdict(rep))
-    _write_csv(out / "assignment.csv", ["probe", "cluster"],
-               list(enumerate(rep.assignment)))
-    return ["components.json", "assignment.csv"]
+    return {"components.json": asdict(rep),
+            "assignment.csv": [["probe", "cluster"],
+                               *enumerate(rep.assignment)]}
 
 
-def _run_markov(cfg, system, out):
+def _run_markov(cfg, system):
     from ..markov import assemble_markov, build_partition, summability_stat
     _require(cfg, system, IntervalMap)
     part = build_partition(system, cfg.param("depth"))
     cert = assemble_markov(system, part, seeds=cfg.param("seeds"),
                            k_max=cfg.param("k_max"), seed=cfg.seed)
-    _write_csv(out / "branches.csv",
-               ["i", "lo", "hi", "k", "image_cell", "distortion_sample"],
-               [[i, repr(b.lo), repr(b.hi), b.time, b.image_cell,
-                 repr(b.distortion_sample)]
-                for i, b in enumerate(cert.branches)])
-    _write_json(out / "certificate.json", {
-        "branch_count": len(cert.branches), "coverage": cert.coverage,
-        "image_exactness": cert.image_exactness,
-        "min_image_length": cert.min_image_length,
-        "constancy_ok": cert.constancy_ok, "K_hat": cert.K_hat, "N": cert.N,
-        "failures": cert.failures,
-    })
     try:
         st = summability_stat(cert.branches, system, cfg.param("orbit_len"),
                               cfg.param("probes"), cfg.seed)
@@ -241,8 +213,21 @@ def _run_markov(cfg, system, out):
                    "escaped": st.escaped}
     except FiberdynError as ex:
         summary = {"error": str(ex)}
-    _write_json(out / "summability.json", summary)
-    return ["branches.csv", "certificate.json", "summability.json"]
+    return {
+        "branches.csv": [
+            ["i", "lo", "hi", "k", "image_cell", "distortion_sample"],
+            *([i, repr(b.lo), repr(b.hi), b.time, b.image_cell,
+               repr(b.distortion_sample)]
+              for i, b in enumerate(cert.branches))],
+        "certificate.json": {
+            "branch_count": len(cert.branches), "coverage": cert.coverage,
+            "image_exactness": cert.image_exactness,
+            "min_image_length": cert.min_image_length,
+            "constancy_ok": cert.constancy_ok, "K_hat": cert.K_hat,
+            "N": cert.N, "failures": cert.failures,
+        },
+        "summability.json": summary,
+    }
 
 
 _RUNNERS = {
@@ -257,12 +242,6 @@ _RUNNERS = {
     "components": _run_components,
     "markov": _run_markov,
 }
-
-
-def _sha256(path):
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -293,13 +272,19 @@ def run_experiment(cfg: ExperimentConfig):
             system = make_system(cfg.family, **cfg.system_params)
         except ValueError as ex:    # parameters outside the family's range
             raise ValidationError("system", str(ex)) from ex
-        names = _RUNNERS[cfg.kind](cfg, system, out)
-        for name in names:
-            p = out / name
+        for name, content in _RUNNERS[cfg.kind](cfg, system).items():
+            if name.endswith(".json"):
+                text = json.dumps(content, sort_keys=True)
+            else:
+                buf = io.StringIO()
+                csv.writer(buf).writerows(content)
+                text = buf.getvalue()
+            data = text.encode()
+            (out / name).write_bytes(data)
             manifest["outputs"].append({
                 "name": name,
-                "sha256": _sha256(p),
-                "bytes": p.stat().st_size,
+                "sha256": hashlib.sha256(data).hexdigest(),
+                "bytes": len(data),
             })
     except Exception as ex:   # record, then re-raise for exit-status logic
         manifest["status"] = "error"

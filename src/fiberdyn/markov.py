@@ -431,6 +431,7 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
                 f"by {defect:.3e}; cell images drift off the partition "
                 "under induced iterates")
     out = []
+    unstable = 0        # constancy samples that failed or disagree
     worst_mismatch = 0.0
     min_img = math.inf
     rng2 = make_generator((seed + 1) % 2**64)
@@ -461,12 +462,14 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
             for s in ss:
                 result = next(found)
                 if isinstance(result, Exception):
+                    unstable += 1
                     failures.append(
                         f"branch@{lo!r}: sample {float(s)!r} failed")
                     continue
                 k2, (lo2, hi2), ci2 = result
                 if k2 != k or ci2 != ci or abs(lo2 - lo) > ENDPOINT_TOL \
                         or abs(hi2 - hi) > ENDPOINT_TOL:
+                    unstable += 1
                     failures.append(
                         f"branch@{lo!r}: (k, I) not constant at "
                         f"{float(s)!r}")
@@ -495,11 +498,9 @@ def assemble_markov(m: IntervalMap, part: MarkovPartition, seeds=10**4,
             if len(vals) > 1:
                 K_hat = max(K_hat, math.exp(max(vals) - min(vals)))
 
-    constancy_ok = check_constancy and not any(
-        "not constant" in f or "failed" in f for f in failures)
     return MarkovCertificate(tuple(out), coverage, worst_mismatch,
-                             min_img, constancy_ok, K_hat, N,
-                             tuple(failures))
+                             min_img, check_constancy and not unstable,
+                             K_hat, N, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,9 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"].endswith(
             "branches cover only 0.000 of the domain")
+        # the data files are written only once the kind has returned
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert manifest["outputs"] == []
 
     def test_experiment_failure_exit_code(self, tmp_path):
         rc = cli_main(["census", "--n", "16", "--cap", "4",

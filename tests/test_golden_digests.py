@@ -192,6 +192,12 @@ def test_output_digests(name, tmp_path):
     actual = {e["name"]: hashlib.sha256((tmp_path / e["name"]).read_bytes())
               .hexdigest() for e in manifest["outputs"]}
     assert actual == expected
+    # the manifest digests the bytes it wrote, and lists every data file
+    for e in manifest["outputs"]:
+        assert e["sha256"] == actual[e["name"]]
+        assert e["bytes"] == (tmp_path / e["name"]).stat().st_size
+    assert sorted(e["name"] for e in manifest["outputs"]) == sorted(
+        p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
 
 
 def test_config_file_spelling_writes_golden_digests(tmp_path):

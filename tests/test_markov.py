@@ -423,6 +423,7 @@ class TestAssemble:
                                seeds=200, seed=1)
         assert any("not constant" in f for f in cert.failures)
         assert not any("np." in f for f in cert.failures)
+        assert not cert.constancy_ok
 
     def test_fault_injection_rejected_at_construction(self, logistic):
         with pytest.raises(ValueError, match="not forward invariant"):

@@ -1,10 +1,12 @@
 """The measuring tools under tools/ still run, and the output comparison
-sees a one-byte change."""
+sees a one-byte change, a misstated digest and reordered outputs."""
 
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
@@ -64,3 +66,45 @@ def test_compare_reports_one_changed_byte(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"one seed 1 [{' '.join(argv)}]: r_history.csv differs",
         "1 differences (2 data files, 2 runs)"]
+
+
+def _copy_with(tmp_path, old, new):
+    """A copy of the fiberdyn sources whose runner.py has old, which it
+    holds once, replaced by new."""
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "fiberdyn", changed / "fiberdyn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    runner = changed / "fiberdyn" / "experiments" / "runner.py"
+    text = runner.read_text()
+    assert text.count(old) == 1
+    runner.write_text(text.replace(old, new))
+    return changed
+
+
+@pytest.mark.parametrize("old, new, reports", [
+    # the change's runner digests one byte more than it writes
+    ("hashlib.sha256(data)", 'hashlib.sha256(data + b"x")',
+     ["change manifest entry branch.json does not match its file",
+      "change manifest entry r_history.csv does not match its file"]),
+    # the change's manifest lists the same files in reverse order
+    ("_RUNNERS[cfg.kind](cfg, system).items()",
+     "reversed(_RUNNERS[cfg.kind](cfg, system).items())",
+     ["manifest outputs ['branch.json', 'r_history.csv'] -> "
+      "['r_history.csv', 'branch.json']"]),
+], ids=["wrong digest", "reversed outputs"])
+def test_compare_reports_a_misstating_manifest(monkeypatch, tmp_path, capsys,
+                                               old, new, reports):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import compare_outputs
+    from workloads import Invocation
+    argv = ("branch", "--family", "logistic", "--n", "5")
+    monkeypatch.setattr(compare_outputs, "WORKLOADS",
+                        {"one": (Invocation(argv),)})
+    changed = _copy_with(tmp_path, old, new)
+    capsys.readouterr()
+    assert compare_outputs.main([str(ROOT / "src"), str(changed),
+                                 "--seeds", "1"]) == 1
+    where = f"one seed 1 [{' '.join(argv)}]"
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"{where}: {line}" for line in reports),
+        f"{len(reports)} differences (2 data files, 2 runs)"]

@@ -11,9 +11,10 @@ seed, the CLI runs once per tree, each time in a fresh interpreter with
 one native thread; the two trees' runs of an invocation run at once.
 Every data file (each output file but ``manifest.json``, whose timings
 differ from run to run) whose sha256 differs, or that only one tree
-writes, is printed, and so is every invocation whose exit code or
-manifest ``status`` or ``error`` differs; then the count.  The exit
-status is 1 on any difference.
+writes, is printed, and so is every invocation whose exit code, manifest
+``status`` or ``error``, or ordered manifest ``outputs`` names differ,
+and every manifest entry whose ``sha256`` or ``bytes`` does not match
+its file; then the count.  The exit status is 1 on any difference.
 """
 
 import argparse
@@ -46,23 +47,32 @@ def child_env(src):
 
 
 def run_cli(src, argv):
-    """Exit code, {file name: sha256} of the data files and the manifest's
-    {"status", "error"} (None where absent) of one run."""
+    """Exit code, {file name: sha256} of the data files, the manifest's
+    {"status", "error"} (None where absent) with its ordered "outputs"
+    names, and the names of the manifest entries whose sha256 or bytes
+    do not match their file, of one run."""
     proc = subprocess.run([sys.executable, "-m", "fiberdyn.experiments.cli",
                            *argv], env=child_env(src), capture_output=True,
                           timeout=600)
     out = Path(argv[argv.index("--out") + 1])
-    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-             for p in sorted(out.glob("*")) if p.name != "manifest.json"}
+    data = {p.name: p.read_bytes()
+            for p in sorted(out.glob("*")) if p.name != "manifest.json"}
+    files = {name: hashlib.sha256(b).hexdigest() for name, b in data.items()}
     manifest = out / "manifest.json"
     record = json.loads(manifest.read_text()) if manifest.exists() else {}
-    return proc.returncode, files, {key: record.get(key)
-                                    for key in ("status", "error")}
+    entries = record.get("outputs", [])
+    summary = {key: record.get(key) for key in ("status", "error")}
+    summary["outputs"] = [e["name"] for e in entries]
+    wrong = [e["name"] for e in entries
+             if (e["sha256"], e["bytes"]) != (files.get(e["name"]),
+                                              len(data.get(e["name"], b"")))]
+    return proc.returncode, files, summary, wrong
 
 
 def compare(parent, change, seeds):
-    """Print each differing exit code, manifest status or error, or data
-    file; return the number of differences, of runs and of data files
+    """Print each differing exit code, manifest status, error or outputs
+    names, or data file, and each manifest entry that misstates its file;
+    return the number of differences, of runs and of data files
     compared."""
     diffs = runs = files = 0
     with tempfile.TemporaryDirectory() as tmp, \
@@ -71,7 +81,8 @@ def compare(parent, change, seeds):
             for wseed in seeds:
                 pseeds = invocation_seeds(wseed, len(invocations))
                 for i, (inv, pseed) in enumerate(zip(invocations, pseeds)):
-                    (code_a, files_a, rec_a), (code_b, files_b, rec_b) = (
+                    ((code_a, files_a, rec_a, wrong_a),
+                     (code_b, files_b, rec_b, wrong_b)) = (
                         pool.map(run_cli, (parent, change), [
                             argv_for(inv, pseed, Path(tmp) /
                                      f"{name}-{wseed}-{i}-{side}")
@@ -85,6 +96,11 @@ def compare(parent, change, seeds):
                     names = sorted(files_a.keys() | files_b.keys())
                     lines += [f"{where}: {f} differs" for f in names
                               if files_a.get(f) != files_b.get(f)]
+                    lines += [f"{where}: {tree} manifest entry {f} does not "
+                              "match its file"
+                              for tree, wrong in (("parent", wrong_a),
+                                                  ("change", wrong_b))
+                              for f in wrong]
                     for line in lines:
                         print(line, flush=True)
                     diffs += len(lines)
