@@ -49,17 +49,27 @@ def _log_sum(s, d):
     return float(np.add.accumulate(logs, out=logs)[-1]), None
 
 
+def _start_point(domain, x):
+    """x as a float, or ValueError if it is not a point of the domain."""
+    x = float(x)
+    if not domain.contains(x):
+        raise ValueError(f"start point x = {x!r} lies outside "
+                         f"[{domain.lo!r}, {domain.hi!r}]")
+    return x
+
+
 def ftle_fiber(seq: MapSequence, x, n):
     """(1/n) sum of log |Df_j| along the orbit of x under the sequence.
 
-    Raises HitCritical(step) at the first step j whose |Df_j(x_j)| is
-    critical (maps.log_abs).  The orbit is built in chunks with the scalar
+    Raises ValueError if x is not a point of `seq.domain`, and
+    HitCritical(step) at the first step j whose |Df_j(x_j)| is critical
+    (maps.log_abs).  The orbit is built in chunks with the scalar
     step `seq.chunk` supplies, whose derivative is then evaluated on the
     whole chunk as an array and summed by `_log_sum`.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    x = float(x)
+    x = _start_point(seq.domain, x)
     s = 0.0
     for start in range(0, n, _ORBIT_CHUNK):
         k = min(_ORBIT_CHUNK, n - start)
@@ -96,8 +106,11 @@ def ftle_full(skew: SkewProduct, z, n):
     the inverse-matrix norm when the differential is invertible.  Raises
     DegenerateDifferential at the first step whose co-norm is critical
     (maps.log_abs), which with d_theta g = d != 0 is where d_x f = 0.
+    A non-finite theta, or an x outside `skew.fiber_domain`, raises
+    ValueError.
 
-    The orbit is stepped in chunks: theta_j by `skew.base_orbit`, then
+    The orbit is stepped in chunks: theta_j by `skew.base_rows`, each
+    chunk continuing from the state the one before handed on, then
     c(theta_j) on the chunk's theta array and x_j by `skew.fiber_step` on
     floats.  The differential and its co-norm are then evaluated on the
     whole chunk as arrays and summed by `_log_sum`, so the result is that
@@ -105,12 +118,11 @@ def ftle_full(skew: SkewProduct, z, n):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    theta, x = float(z[0]), float(z[1])
+    state, x = skew.base_state(z[0]), _start_point(skew.fiber_domain, z[1])
     s = 0.0
     for start in range(0, n, _ORBIT_CHUNK):
         k = min(_ORBIT_CHUNK, n - start)
-        T = skew.base_orbit(theta, k)
-        T, theta = T[:k], T[k]
+        T, state = skew.base_rows(state, k)
         X, x = _orbit_chunk(skew.fiber_step,
                             (skew.fiber_coefficient(T).tolist(),), x, k)
         s, hit = _log_sum(s, smallest_singular_value(

@@ -174,6 +174,9 @@ def propagate_curve(skew: SkewProduct, curve: CurveGraph, n):
     Returns a list over iterates 1..n; each entry is a tuple of CurveGraph
     pieces (the base map multiplies the theta extent by about its degree,
     so the piece count grows geometrically; CapExceeded past 10**5 pieces).
+    Each iterate reads one base step, by `skew.step`, from the float theta
+    of the piece it is handed and carries no orbit state, so the curve
+    keeps float theta whatever type `SkewProduct.base_state` gives.
     """
     pieces = [curve]
     out = []
@@ -307,7 +310,10 @@ def probe_neighborhood(skew: SkewProduct, z, k, delta_tilde, grid=32):
     The base arc of the box has width 2 rho' / d^k; since the base
     d*theta mod 1 is affine on each arc, the mesh is iterated in exact
     offset coordinates so the probe stays meaningful when that width
-    falls below float spacing.
+    falls below float spacing.  The offset columns
+    wrap(theta_m + offset * d^(m - k)) read the float row theta_m of the
+    fiber sequence and step no orbit, so they keep float theta whatever
+    type `SkewProduct.base_state` gives.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")

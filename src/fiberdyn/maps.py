@@ -235,32 +235,33 @@ class MapSequence:
     """Ordered interval maps f_0, f_1, ... on one shared domain.
 
     A constant sequence repeats the IntervalMap `m`.  A fiber sequence is a
-    skew-product plus its base orbit theta_j (Python floats), extended with
-    `SkewProduct.base_orbit` in blocks that grow geometrically from the
-    index reached.  Each new block passes IntervalMap's checks in one 2-d
-    evaluation; `map_at(j)` is then a FiberMap over f(theta_j, .).
+    skew-product, its base orbit theta_j (Python floats) and the state
+    after it, from `SkewProduct.base_state`, extended by `base_rows` in
+    blocks that grow geometrically from the index reached.  Each new block
+    passes IntervalMap's checks in one 2-d evaluation; `map_at(j)` is then
+    a FiberMap over f(theta_j, .).
     """
 
     def __init__(self, domain, m=None, skew=None, theta=0.0):
         self.domain = domain
         self.constant = skew is None
         self._map, self._skew = m, skew
-        self._theta = [theta]     # the base orbit computed so far
-        self._checked = 0         # theta_j with j < _checked passed the checks
+        self._theta = []          # the base orbit computed so far, checked
+        self._state = None if skew is None else skew.base_state(theta)
 
     def thetas(self, stop):
         """The base orbit through at least theta_{stop-1}, all of it checked."""
         th, skew = self._theta, self._skew
-        while self._checked < stop:
-            start = self._checked
+        while len(th) < stop:
+            start = len(th)
             end = min(max(stop, 2 * start), start + _THETA_BLOCK)
-            if end > len(th):
-                th.extend(skew.base_orbit(th[-1], end - len(th))[1:].tolist())
-            T = np.array(th[start:end])[:, None]
-            _check_maps(partial(skew.fiber, T), partial(skew.fiber_dx, T),
+            T, state = skew.base_rows(self._state, end - start)
+            _check_maps(partial(skew.fiber, T[:, None]),
+                        partial(skew.fiber_dx, T[:, None]),
                         self.domain, skew.fiber_critical_points,
                         f"fiber map at theta_j, {start} <= j < {end},")
-            self._checked = end
+            th.extend(T.tolist())
+            self._state = state
         return th
 
     def map_at(self, j):
@@ -363,21 +364,21 @@ class SkewProduct:
     construction fits on its default test grid; its sigma_hat and C are the
     domination constants.
 
+    Base orbits come from one pair: theta enters by `base_state(theta)`,
+    for one orbit or a cloud of lanes, and `base_rows(state, n)` gives the
+    float rows 0 .. n-1 and the state of row n.  `MapSequence`,
+    `ftle_full` and `theta_blocks` (the one place theta lanes are chained,
+    read by `orbit` and the branch statistics' cloud loop) carry that
+    state, never a float row.  The state is the wrapped float row; an
+    exact integer state is planned (see ROADMAP).
+
     Iterates of g have the bits of repeated application with a wrap to
     [0,1) after every step.  For d = 2^m row i is frac(d^i theta), computed
     in one exact multiply per 1023 // m rows; any other d is stepped row by
     row.  Neither keeps them accurate: the float orbit still collapses,
     each step shifting out m = log2(d) bits of the float's 53-bit
     mantissa, so an orbit reaches exactly 0.0 after about 53 / m steps and
-    stays there (viana_skew().base_orbit(pi/10, 20) is 0.0 from step 13
-    on); exact digit-stream orbits are planned (see ROADMAP).  `base_orbit`
-    is the one theta source, for one orbit or, on an array, for a cloud of
-    theta lanes: its rows come from `_base_rows`, but for a float orbit of
-    a d that is not a power of two, which a Python loop steps.
-    `theta_blocks` streams those rows block by block, each block continuing
-    from the wrapped last row of the one before; it is the one place theta
-    lanes are chained, and `orbit` and the branch statistics' cloud loop
-    read their theta rows from it.
+    stays there (row 13 of the viana_skew() orbit of pi/10 is 0.0).
 
     `base` wraps once, with `wrap`: on an array d*theta - floor(d*theta)
     gives the bits of `% 1.0` at a fraction of np.remainder's cost, and on a
@@ -431,16 +432,13 @@ class SkewProduct:
     def theta_blocks(self, theta, n):
         """Rows 0 .. n-1 of the base orbits of a cloud of theta lanes, and
         c(theta) of each, in blocks (T, C) of rows_per_block(lanes) rows
-        (the last may be shorter): the rows of one `base_orbit`, each row
-        wrapped once, each block continuing from the last row of the one
-        before.
+        (the last may be shorter): the `base_rows` of one `base_state`,
+        each block continuing from the state the one before handed on.
         This is the one place theta lanes cross a block."""
-        t = wrap(np.asarray(theta, dtype=float))
-        rows = rows_per_block(np.size(t))
+        rows = rows_per_block(np.size(theta))
+        state = self.base_state(theta)
         for j in range(0, n, rows):
-            T = _base_rows(self.base_degree, t, min(rows, n - 1 - j))
-            t = T[-1]
-            T = T[:rows]
+            T, state = self.base_rows(state, min(rows, n - j))
             yield T, self.fiber_coefficient(T)
 
     def orbit(self, state, n):
@@ -462,60 +460,60 @@ class SkewProduct:
 
     def step(self, state):
         """The image (g(theta), f(theta, x)) of a cloud of points, c taken
-        at theta mod 1."""
+        at theta mod 1.  One base step, by `base`, from the float theta it
+        is handed: no orbit state is carried, so it keeps float theta
+        whatever type `base_state` gives."""
         theta, x = state
-        T = self.base_orbit(theta, 1)
-        c = self.fiber_coefficient(T[:1])[0]
-        return T[1], np.asarray(self.fiber_step(c, x), float)
+        t = wrap(np.asarray(theta, dtype=float))
+        return self.base(t), np.asarray(
+            self.fiber_step(self.fiber_coefficient(t), x), float)
 
     def sequence(self, theta):
         """The fiber maps along the base orbit of theta."""
         return fiber_sequence(self, theta)
 
-    def base_orbit(self, theta, n):
-        """theta, g(theta), ..., g^n(theta), bit for bit the per-step orbit.
+    def base_state(self, theta):
+        """The state of the base orbit of theta, a float or an array of
+        lanes, for `base_rows`: theta wrapped to [0, 1), as row 0 has it.
+        A non-finite theta raises ValueError."""
+        t = np.asarray(theta, dtype=float)
+        if not np.isfinite(t).all():
+            raise ValueError(f"theta must be finite, got {theta!r}")
+        return wrap(float(t) if t.ndim == 0 else t)
 
-        A float gives the (n+1,) orbit, each step `base` on a float,
-        d*t % 1.0.  An array of lanes gives rows of shape
-        (n+1,) + theta.shape: row 0 is `wrap(theta)` and each later row
-        `wrap` of d times the row before, bit for bit the float orbit of
-        every lane.  Both come from `_base_rows` (a float as a 0-d lane),
-        but for d not a power of two a float is stepped in a Python loop.
+    def base_rows(self, state, n):
+        """Rows 0 .. n-1 of the base orbit from `state`, shaped (n,) plus
+        the lanes' shape, and the state of row n (n = 0: no rows and the
+        state): row 0 is the state's theta and each later row `wrap` of d
+        times the row before, bit for bit the per-step float orbit.
+
+        For d = 2^m, row s + j is frac(2^(m j) * row s), filled for up to
+        1023 // m rows j by one multiply and one `wrap` of the block: a
+        power-of-two product is exact and below 2^1023, and x - floor(x) is
+        exact for finite x >= 0, so each row has the bits of the per-row
+        wrap(d * row).  Any other d takes one multiply and one wrap a row,
+        on Python floats for one orbit.
         """
         if n < 0:
-            raise ValueError(f"base_orbit needs n >= 0, got {n!r}")
+            raise ValueError(f"base_rows needs n >= 0, got {n!r}")
         d = self.base_degree
-        if np.ndim(theta) == 0 and d & (d - 1):
-            t = float(theta) % 1.0
-            return np.array([t] + [t := d * t % 1.0 for _ in range(n)])
-        return _base_rows(d, wrap(np.asarray(theta, dtype=float)), n)
-
-
-def _base_rows(d, t, n):
-    """The array base_orbit of lanes t already in [0, 1), such as the last
-    row of an earlier block: row 0 is t as given (`wrap` of a wrapped row is
-    the identity), and each later row `wrap` of d times the row before.
-
-    For d = 2^m, row s + j is frac(2^(m j) * row s), filled for up to
-    1023 // m rows j by one multiply and one `wrap` of the block: a
-    power-of-two product is exact and below 2^1023, and x - floor(x) is
-    exact for finite x >= 0, so each row has the bits of the per-row
-    wrap(d * row).  Any other d takes one multiply and one wrap a row.
-    """
-    T = np.empty((n + 1,) + np.shape(t))
-    T[0] = t
-    if d & (d - 1):
-        for i in range(n):
-            T[i + 1] = wrap(d * T[i])
-        return T
-    m = d.bit_length() - 1
-    k = 1023 // m
-    scale = np.ldexp(1.0, m * np.arange(1, min(k, n) + 1))
-    scale = scale.reshape(scale.shape + (1,) * np.ndim(t))
-    for s in range(0, n, k):
-        B = T[s + 1:s + 1 + k]
-        B[...] = wrap(np.multiply(T[s], scale[:len(B)], out=B))
-    return T
+        if d & (d - 1) and np.ndim(state) == 0:
+            rows = [t := state] + [t := d * t % 1.0 for _ in range(n)]
+            return np.array(rows[:n]), t
+        T = np.empty((n + 1,) + np.shape(state))
+        T[0] = state
+        if d & (d - 1):
+            for i in range(n):
+                T[i + 1] = wrap(d * T[i])
+            return T[:n], T[n]
+        m = d.bit_length() - 1
+        k = 1023 // m
+        scale = np.ldexp(1.0, m * np.arange(1, min(k, n) + 1))
+        scale = scale.reshape(scale.shape + (1,) * np.ndim(state))
+        for s in range(0, n, k):
+            B = T[s + 1:s + 1 + k]
+            B[...] = wrap(np.multiply(T[s], scale[:len(B)], out=B))
+        return T[:n], T[n]
 
 
 def fiber_sequence(skew: SkewProduct, theta):

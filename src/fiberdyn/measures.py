@@ -214,7 +214,10 @@ def invariance_defect(measure: EmpiricalMeasure, system, transfer_samples,
 
     The pushforward is estimated by sampling each bin uniformly with a
     point budget proportional to its weight (at least one point per loaded
-    bin) and applying the map once.
+    bin) and applying the map once.  That one step, `system.step`, reads
+    one base step from the float theta it is handed and carries no orbit
+    state, so it keeps float theta whatever type
+    `SkewProduct.base_state` gives.
     """
     grid = measure.grid
     rng = make_generator(seed)

@@ -71,7 +71,7 @@ def test_one_log_rule_in_src():
 
 
 def theta_steps(source):
-    """Lines that step theta by the base map outside `base_orbit`: a
+    """Lines that step theta by the base map outside `base_rows`: a
     `.base(` call, or wrap(d * ...) / d * ... % 1.0 with d or base_degree."""
     degree = r"\b(?:\w+\.)*(?:d|base_degree)\s*\*(?!\*)"
     pattern = re.compile(r"\.base\(|wrap\(\s*" + degree
@@ -89,14 +89,48 @@ def test_checker_sees_theta_steps():
                                 "u = wrap(skew.base_degree * u)"]
 
 
+def callers(source, name):
+    """The dotted scopes (class.function) of every call to `name(...)` or
+    `x.name(...)` in the source."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if name in (getattr(f, "attr", None), getattr(f, "id", None)):
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_callers_sees_nested_calls():
+    src = ("class A:\n    def f(self):\n        g(s.base_state(t))\n"
+           "def h():\n    return [base_state(u) for u in v]\n"
+           "x = base_state\n")
+    assert callers(src, "base_state") == ["A.f", "h"]
+
+
 def test_one_theta_source():
-    # clouds and orbits take theta from SkewProduct.base_orbit; only maps.py
-    # applies the base map
-    found = [f"{path.relative_to(ROOT)}: {line}"
-             for path in sorted((ROOT / "src").rglob("*.py"))
-             if path.name != "maps.py"
-             for line in theta_steps(path.read_text())]
+    # clouds and orbits take theta from SkewProduct.base_state and
+    # base_rows; only maps.py applies the base map, and theta enters an
+    # orbit only at the three sites that start one
+    sources = {str(path.relative_to(ROOT / "src" / "fiberdyn")):
+               path.read_text()
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    found = [f"{name}: {line}" for name, text in sources.items()
+             if name != "maps.py" for line in theta_steps(text)]
     assert found == []
+    entries = sorted(f"{name}: {scope}" for name, text in sources.items()
+                     for scope in callers(text, "base_state"))
+    assert entries == ["expansion.py: ftle_full",
+                       "maps.py: MapSequence.__init__",
+                       "maps.py: SkewProduct.theta_blocks"]
 
 
 def test_one_scalar_pullback_caller():
@@ -111,14 +145,18 @@ def test_one_scalar_pullback_caller():
 
 
 def test_one_theta_chain():
-    # theta lanes cross a block in SkewProduct.theta_blocks alone: only
-    # maps.py names _base_rows, and no module steps a cloud by a block
-    # index (`.iterates(state, j, k)`)
+    # an orbit continues from the state base_rows hands on, never from a
+    # float row: no module names base_orbit or _base_rows, only maps.py
+    # names the float rows' internals (the exact power-of-two block
+    # multiply), and no module steps a cloud by a block index
+    # (`.iterates(state, j, k)`)
+    internals = ("ldexp(", "1023 //")
     found = [f"{path.relative_to(ROOT)}: {name}"
              for path in sorted((ROOT / "src").rglob("*.py"))
-             for name in ("_base_rows", ".iterates(")
+             for name in ("base_orbit", "_base_rows", ".iterates(",
+                          *internals)
              if name in path.read_text()
-             and not (name == "_base_rows" and path.name == "maps.py")]
+             and not (name in internals and path.name == "maps.py")]
     assert found == []
 
 

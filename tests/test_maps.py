@@ -1,6 +1,7 @@
 import inspect
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,13 +232,22 @@ class TestFiberSplit:
     theta-coefficient c(theta) and x-step, bit for bit."""
 
     @pytest.mark.parametrize("d", [3, 4, 8, 16])
-    def test_base_orbit_is_a_per_step_base_loop(self, d):
+    def test_base_rows_are_a_per_step_base_loop(self, d):
+        # rows 0 .. n-1 of base_rows(base_state(theta), n), then row n
+        # from the state it hands on
         skew = viana_skew(d=d)
         ns = sorted({0, 1, *(edge + i for edge in (maps._THETA_BLOCK,
                                                    expansion._ORBIT_CHUNK)
                              for i in (-1, 0, 1))})
         thetas = (0.3, 0.987654, 1.0 / 3.0, 1.25, 0.0,
                   float(np.nextafter(1.0, 0.0)))
+
+        def rows(theta, n):
+            got, state = skew.base_rows(skew.base_state(theta), n)
+            last, _ = skew.base_rows(state, 1)
+            assert got.dtype == last.dtype == np.float64
+            return np.concatenate([got, last])
+
         orbits = []
         for theta in thetas:
             want = [float(theta) % 1.0]
@@ -245,17 +255,17 @@ class TestFiberSplit:
                 want.append(skew.base(want[-1]))
             orbits.append(want)
             for n in ns:
-                got = skew.base_orbit(theta, n)
-                assert got.dtype == np.float64 and got.shape == (n + 1,)
+                got = rows(theta, n)
+                assert got.shape == (n + 1,)
                 assert got.tobytes() == np.array(want[:n + 1]).tobytes(), n
         # a cloud of theta: one orbit per lane, in 1-d and 2-d arrays
         lanes = np.array(thetas)
         want = np.array(orbits).T
         for n in ns:
-            got = skew.base_orbit(lanes, n)
-            assert got.dtype == np.float64 and got.shape == (n + 1, 6)
+            got = rows(lanes, n)
+            assert got.shape == (n + 1, 6)
             assert got.tobytes() == want[:n + 1].tobytes(), n
-            got = skew.base_orbit(lanes.reshape(2, 3), n)
+            got = rows(lanes.reshape(2, 3), n)
             assert got.shape == (n + 1, 2, 3)
             assert got.tobytes() == want[:n + 1].tobytes(), n
 
@@ -263,10 +273,11 @@ class TestFiberSplit:
     @pytest.mark.parametrize("d", [3, 16])
     def test_fiber_sequence_thetas_are_one_base_orbit(self, d, n):
         # a fiber sequence extends theta_j in blocks of at most
-        # _THETA_BLOCK, each restarting base_orbit from the last theta;
-        # reached by one call or a map_at walk, they are one orbit's rows
+        # _THETA_BLOCK, each continuing from the state the one before
+        # handed on; reached by one call or a map_at walk, they are one
+        # orbit's rows
         skew = viana_skew(d=d)
-        want = skew.base_orbit(0.3, n - 1).tobytes()
+        want = skew.base_rows(skew.base_state(0.3), n)[0].tobytes()
         seq = fiber_sequence(skew, 0.3)
         assert np.array(seq.thetas(n)[:n]).tobytes() == want
         walk = fiber_sequence(skew, 0.3)
@@ -278,34 +289,37 @@ class TestFiberSplit:
     def test_base_rows_match_a_per_row_wrap(self, d):
         # d = 2^m fills up to 1023 // m rows by one multiply; n runs across
         # that chunk edge, and since RuntimeWarnings are errors, no chunk
-        # may overflow
+        # may overflow.  The rows need only the degree (viana_skew(d=32)
+        # does not construct), and a nan lane may enter as a float row.
+        bare = SimpleNamespace(base_degree=d)
         k = 1023 // (d.bit_length() - 1)
         t = np.array([0.0, 5e-324, 1.0 - 2.0**-53, 0.3, np.nan])
         for n in (k - 1, k, k + 1, 2 * k + 1):
             want = [t]
             for _ in range(n):
                 want.append(maps.wrap(d * want[-1]))
-            got = maps._base_rows(d, t, n)
-            assert got.shape == (n + 1, 5)
-            assert got.tobytes() == np.array(want).tobytes(), n
+            got, state = maps.SkewProduct.base_rows(bare, t, n)
+            assert got.shape == (n, 5)
+            assert np.concatenate([got, [state]]).tobytes() == np.array(
+                want).tobytes(), n
 
     @pytest.mark.parametrize("d", [3, 16])
     @pytest.mark.parametrize("n", [-1, -2, -5])
-    def test_negative_base_orbit_length_raises(self, d, n):
+    def test_negative_base_rows_length_raises(self, d, n):
         skew = viana_skew(d=d)
         for theta in (0.3, np.array([0.3, 0.7])):
             with pytest.raises(ValueError, match=f"got {n}"):
-                skew.base_orbit(theta, n)
+                skew.base_rows(skew.base_state(theta), n)
 
     def test_chained_blocks_wrap_each_row_once(self, viana, block_rows,
                                                monkeypatch):
-        # a block after the first continues from the wrapped last row of
-        # the block before: every row wrapped once (a wrap takes one row or
-        # a stack of rows), the rows of one base_orbit, and c(theta) of
-        # each row
+        # a block after the first continues from the state the block
+        # before handed on: every row wrapped once (a wrap takes one row or
+        # a stack of rows), the carry row of the last block too, so n + 1
+        # rows; the rows of one base_rows call, and c(theta) of each row
         theta, x = viana.sample(make_generator(31), 100)
         n = 2 * block_rows + 3
-        want = viana.base_orbit(theta, n - 1)
+        want, _ = viana.base_rows(viana.base_state(theta), n)
         wrapped = []
         real = maps.wrap
         monkeypatch.setattr(maps, "wrap",
@@ -318,7 +332,7 @@ class TestFiberSplit:
         blocks = list(viana.theta_blocks(theta, n))
         assert [len(T) for T, _ in blocks] == [
             min(block_rows, n - j) for j in range(0, n, block_rows)]
-        assert wrapped_rows() == n
+        assert wrapped_rows() == n + 1
         got = np.concatenate([T for T, _ in blocks])
         assert got.tobytes() == want.tobytes()
         for T, C in blocks:
@@ -327,11 +341,11 @@ class TestFiberSplit:
         wrapped.clear()
         rows = [T for T, _ in viana.orbit((theta, x), n)]
         assert np.concatenate(rows).tobytes() == want.tobytes()
-        assert wrapped_rows() == n
+        assert wrapped_rows() == n + 1
         wrapped.clear()
         for _ in expansion._cloud_branch_rows(viana, (theta, x), n):
             pass
-        assert wrapped_rows() == n
+        assert wrapped_rows() == n + 1
 
     def test_viana_fiber_is_its_split(self, viana):
         two_pi = 2.0 * math.pi
@@ -432,6 +446,8 @@ class TestSystemProtocol:
 class _BareSkew:
     """Duck-typed stand-in for domination checks on unconstructible systems."""
 
+    base_state = maps.SkewProduct.base_state
+    base_rows = maps.SkewProduct.base_rows
     theta_blocks = maps.SkewProduct.theta_blocks
     orbit = maps.SkewProduct.orbit
 
@@ -636,9 +652,9 @@ class TestSkewProductConstruction:
                 assert type(got) is float and got == want
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    def test_fiber_sequence_follows_base_orbit(self, viana):
+    def test_fiber_sequence_follows_base_rows(self, viana):
         seq = fiber_sequence(viana, 0.3)
-        orbit = viana.base_orbit(0.3, 9)
+        orbit, _ = viana.base_rows(viana.base_state(0.3), 10)
         # out-of-order access extends the stored orbit as needed
         for k in (6, 2, 9, 0, 7):
             m = seq.map_at(k)
@@ -700,7 +716,7 @@ class TestCatalogue:
         assert make_system(family).label == ctor().label
 
     def test_circle_orbit_stays_wrapped(self, viana):
-        orbit = viana.base_orbit(0.987654, 50)
+        orbit, _ = viana.base_rows(viana.base_state(0.987654), 51)
         assert np.all((orbit >= 0.0) & (orbit < 1.0))
 
     def test_quadratic_needs_valid_parameter(self):
